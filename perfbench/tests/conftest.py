@@ -1,0 +1,7 @@
+"""Make the benchmark's modules and the program importable in tests."""
+
+import pathlib
+import sys
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
