@@ -103,7 +103,7 @@ def prepare_stage_inputs(model: M2G4RTP, batch: GraphBatch) -> Dict[str, object]
 
 def time_stage(fn: Callable[[], object], iters: int, rounds: int) -> float:
     """Minimum per-call milliseconds over ``rounds`` rounds of ``iters``."""
-    fn()  # warm-up: workspace buffers, BLAS threads
+    fn()  # warm-up: position tables, BLAS threads
     best = float("inf")
     for _ in range(rounds):
         start = time.perf_counter()

@@ -120,7 +120,9 @@ class BatchedM2G4RTP:
     The engine owns no parameters — it reads the wrapped model's modules
     through their ``forward_batch`` methods, so any model (any ablation
     variant, either decoder cell type) batches without retraining or
-    weight copies.
+    weight copies.  It is the no-grad serving path for batches of any
+    size, one included (``RTPService.handle``); ``M2G4RTP.predict`` is
+    the per-instance Tensor specification it is checked against.
     """
 
     def __init__(self, model: M2G4RTP):
@@ -133,7 +135,8 @@ class BatchedM2G4RTP:
             return []
         model = self.model
         was_training = model.training
-        model.eval()
+        if was_training:
+            model.eval()
         try:
             with no_grad():
                 return self._predict(GraphBatch.from_graphs(graphs))

@@ -295,13 +295,23 @@ class SortLSTM(Module):
 
         ``nodes`` is ``(B, n, d)``, ``routes`` ``(B, n)`` with row ``b``
         a permutation of ``range(lengths[b])`` in its first ``lengths[b]``
-        entries.  Returns ``(B, n)`` arrival times in node order;
+        entries; like :meth:`forward`, any other route raises
+        ``ValueError``.  Returns ``(B, n)`` arrival times in node order;
         padding entries are exactly zero.
 
         When gradients are disabled, the pass runs through the active
         kernel backend (:mod:`repro.kernels`), bit-identical to the
         Tensor path below.
         """
+        routes = np.asarray(routes, dtype=np.int64)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        steps = np.arange(routes.shape[1])
+        # Padding entries stand in for the ids lengths[b]..n-1, so a row
+        # sorts to 0..n-1 exactly when its real prefix is a permutation.
+        padded = np.where(steps[None, :] < lengths[:, None], routes, steps)
+        if not np.array_equal(np.sort(padded, axis=1),
+                              np.broadcast_to(steps, padded.shape)):
+            raise ValueError("route must be a permutation of the node indices")
         if not is_grad_enabled():
             from .. import kernels
             with span("kernel.sort_rnn",
@@ -310,9 +320,6 @@ class SortLSTM(Module):
                 return Tensor(kernels.active().sort_rnn_forward(
                     self, nodes.data, routes, lengths))
         batch, n = nodes.shape[0], nodes.shape[1]
-        routes = np.asarray(routes, dtype=np.int64)
-        lengths = np.asarray(lengths, dtype=np.int64)
-        steps = np.arange(n)
         step_valid = steps[None, :] < lengths[:, None]        # (B, n)
         state = self.recurrent.initial_state((batch,))
         times_by_step: List[Tensor] = []

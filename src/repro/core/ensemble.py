@@ -14,6 +14,7 @@ from typing import List, Sequence
 import numpy as np
 
 from ..graphs import MultiLevelGraph
+from .batching import BatchedM2G4RTP
 from .model import M2G4RTP, M2G4RTPOutput
 
 
@@ -42,15 +43,20 @@ def borda_aggregate(routes: Sequence[np.ndarray]) -> np.ndarray:
 
 
 class EnsemblePredictor:
-    """Joint prediction from several trained :class:`M2G4RTP` models."""
+    """Joint prediction from several trained :class:`M2G4RTP` models.
+
+    Members answer through the kernel-backed :class:`BatchedM2G4RTP`
+    engine as batches of one, like ``RTPService.handle``.
+    """
 
     def __init__(self, models: Sequence[M2G4RTP]):
         if not models:
             raise ValueError("ensemble needs at least one model")
         self.models: List[M2G4RTP] = list(models)
+        self._engines = [BatchedM2G4RTP(model) for model in self.models]
 
     def predict(self, graph: MultiLevelGraph) -> M2G4RTPOutput:
-        outputs = [model.predict(graph) for model in self.models]
+        outputs = [engine.predict([graph])[0] for engine in self._engines]
         route = borda_aggregate([output.route for output in outputs])
         times = np.mean([output.arrival_times for output in outputs], axis=0)
         if outputs[0].aoi_route is not None:

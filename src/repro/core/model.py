@@ -243,9 +243,14 @@ class M2G4RTP(Module):
 
     # ------------------------------------------------------------------
     def predict(self, graph: MultiLevelGraph) -> M2G4RTPOutput:
-        """Inference: autoregressive decoding without the tape."""
+        """Inference: autoregressive decoding without the tape.
+
+        Runs in eval mode; the module tree is only walked to switch
+        modes when the model is in train mode (and is restored after).
+        """
         was_training = self.training
-        self.eval()
+        if was_training:
+            self.eval()
         try:
             with no_grad():
                 return self.forward(graph)

@@ -6,9 +6,15 @@ gradients are disabled; training and autodiff keep the existing
 verified Tensor path.  Two backends are provided:
 
 * ``reference`` — the previously inlined, test-certified paths;
-* ``fused`` — single-pass kernels over reusable scratch buffers
-  (:mod:`repro.kernels.workspace`), bit-identical by construction and
-  certified by ``tests/test_kernel_conformance.py``.
+* ``fused`` — single-pass kernels that write into per-call scratch
+  arrays, bit-identical by construction and certified by
+  ``tests/test_kernel_conformance.py``.
+
+Both batched serving (``RTPService.handle_batch``) and single-request
+serving (``RTPService.handle``, a batch of one) run through the
+selected backend via :class:`repro.core.BatchedM2G4RTP`;
+``M2G4RTP.predict`` stays the per-instance Tensor path they are
+checked against.
 
 Select with :func:`use` / :func:`backend_scope`, the ``REPRO_KERNELS``
 environment variable, or the CLI ``--kernels`` flag.
@@ -27,21 +33,17 @@ from .dispatch import (
     require,
     use,
 )
-from .workspace import Workspace, get_workspace, workspace_scope
 
 __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
     "ENV_VAR",
     "KernelUnavailableError",
-    "Workspace",
     "active",
     "active_name",
     "available_backends",
     "backend_scope",
     "fallback_reason",
-    "get_workspace",
     "require",
     "use",
-    "workspace_scope",
 ]

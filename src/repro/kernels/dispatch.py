@@ -6,10 +6,10 @@ Two interchangeable backends implement the no-grad inference kernels
 * ``reference`` — the verified paths: the GAT-e stack delegates to the
   Tensor ``forward_batch`` code and the decoders run the raw-numpy
   replicas proven bit-identical to the Tensor path.
-* ``fused`` — single-pass kernels with preallocated scratch buffers
-  (see :mod:`repro.kernels.workspace`); the differential conformance
-  suite (``tests/test_kernel_conformance.py``) certifies them against
-  the reference backend.
+* ``fused`` — single-pass kernels writing into per-call scratch
+  arrays; the differential conformance suite
+  (``tests/test_kernel_conformance.py``) certifies them against the
+  reference backend.
 
 Selection order: an explicit :func:`use` call wins, then the
 ``REPRO_KERNELS`` environment variable, then the default (``fused``).

@@ -1,14 +1,17 @@
-"""Fused kernel backend: single-pass no-grad kernels with scratch reuse.
+"""Fused kernel backend: single-pass no-grad kernels.
 
 Each kernel performs the *same floating-point operations in the same
 association order* as the reference backend — per-head matmuls stay
 separate, gate splits keep the reference order, the masked softmax runs
 the exact reference sequence — so outputs are bit-identical; only
-temporaries, tape bookkeeping and Python overhead are removed:
+temporaries, tape bookkeeping and Python overhead are removed.  Scratch
+arrays are allocated once per call with ``np.empty``/``np.zeros`` and
+then written in place; no buffer outlives the call that made it, so
+concurrent callers (threads, inline shards) never share one.
 
 * :func:`gat_encoder_forward` — one pass per GAT-e layer: edge logits,
-  masked softmax, neighbour aggregation and edge update run in-place on
-  workspace buffers that are reused across heads and layers.
+  masked softmax, neighbour aggregation and edge update run in place on
+  per-layer scratch arrays shared by all heads.
 * :func:`level_embed` — the encoder's feature-embedding glue (Eq. 18):
   continuous projection, embedding gathers, global tiling and the
   node/edge input projections collapse into slice writes plus two GEMMs.
@@ -34,7 +37,6 @@ from typing import Optional
 import numpy as np
 
 from ..nn.positional import sinusoidal_position_encoding
-from .workspace import Workspace, get_workspace
 
 # Position-encoding rows are pure functions of (position, dim); caching
 # the stacked table per (n, dim) hoists them out of the sort-RNN step
@@ -82,33 +84,31 @@ class _FusedRecurrent:
     the gate pre-activation keeps the ``(x W_x + h W_h) + b``
     association (LSTM) / ``(x W_x + b) + h W_h`` slice sums (GRU), and
     state updates keep ``(f*c) + (i*g)`` / ``((1-z)*n) + (z*h)``.
-    Hidden/cell buffers are ping-pong swapped between steps.
+    Buffers are allocated once per stepper; hidden/cell buffers are
+    ping-pong swapped between steps.
     """
 
-    def __init__(self, recurrent, batch: int, workspace: Workspace, tag: str):
+    def __init__(self, recurrent, batch: int):
         cell = recurrent.cell
         self.kind = recurrent.cell_type
         self.hidden_dim = cell.hidden_dim
         self.weight_x = cell.weight_x.data
         self.weight_h = cell.weight_h.data
         self.bias = cell.bias.data
-        self.ws = workspace
-        self.tag = tag
         d = cell.hidden_dim
         gate_width = self.weight_x.shape[1]  # 4d (lstm) / 3d (gru)
-        ws = workspace
-        self.gates = ws.buf(tag + ".gates", (batch, gate_width))
-        self.h_gates = ws.buf(tag + ".hgates", (batch, gate_width))
-        self.h = ws.zeros(tag + ".h", (batch, d))
-        self.h_next = ws.buf(tag + ".hnext", (batch, d))
-        self.scratch = ws.buf(tag + ".scratch", (batch, d))
+        self.gates = np.empty((batch, gate_width))
+        self.h_gates = np.empty((batch, gate_width))
+        self.h = np.zeros((batch, d))
+        self.h_next = np.empty((batch, d))
+        self.scratch = np.empty((batch, d))
         if self.kind == "lstm":
-            self.c = ws.zeros(tag + ".c", (batch, d))
-            self.c_next = ws.buf(tag + ".cnext", (batch, d))
-            self.g_scratch = ws.buf(tag + ".gscratch", (batch, d))
+            self.c = np.zeros((batch, d))
+            self.c_next = np.empty((batch, d))
+            self.g_scratch = np.empty((batch, d))
         else:
-            self.rz = ws.buf(tag + ".rz", (batch, 2 * d))
-            self.candidate = ws.buf(tag + ".cand", (batch, d))
+            self.rz = np.empty((batch, 2 * d))
+            self.candidate = np.empty((batch, d))
 
     def _input_gates(self, x: np.ndarray) -> np.ndarray:
         gates = self.gates
@@ -131,11 +131,7 @@ class _FusedRecurrent:
         i.e. not for pointer decoding, where step inputs depend on the
         previous choice.
         """
-        steps, batch = sequence.shape[1], sequence.shape[0]
-        buf = self.ws.buf(self.tag + ".xgates",
-                          (steps, batch, self.weight_x.shape[1]))
-        np.matmul(sequence.transpose(1, 0, 2), self.weight_x, out=buf)
-        return buf
+        return np.matmul(sequence.transpose(1, 0, 2), self.weight_x)
 
     def step(self, x: Optional[np.ndarray],
              pre: Optional[np.ndarray] = None) -> np.ndarray:
@@ -201,14 +197,14 @@ class _FusedRecurrent:
 # ----------------------------------------------------------------------
 # GAT-e encoder stack
 # ----------------------------------------------------------------------
-def _stacked(ws: Workspace, tag: str, heads, attr: str) -> np.ndarray:
-    """Copy one weight per head into a reusable ``(H, ...)`` buffer.
+def _stacked(heads, attr: str) -> np.ndarray:
+    """Copy one weight per head into an ``(H, ...)`` array.
 
     Cheaper than ``np.stack`` (no list/concatenate machinery) and safe
     against in-place optimizer updates, unlike caching the stack.
     """
     first = getattr(heads[0], attr).data
-    buf = ws.buf(tag, (len(heads),) + first.shape)
+    buf = np.empty((len(heads),) + first.shape)
     buf[0] = first
     for index in range(1, len(heads)):
         buf[index] = getattr(heads[index], attr).data
@@ -218,7 +214,7 @@ def _stacked(ws: Workspace, tag: str, heads, attr: str) -> np.ndarray:
 def _gat_layer(layer, nodes: np.ndarray, edges: np.ndarray,
                adjacency: np.ndarray, mask_f: np.ndarray,
                empty_f: np.ndarray, empty_b: np.ndarray,
-               need_edges: bool, ws: Workspace):
+               need_edges: bool):
     """One multi-head GAT-e layer, all heads stacked on a leading axis.
 
     Head weights are stacked to ``(H, ...)`` and every matmul runs as a
@@ -234,16 +230,15 @@ def _gat_layer(layer, nodes: np.ndarray, edges: np.ndarray,
     batch, n, dim = nodes.shape
     head_dim = heads[0].w2.data.shape[1]
     out_dim = head_dim if layer.final else head_dim * num_heads
-    w1 = _stacked(ws, "gat.w1s", heads, "w1")          # (H, dim, dim)
-    w2 = _stacked(ws, "gat.w2s", heads, "w2")          # (H, dim, hd)
+    w1 = _stacked(heads, "w1")          # (H, dim, dim)
+    w2 = _stacked(heads, "w2")          # (H, dim, hd)
 
-    transformed = ws.buf("gat.transformed", (num_heads, batch, n, dim))
-    np.matmul(nodes, w1[:, None], out=transformed)
-    source = ws.buf("gat.source", (num_heads, batch, n))
-    target = ws.buf("gat.target", (num_heads, batch, n))
-    logits = ws.buf("gat.alpha", (num_heads, batch, n, n))
-    scratch = ws.buf("gat.scratch", (num_heads, batch, n, n))
-    row_max = ws.buf("gat.rowmax", (num_heads, batch, n, 1))
+    transformed = np.matmul(nodes, w1[:, None])
+    source = np.empty((num_heads, batch, n))
+    target = np.empty((num_heads, batch, n))
+    logits = np.empty((num_heads, batch, n, n))
+    scratch = np.empty((num_heads, batch, n, n))
+    row_max = np.empty((num_heads, batch, n, 1))
     for index, head in enumerate(heads):
         np.matmul(transformed[index], head.a_src.data, out=source[index])
         np.matmul(transformed[index], head.a_dst.data, out=target[index])
@@ -269,11 +264,9 @@ def _gat_layer(layer, nodes: np.ndarray, edges: np.ndarray,
     denominator += empty_f
     logits /= denominator
 
-    messages = ws.buf("gat.messages", (num_heads, batch, n, head_dim))
-    np.matmul(nodes, w2[:, None], out=messages)
-    node_tmp = ws.buf("gat.node_tmp", (num_heads, batch, n, head_dim))
-    np.matmul(logits, messages, out=node_tmp)
-    node_out = ws.buf("gat.node_out", (batch, n, out_dim))
+    messages = np.matmul(nodes, w2[:, None])
+    node_tmp = np.matmul(logits, messages)
+    node_out = np.empty((batch, n, out_dim))
     if layer.final:
         # add.reduce over a length-H axis accumulates sequentially —
         # the same h0+h1+... order as the reference head loop.
@@ -285,18 +278,12 @@ def _gat_layer(layer, nodes: np.ndarray, edges: np.ndarray,
 
     edge_out = None
     if need_edges:
-        w3 = _stacked(ws, "gat.w3s", heads, "w3")
-        w4 = _stacked(ws, "gat.w4s", heads, "w4")
-        w5 = _stacked(ws, "gat.w5s", heads, "w5")
-        edge_tmp = ws.buf("gat.edge_tmp", (num_heads, batch, n, n, head_dim))
-        np.matmul(edges, w3[:, None, None], out=edge_tmp)
-        n4 = ws.buf("gat.n4", (num_heads, batch, n, head_dim))
-        n5 = ws.buf("gat.n5", (num_heads, batch, n, head_dim))
-        np.matmul(nodes, w4[:, None], out=n4)
-        np.matmul(nodes, w5[:, None], out=n5)
+        edge_tmp = np.matmul(edges, _stacked(heads, "w3")[:, None, None])
+        n4 = np.matmul(nodes, _stacked(heads, "w4")[:, None])
+        n5 = np.matmul(nodes, _stacked(heads, "w5")[:, None])
         edge_tmp += n4[:, :, :, None, :]
         edge_tmp += n5[:, :, None, :, :]
-        edge_out = ws.buf("gat.edge_out", (batch, n, n, out_dim))
+        edge_out = np.empty((batch, n, n, out_dim))
         if layer.final:
             np.add.reduce(edge_tmp, axis=0, out=edge_out)
         else:
@@ -315,20 +302,18 @@ def _gat_layer(layer, nodes: np.ndarray, edges: np.ndarray,
 
 def gat_encoder_forward(gat, nodes: np.ndarray, edges: np.ndarray,
                         adjacency: np.ndarray, need_edges: bool = True):
-    """Residual GAT-e stack fused over workspace buffers.
+    """Residual GAT-e stack with in-place node/edge accumulators.
 
     Masks, their float casts and the empty-row guard are computed once
-    for the whole stack; node/edge accumulators are updated in place.
+    for the whole stack.  The accumulators start as copies of the
+    inputs, so the caller's arrays are never written.
     """
-    ws = get_workspace()
     adjacency = np.asarray(adjacency, dtype=bool)
     mask_f = adjacency.astype(np.float64)
     empty_b = (~adjacency).all(axis=2, keepdims=True)
     empty_f = empty_b.astype(np.float64)
-    node_acc = ws.buf("gat.node_acc", nodes.shape)
-    np.copyto(node_acc, nodes)
-    edge_acc = ws.buf("gat.edge_acc", edges.shape)
-    np.copyto(edge_acc, edges)
+    node_acc = np.array(nodes, dtype=np.float64)
+    edge_acc = np.array(edges, dtype=np.float64)
     last = len(gat.layers) - 1
     # One errstate for the whole stack: fully-masked rows produce
     # -inf - -inf inside the attention shift (reference behaviour).
@@ -337,12 +322,11 @@ def gat_encoder_forward(gat, nodes: np.ndarray, edges: np.ndarray,
             layer_need_edges = need_edges or index < last
             node_update, edge_update = _gat_layer(
                 layer, node_acc, edge_acc, adjacency, mask_f, empty_f,
-                empty_b, layer_need_edges, ws)
+                empty_b, layer_need_edges)
             node_acc += node_update
             if layer_need_edges:
                 edge_acc += edge_update
-    # Copies detach the results from the reusable workspace buffers.
-    return node_acc.copy(), (edge_acc.copy() if need_edges else None)
+    return node_acc, (edge_acc if need_edges else None)
 
 
 # ----------------------------------------------------------------------
@@ -355,8 +339,7 @@ def lstm_unroll(cell, sequence: np.ndarray) -> np.ndarray:
     GEMM up front; the step loop only runs the recurrent half.
     """
     batch, steps, _ = sequence.shape
-    recurrent = _FusedRecurrent(_BareCell(cell, "lstm"), batch,
-                                get_workspace(), "unroll")
+    recurrent = _FusedRecurrent(_BareCell(cell, "lstm"), batch)
     pre = recurrent.precompute_inputs(sequence)
     outputs = np.empty((batch, steps, cell.hidden_dim))
     for step in range(steps):
@@ -371,20 +354,17 @@ def level_embed(encoder, continuous: np.ndarray, discrete: np.ndarray,
     Replaces the Tensor glue of ``LevelEncoder.forward_batch`` — the
     continuous projection, discrete embedding gathers, global-context
     tiling and the node/edge input projections — with slice writes into
-    one workspace buffer followed by two GEMMs.  Concatenation becomes
+    one feature array followed by two GEMMs.  Concatenation becomes
     slice assignment (a memcpy), the tile-by-ones becomes a broadcast
     copy (``x * 1.0`` is an IEEE identity), and each projection keeps
     the same matmul + bias add, so outputs are bit-identical to the
-    Tensor path.  Returned arrays are workspace views: valid until the
-    next same-shape call on this thread (the GAT stack consumes them
-    immediately and returns fresh copies).
+    Tensor path.
     """
-    ws = get_workspace()
     batch, n = continuous.shape[:2]
     features = encoder.node_features
     cont_dim = features.continuous.out_features
-    stacked = ws.buf("embed.stack",
-                     (batch, n, features.output_dim + global_data.shape[-1]))
+    stacked = np.empty(
+        (batch, n, features.output_dim + global_data.shape[-1]))
     np.matmul(continuous, features.continuous.weight.data,
               out=stacked[:, :, :cont_dim])
     stacked[:, :, :cont_dim] += features.continuous.bias.data
@@ -401,12 +381,9 @@ def level_embed(encoder, continuous: np.ndarray, discrete: np.ndarray,
             table.weight.data[idx]
         offset += table.embedding_dim
     stacked[:, :, features.output_dim:] = global_data[:, None, :]
-    nodes = ws.buf("embed.nodes", (batch, n, encoder.node_proj.out_features))
-    np.matmul(stacked, encoder.node_proj.weight.data, out=nodes)
+    nodes = np.matmul(stacked, encoder.node_proj.weight.data)
     nodes += encoder.node_proj.bias.data
-    edges = ws.buf("embed.edges",
-                   (batch, n, n, encoder.edge_proj.out_features))
-    np.matmul(edge_features, encoder.edge_proj.weight.data, out=edges)
+    edges = np.matmul(edge_features, encoder.edge_proj.weight.data)
     edges += encoder.edge_proj.bias.data
     return nodes, edges
 
@@ -425,7 +402,6 @@ def pointer_decode(decoder, nodes: np.ndarray, courier: np.ndarray,
     choice, so the mask is recomputed per step exactly as the reference
     does.
     """
-    ws = get_workspace()
     batch, n, node_dim = nodes.shape
     lengths = np.asarray(lengths, dtype=np.int64)
     visited = np.arange(n)[None, :] >= lengths[:, None]   # padding pre-visited
@@ -433,16 +409,15 @@ def pointer_decode(decoder, nodes: np.ndarray, courier: np.ndarray,
     query_weight = attention.query_proj.weight.data
     v = attention.v.data
     hidden = query_weight.shape[1]
-    projected_keys = np.matmul(nodes, attention.key_proj.weight.data,
-                               out=ws.buf("ptr.keys", (batch, n, hidden)))
-    recurrent = _FusedRecurrent(decoder.recurrent, batch, ws, "ptr")
+    projected_keys = np.matmul(nodes, attention.key_proj.weight.data)
+    recurrent = _FusedRecurrent(decoder.recurrent, batch)
     state_dim = recurrent.hidden_dim
-    query = ws.buf("ptr.query", (batch, state_dim + courier.shape[-1]))
+    query = np.empty((batch, state_dim + courier.shape[-1]))
     query[:, state_dim:] = courier
-    projected_query = ws.buf("ptr.pquery", (batch, hidden))
-    pre_tanh = ws.buf("ptr.pretanh", (batch, n, hidden))
-    step_input_buf = ws.buf("ptr.input", (batch, node_dim))
-    scores = ws.buf("ptr.scores", (batch, n))
+    projected_query = np.empty((batch, hidden))
+    pre_tanh = np.empty((batch, n, hidden))
+    step_input_buf = np.empty((batch, node_dim))
+    scores = np.empty((batch, n))
     routes = np.zeros((batch, n), dtype=np.int64)
     rows = np.arange(batch)
     incremental = not (decoder.restrict_to_neighbors and adjacency is not None)
@@ -455,8 +430,7 @@ def pointer_decode(decoder, nodes: np.ndarray, courier: np.ndarray,
     # closes its last real node, so its dummy is re-opened explicitly.
     active_f = (steps[:, None] < lengths[None, :]).astype(np.float64)
     if incremental:
-        penalty = ws.buf("ptr.penalty", (batch, n))
-        np.copyto(penalty, np.where(visited, -1e30, 0.0))
+        penalty = np.where(visited, -1e30, 0.0)
         exhausted = lengths <= 0
         if exhausted.any():   # dummy candidate for empty rows, like reference
             penalty[exhausted, 0] = 0.0
@@ -507,23 +481,22 @@ def pointer_decode(decoder, nodes: np.ndarray, courier: np.ndarray,
 def sort_rnn_forward(sort, nodes: np.ndarray, routes: np.ndarray,
                      lengths: np.ndarray) -> np.ndarray:
     """Batched SortLSTM forward with a fused gather+concat step input."""
-    ws = get_workspace()
     batch, n, node_dim = nodes.shape
     routes = np.asarray(routes, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     step_valid = np.arange(n)[None, :] < lengths[:, None]
     step_valid_f = step_valid.astype(np.float64)
     safe_all = np.where(step_valid, routes, 0)   # all gather indices at once
-    recurrent = _FusedRecurrent(sort.recurrent, batch, ws, "sort")
+    recurrent = _FusedRecurrent(sort.recurrent, batch)
     head_weight = sort.head.weight.data
     head_bias = sort.head.bias.data
-    head_out = ws.buf("sort.head", (batch, 1))
+    head_out = np.empty((batch, 1))
     rows = np.arange(batch)
     by_step = np.zeros((batch, n))
     # The whole step-input sequence is known up front (gathered nodes +
     # position encodings), so both the gather and the input-side gate
     # projections are batched out of the loop.
-    sequence = ws.buf("sort.seq", (batch, n, node_dim + sort.position_dim))
+    sequence = np.empty((batch, n, node_dim + sort.position_dim))
     np.multiply(nodes[rows[:, None], safe_all], step_valid_f[:, :, None],
                 out=sequence[:, :, :node_dim])
     sequence[:, :, node_dim:] = _position_table(n, sort.position_dim)[None, :n]

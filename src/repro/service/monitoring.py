@@ -16,7 +16,9 @@ the service's graph-cache counters.
 from __future__ import annotations
 
 import dataclasses
+import threading
 import time
+from collections import deque
 from typing import List, Optional
 
 import numpy as np
@@ -30,6 +32,11 @@ DEFAULT_BUCKETS = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, float("inf"))
 
 #: Batch-size histogram bucket upper bounds (requests per flush).
 BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, float("inf"))
+
+#: Most recent latencies kept for the p50/p95 fields of
+#: :meth:`ServiceMonitor.stats`; means, max and counts cover every
+#: request, so memory stays bounded however long the service runs.
+PERCENTILE_WINDOW = 4096
 
 
 @dataclasses.dataclass
@@ -102,12 +109,20 @@ class ServiceMonitor:
         cache = getattr(service, "cache", None)
         if cache is not None and hasattr(cache, "bind_registry"):
             cache.bind_registry(self.registry)
-        # Raw latency samples kept for the percentile fields of
-        # stats(); the registry holds only bucketed/summed forms.
-        self._latencies: List[float] = []
-        self._build_times: List[float] = []
-        self._infer_times: List[float] = []
-        self._route_lengths: List[int] = []
+        self._totals_lock = threading.Lock()
+        self._reset_totals()
+
+    def _reset_totals(self) -> None:
+        # Exact running totals for the count/mean/max fields of stats(),
+        # plus a bounded window of recent latencies for its percentiles.
+        self._count = 0
+        self._latency_sum = 0.0
+        self._latency_max = 0.0
+        self._route_length_sum = 0
+        self._split_count = 0
+        self._build_sum = 0.0
+        self._infer_sum = 0.0
+        self._recent_latencies: deque = deque(maxlen=PERCENTILE_WINDOW)
 
     # ------------------------------------------------------------------
     def handle(self, request: RTPRequest) -> RTPResponse:
@@ -142,14 +157,20 @@ class ServiceMonitor:
 
     def _observe(self, latency_ms: float, route_length: int,
                  response: Optional[RTPResponse] = None) -> None:
-        self._latencies.append(latency_ms)
-        self._route_lengths.append(route_length)
+        with self._totals_lock:
+            self._count += 1
+            self._latency_sum += latency_ms
+            self._latency_max = max(self._latency_max, latency_ms)
+            self._recent_latencies.append(latency_ms)
+            self._route_length_sum += route_length
+            if response is not None:
+                self._split_count += 1
+                self._build_sum += response.build_ms
+                self._infer_sum += response.infer_ms
         self._queries.inc()
         self._latency.observe(latency_ms)
         self._route_length.observe(route_length)
         if response is not None:
-            self._build_times.append(response.build_ms)
-            self._infer_times.append(response.infer_ms)
             self._build.observe(response.build_ms)
             self._infer.observe(response.infer_ms)
             if getattr(response, "degraded", False):
@@ -164,29 +185,30 @@ class ServiceMonitor:
         cache_hits = getattr(self.service, "cache_hits", 0)
         cache_misses = getattr(self.service, "cache_misses", 0)
         errors = int(self._errors.value)
-        if not self._latencies:
-            return ServiceStats(queries=0, errors=errors,
-                                mean_latency_ms=0.0, p50_latency_ms=0.0,
-                                p95_latency_ms=0.0, max_latency_ms=0.0,
-                                mean_route_length=0.0,
-                                cache_hits=cache_hits,
-                                cache_misses=cache_misses)
-        latencies = np.asarray(self._latencies)
-        return ServiceStats(
-            queries=latencies.size,
-            errors=errors,
-            mean_latency_ms=float(latencies.mean()),
-            p50_latency_ms=float(np.percentile(latencies, 50)),
-            p95_latency_ms=float(np.percentile(latencies, 95)),
-            max_latency_ms=float(latencies.max()),
-            mean_route_length=float(np.mean(self._route_lengths)),
-            mean_build_ms=(float(np.mean(self._build_times))
-                           if self._build_times else 0.0),
-            mean_infer_ms=(float(np.mean(self._infer_times))
-                           if self._infer_times else 0.0),
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
-        )
+        with self._totals_lock:
+            count = self._count
+            if not count:
+                return ServiceStats(queries=0, errors=errors,
+                                    mean_latency_ms=0.0, p50_latency_ms=0.0,
+                                    p95_latency_ms=0.0, max_latency_ms=0.0,
+                                    mean_route_length=0.0,
+                                    cache_hits=cache_hits,
+                                    cache_misses=cache_misses)
+            recent = np.asarray(self._recent_latencies)
+            splits = self._split_count
+            return ServiceStats(
+                queries=count,
+                errors=errors,
+                mean_latency_ms=self._latency_sum / count,
+                p50_latency_ms=float(np.percentile(recent, 50)),
+                p95_latency_ms=float(np.percentile(recent, 95)),
+                max_latency_ms=self._latency_max,
+                mean_route_length=self._route_length_sum / count,
+                mean_build_ms=self._build_sum / splits if splits else 0.0,
+                mean_infer_ms=self._infer_sum / splits if splits else 0.0,
+                cache_hits=cache_hits,
+                cache_misses=cache_misses,
+            )
 
     def render_metrics(self) -> str:
         """Prometheus-exposition text of the shared registry."""
@@ -194,8 +216,6 @@ class ServiceMonitor:
         return self.registry.render()
 
     def reset(self) -> None:
-        self._latencies.clear()
-        self._build_times.clear()
-        self._infer_times.clear()
-        self._route_lengths.clear()
+        with self._totals_lock:
+            self._reset_totals()
         self.registry.reset()

@@ -7,13 +7,12 @@ class backs both deployment modes of the
 
 * **process mode** — :func:`shard_worker_main` constructs the runtime
   *inside* the worker process from the spec message, so nothing built
-  in the router process (model, caches, buffer pools) is ever shared
-  through ``fork``;
+  in the router process (model, caches) is ever shared through
+  ``fork``;
 * **inline mode** — the router holds N runtimes in-process (the
-  deterministic virtual-clock path of the load scenarios); each enters
-  its own :func:`~repro.kernels.workspace_scope` around request work
-  so the fused kernels draw from per-shard scratch pools even on a
-  shared thread.
+  deterministic virtual-clock path of the load scenarios).  The fused
+  kernels keep no scratch between calls, so shards that share a
+  thread share no buffers either.
 
 Per shard, the stack is the full single-process serving story:
 :class:`~repro.service.RTPService` (own :class:`~repro.service.GraphCache`)
@@ -39,7 +38,6 @@ import numpy as np
 from ..core import M2G4RTP, M2G4RTPConfig
 from ..core.fallback import FallbackPredictor
 from ..deploy.resilience import ResilienceConfig, ResilientRTPService
-from ..kernels import Workspace, workspace_scope
 from ..obs import tracing
 from ..obs.propagate import worker_span_session
 from ..service import MicroBatcher, RTPService
@@ -181,10 +179,6 @@ class ShardRuntime:
                     inner, sleep_latency_ms, seed=1000 + self.shard_id))
         self.service_wrapper = service_wrapper
         self.fallback = FallbackPredictor()
-        #: Per-shard scratch pool for the fused kernels; entered via
-        #: workspace_scope around every request so two inline shards
-        #: never alias buffers.
-        self.workspace = Workspace()
         self.alive = True
         self.requests = 0
         self.swaps = 0
@@ -279,7 +273,7 @@ class ShardRuntime:
         ctx_index = next((i for i, m in enumerate(messages)
                           if m[4] is not None), 0)
         session = worker_span_session(messages[ctx_index][4])
-        with session, workspace_scope(self.workspace):
+        with session:
             with tracing.span("shard.serve", shard=self.shard_id,
                               batch=len(messages)):
                 responses: Dict[int, object] = {}

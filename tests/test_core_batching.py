@@ -231,3 +231,85 @@ class TestRandomBatchParity:
                             cell_type, restrict):
         graphs = [graph_pool[i] for i in indices]
         assert_parity(models(variant, cell_type, restrict), graphs)
+
+
+# ----------------------------------------------------------------------
+# Mode handling and route validation
+# ----------------------------------------------------------------------
+class TestPredictModes:
+    def test_train_mode_outputs_identical_and_mode_kept(self, models,
+                                                        graph_pool):
+        model = models("full")
+        graphs = graph_pool[:4]
+        model.eval()
+        expected = ([model.predict(g) for g in graphs]
+                    + BatchedM2G4RTP(model).predict(graphs))
+        model.train()
+        try:
+            outputs = [model.predict(g) for g in graphs]
+            assert all(module.training for module in model.modules())
+            outputs += BatchedM2G4RTP(model).predict(graphs)
+            assert all(module.training for module in model.modules())
+        finally:
+            model.eval()
+        for out, ref in zip(outputs, expected):
+            np.testing.assert_array_equal(out.route, ref.route)
+            np.testing.assert_array_equal(out.arrival_times,
+                                          ref.arrival_times)
+
+    def test_eval_mode_model_is_not_switched(self, models, graph_pool,
+                                             monkeypatch):
+        model = models("full")
+        model.eval()
+
+        def refuse():
+            raise AssertionError("predict switched an eval-mode model")
+
+        monkeypatch.setattr(model, "eval", refuse)
+        monkeypatch.setattr(model, "train", refuse)
+        model.predict(graph_pool[0])
+        BatchedM2G4RTP(model).predict(graph_pool[:3])
+
+
+class TestSortRouteValidation:
+    """``SortLSTM.forward_batch`` rejects a non-permutation route the way
+    the per-instance ``forward`` does, on both the Tensor and kernel
+    paths; padding entries beyond ``lengths[b]`` are never inspected."""
+
+    @pytest.fixture()
+    def sort(self, models):
+        return models("full").location_time_decoder
+
+    @pytest.mark.parametrize("grad", [True, False])
+    @pytest.mark.parametrize("routes,lengths", [
+        ([[0, 0, 2]], [3]),          # repeated node
+        ([[0, 1, 3, 2]], [3]),       # id beyond the row's length
+        ([[0, 1, 2], [1, 1, 0]], [3, 2]),
+        ([[-1, 0, 1]], [3]),
+    ])
+    def test_malformed_route_raises(self, sort, routes, lengths, grad):
+        routes = np.asarray(routes)
+        nodes = Tensor(np.ones((len(lengths), routes.shape[1],
+                                sort.recurrent.cell.weight_x.shape[0]
+                                - sort.position_dim)))
+        with pytest.raises(ValueError, match="permutation"):
+            if grad:
+                sort.forward_batch(nodes, routes, np.asarray(lengths))
+            else:
+                with no_grad():
+                    sort.forward_batch(nodes, routes, np.asarray(lengths))
+
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_padded_rows_accepted(self, sort, grad):
+        routes = np.array([[2, 0, 1], [1, 0, 7], [0, 5, 5]])
+        lengths = np.array([3, 2, 1])
+        nodes = Tensor(np.ones((3, 3, sort.recurrent.cell.weight_x.shape[0]
+                                - sort.position_dim)))
+        if grad:
+            times = sort.forward_batch(nodes, routes, lengths)
+        else:
+            with no_grad():
+                times = sort.forward_batch(nodes, routes, lengths)
+        assert times.shape == (3, 3)
+        assert np.all(times.data[1, 2:] == 0.0) and np.all(
+            times.data[2, 1:] == 0.0)

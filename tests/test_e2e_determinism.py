@@ -99,13 +99,13 @@ class TestEndToEndDeterminism:
 
     def test_repeated_prediction_is_stable(self, instances, builder):
         """Two runs of the same configuration agree with themselves —
-        the fused workspace reuse must not leak state across calls."""
+        no fused-kernel state may leak across calls."""
         model = M2G4RTP(small_config())
         engine = BatchedM2G4RTP(model)
         graphs = load_graphs(instances, builder, num_workers=0)
         with kernels.backend_scope("fused"):
             first = flatten_outputs(engine.predict(graphs))
-            # Interleave a different-shaped batch to stir the workspace.
+            # Interleave a different-shaped batch between the two runs.
             engine.predict(graphs[:3])
             second = flatten_outputs(engine.predict(graphs))
         np.testing.assert_array_equal(first, second)

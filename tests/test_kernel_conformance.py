@@ -18,7 +18,6 @@ seeded fuzz sweep over random kernel-level shapes runs under
 ``--runslow``.
 """
 
-import threading
 import warnings
 
 import numpy as np
@@ -31,10 +30,8 @@ from repro.core.decoder import RecurrentCell
 from repro.core.gat_e import GATEEncoder
 from repro.kernels import (
     KernelUnavailableError,
-    Workspace,
     dispatch,
     fused,
-    get_workspace,
     reference,
 )
 from repro.nn.recurrent import LSTMCell
@@ -122,61 +119,6 @@ class TestDispatch:
 
 
 # ----------------------------------------------------------------------
-# Workspace allocator
-# ----------------------------------------------------------------------
-class TestWorkspace:
-    def test_same_key_reuses_buffer(self):
-        ws = Workspace()
-        a = ws.buf("x", (3, 4))
-        b = ws.buf("x", (3, 4))
-        assert a is b
-        assert ws.hits == 1 and ws.misses == 1
-
-    def test_distinct_tags_and_shapes_get_distinct_buffers(self):
-        ws = Workspace()
-        a = ws.buf("x", (3, 4))
-        assert ws.buf("y", (3, 4)) is not a
-        assert ws.buf("x", (4, 3)) is not a
-        assert ws.buf("x", (3, 4), dtype=np.int64) is not a
-        assert len(ws) == 4
-
-    def test_zeros_is_zeroed_on_every_call(self):
-        ws = Workspace()
-        a = ws.zeros("z", (2, 2))
-        a[...] = 7.0
-        assert not ws.zeros("z", (2, 2)).any()
-
-    def test_lru_cap_evicts_oldest(self):
-        ws = Workspace(max_entries=2)
-        a = ws.buf("a", (1,))
-        ws.buf("b", (1,))
-        ws.buf("c", (1,))          # evicts "a"
-        assert len(ws) == 2
-        assert ws.buf("a", (1,)) is not a   # re-created, was evicted
-        assert ws.misses == 4
-
-    def test_clear_and_nbytes(self):
-        ws = Workspace()
-        ws.buf("x", (4, 8))
-        assert ws.nbytes == 4 * 8 * 8
-        ws.clear()
-        assert len(ws) == 0 and ws.nbytes == 0 and ws.hits == 0
-
-    def test_thread_local_workspaces(self):
-        main_ws = get_workspace()
-        seen = {}
-
-        def worker():
-            seen["ws"] = get_workspace()
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join()
-        assert seen["ws"] is not main_ws
-        assert get_workspace() is main_ws
-
-
-# ----------------------------------------------------------------------
 # Kernel units: recurrent steppers
 # ----------------------------------------------------------------------
 class TestRecurrentKernels:
@@ -185,7 +127,7 @@ class TestRecurrentKernels:
     def test_stepper_matches_reference(self, cell_type, batch, rng):
         recurrent = RecurrentCell(6, 8, rng, cell_type=cell_type)
         xs = rng.normal(size=(10, batch, 6))
-        fused_rec = fused._FusedRecurrent(recurrent, batch, Workspace(), "t")
+        fused_rec = fused._FusedRecurrent(recurrent, batch)
         state = reference._initial_numpy_state(recurrent, batch)
         for step in range(xs.shape[0]):
             h_ref, state = reference.recurrent_step(recurrent, xs[step], state)
@@ -198,7 +140,7 @@ class TestRecurrentKernels:
         like the reference's vector-matmul path."""
         recurrent = RecurrentCell(6, 8, rng, cell_type=cell_type)
         token = rng.normal(size=6)
-        fused_rec = fused._FusedRecurrent(recurrent, 3, Workspace(), "t")
+        fused_rec = fused._FusedRecurrent(recurrent, 3)
         state = reference._initial_numpy_state(recurrent, 3)
         h_ref, state = reference.recurrent_step(recurrent, token, state)
         h_fused = fused_rec.step(token)

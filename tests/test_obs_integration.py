@@ -82,6 +82,12 @@ class TestTracedRequests:
         infer_names = _span_names(infer)
         assert infer_names.count("route_decode") == 2
         assert infer_names.count("time_decode") == 2
+        # A single request is a batch of one on the kernel-backed engine.
+        for kernel in ("kernel.level_embed", "kernel.gat_encoder",
+                       "kernel.pointer_decode", "kernel.sort_rnn"):
+            assert kernel in infer_names, f"missing span {kernel!r}"
+        assert root.attrs["cache_hit"] is False
+        assert response.batch_size == 1
 
     def test_batch_span_tree(self, model, dataset):
         service = RTPService(model)

@@ -2,8 +2,12 @@
 
 Covers the serving additions around the batched engine:
 
-* ``RTPService.handle_batch`` answers exactly like N sequential
-  ``handle`` calls;
+* ``RTPService.handle`` and ``handle_batch`` (both on the kernel-backed
+  batched engine) answer like the per-instance Tensor spec,
+  ``M2G4RTP.predict``: routes identical, ETAs within 1e-6, across
+  every decode variant;
+* a malformed decoded route raises on the served path exactly like
+  the spec, so the resilience layer degrades instead of serving it;
 * ``MicroBatcher`` flushes on ``max_batch_size`` and on ``max_wait_ms``
   (driven by an injected fake clock), and is a no-op on an empty queue;
 * ``GraphCache`` LRU semantics with hit/miss accounting, and the cache
@@ -17,7 +21,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import M2G4RTP, M2G4RTPConfig
+from repro.core import M2G4RTP, M2G4RTPConfig, make_variant
+from repro.deploy import ResilientRTPService
 from repro.service import (
     GraphCache,
     MicroBatcher,
@@ -47,6 +52,21 @@ def service(model):
     return RTPService(model)
 
 
+def assert_matches_spec(model, builder, request, response):
+    """``response`` equals the per-instance Tensor ``model.predict``."""
+    expected = model.predict(builder.build(request))
+    np.testing.assert_array_equal(response.route, expected.route)
+    np.testing.assert_allclose(response.eta_minutes, expected.arrival_times,
+                               rtol=0.0, atol=1e-6)
+    if expected.aoi_route is None:
+        assert response.aoi_route is None
+    else:
+        np.testing.assert_array_equal(response.aoi_route, expected.aoi_route)
+        np.testing.assert_allclose(response.aoi_eta_minutes,
+                                   expected.aoi_arrival_times,
+                                   rtol=0.0, atol=1e-6)
+
+
 class FakeClock:
     """Deterministic injectable clock (seconds)."""
 
@@ -64,15 +84,14 @@ class FakeClock:
 # handle_batch parity and latency accounting
 # ----------------------------------------------------------------------
 class TestHandleBatch:
-    def test_batch_matches_sequential(self, service, requests):
-        sequential = [service.handle(r) for r in requests[:6]]
+    def test_batch_matches_sequential(self, model, service, requests):
+        """Batched and single answers both equal sequential spec calls."""
         batched = service.handle_batch(requests[:6])
-        for seq, bat in zip(sequential, batched):
-            np.testing.assert_array_equal(seq.route, bat.route)
-            np.testing.assert_allclose(seq.eta_minutes, bat.eta_minutes,
-                                       atol=1e-6)
-            np.testing.assert_array_equal(seq.aoi_route, bat.aoi_route)
-            assert bat.batch_size == 6 and seq.batch_size == 1
+        for request, bat in zip(requests[:6], batched):
+            single = service.handle(request)
+            assert_matches_spec(model, service.builder, request, bat)
+            assert_matches_spec(model, service.builder, request, single)
+            assert bat.batch_size == 6 and single.batch_size == 1
 
     def test_empty_batch(self, service):
         assert service.handle_batch([]) == []
@@ -93,11 +112,77 @@ class TestHandleBatch:
         assert service.queries_served == 5
 
 
+#: Decode variants ``handle`` must serve like the spec: the default
+#: model, the AOI-less location decode, the BiLSTM encoder (the
+#: ``lstm_unroll`` kernel), GRU cells and the neighbour-restricted
+#: (non-incremental) pointer decode.
+SPEC_CONFIGS = {
+    "default": M2G4RTPConfig(),
+    "w/o aoi": make_variant("w/o aoi"),
+    "w/o graph": make_variant("w/o graph"),
+    "gru": M2G4RTPConfig(cell_type="gru"),
+    "restrict_to_neighbors": M2G4RTPConfig(restrict_to_neighbors=True),
+}
+
+
+@pytest.fixture(scope="module")
+def sized_requests(world):
+    """One request per size from 3 to 20 locations (the paper's scope)."""
+    return [RTPRequest.from_instance(world.simulate_courier_day(
+                courier_index=n % 4, day=n % 6, num_locations=n,
+                num_aois=max(1, n // 3), seed=2000 + n))
+            for n in range(3, 21)]
+
+
+class TestHandleMatchesSpec:
+    @pytest.mark.parametrize("name", list(SPEC_CONFIGS))
+    def test_size_sweep(self, name, sized_requests):
+        model = M2G4RTP(SPEC_CONFIGS[name])
+        service = RTPService(model)
+        assert ([r.num_locations for r in sized_requests]
+                == list(range(3, 21)))
+        for request in sized_requests:
+            assert_matches_spec(model, service.builder, request,
+                                service.handle(request))
+
+
+class TestMalformedRoute:
+    """NaN weights make every decode step pick node 0; the spec raises
+    on that non-permutation and so must the served path."""
+
+    @pytest.fixture(scope="class")
+    def nan_model(self, model):
+        broken = M2G4RTP(model.config)
+        for parameter in broken.parameters():
+            parameter.data[...] = np.nan
+        return broken
+
+    def test_handle_and_handle_batch_raise_like_the_spec(self, nan_model,
+                                                          requests):
+        service = RTPService(nan_model)
+        with pytest.raises(ValueError, match="permutation"):
+            nan_model.predict(service.builder.build(requests[0]))
+        with pytest.raises(ValueError, match="permutation"):
+            service.handle(requests[0])
+        with pytest.raises(ValueError, match="permutation"):
+            service.handle_batch(requests[:3])
+
+    def test_resilient_service_degrades(self, nan_model, requests):
+        resilient = ResilientRTPService(RTPService(nan_model))
+        answers = [resilient.handle(requests[0])]
+        answers += resilient.handle_batch(requests[1:4])
+        for request, answer in zip(requests[:4], answers):
+            assert answer.degraded and answer.degraded_reason == "error"
+            np.testing.assert_array_equal(
+                np.sort(answer.route), np.arange(request.num_locations))
+            assert np.all(np.isfinite(answer.eta_minutes))
+
+
 # ----------------------------------------------------------------------
 # Micro-batching queue
 # ----------------------------------------------------------------------
 class TestMicroBatcher:
-    def test_flushes_on_max_batch_size(self, service, requests):
+    def test_flushes_on_max_batch_size(self, model, service, requests):
         batcher = MicroBatcher(service, max_batch_size=3, max_wait_ms=1e9,
                                clock=FakeClock())
         tickets = [batcher.submit(r) for r in requests[:2]]
@@ -109,9 +194,8 @@ class TestMicroBatcher:
         assert batcher.batches_flushed == 1
         assert batcher.requests_flushed == 3
         for ticket, request in zip(tickets, requests[:3]):
-            reference = service.handle(request)
-            np.testing.assert_array_equal(ticket.result().route,
-                                          reference.route)
+            assert_matches_spec(model, service.builder, request,
+                                ticket.result())
 
     def test_flushes_on_max_wait(self, service, requests):
         clock = FakeClock()
@@ -173,10 +257,10 @@ class TestGraphCache:
         plain = RTPService(model)
         cached = RTPService(model, cache_size=4)
         for request in (requests[0], requests[1], requests[0]):
-            a = plain.handle(request)
-            b = cached.handle(request)
-            np.testing.assert_array_equal(a.route, b.route)
-            np.testing.assert_array_equal(a.eta_minutes, b.eta_minutes)
+            assert_matches_spec(model, plain.builder, request,
+                                plain.handle(request))
+            assert_matches_spec(model, cached.builder, request,
+                                cached.handle(request))
         assert plain.cache_hits == 0 and cached.cache_hits == 1
 
     def test_fingerprint_sensitivity(self, requests):

@@ -1,5 +1,9 @@
 """Tests for service monitoring, courier splits and batched training."""
 
+import collections
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -8,8 +12,10 @@ from repro.data import cold_start_protocol, split_by_courier
 from repro.service import (
     DEFAULT_BUCKETS,
     RTPRequest,
+    RTPResponse,
     RTPService,
     ServiceMonitor,
+    monitoring,
 )
 from repro.training import Trainer, TrainerConfig
 
@@ -57,6 +63,88 @@ class TestServiceMonitor:
 
     def test_default_buckets_end_with_inf(self):
         assert DEFAULT_BUCKETS[-1] == float("inf")
+
+    def test_memory_bounded_and_totals_exact(self, monkeypatch):
+        """A long-running monitor keeps a fixed window of samples while
+        counts, means and max still cover every request."""
+
+        class FakeTime:
+            now = 0.0
+
+            def perf_counter(self):
+                return self.now
+
+        fake = FakeTime()
+
+        class StubService:
+            """Request ``i`` takes ``1 + i % 7`` ms and routes ``i % 5``
+            locations; values are dyadic so sums are exact."""
+
+            def __init__(self):
+                self.calls = 0
+
+            def handle(self, request):
+                latency = 1 + self.calls % 7
+                fake.now += latency / 1024.0
+                n = self.calls % 5
+                self.calls += 1
+                return RTPResponse(route=np.arange(n), eta_minutes=np.zeros(n),
+                                   aoi_route=None, aoi_eta_minutes=None,
+                                   latency_ms=float(latency),
+                                   build_ms=0.5, infer_ms=latency - 0.5)
+
+        monkeypatch.setattr(monitoring, "time", fake)
+        monitor = ServiceMonitor(StubService())
+        window = monitoring.PERCENTILE_WINDOW
+        total = window + 1000
+        for _ in range(total):
+            monitor.handle(None)
+        stored = sum(len(value) for value in vars(monitor).values()
+                     if isinstance(value, (list, collections.deque)))
+        assert stored <= window
+        latencies = np.array([(1 + i % 7) * 1000.0 / 1024.0
+                              for i in range(total)])
+        stats = monitor.stats()
+        assert stats.queries == total
+        assert stats.mean_latency_ms == pytest.approx(latencies.mean(),
+                                                      rel=1e-12)
+        assert stats.max_latency_ms == latencies.max()
+        assert stats.mean_route_length == pytest.approx(
+            np.mean([i % 5 for i in range(total)]), rel=1e-12)
+        assert stats.mean_build_ms == 0.5
+        assert stats.p50_latency_ms == np.percentile(latencies[-window:], 50)
+        assert stats.p95_latency_ms == np.percentile(latencies[-window:], 95)
+
+    def test_concurrent_totals_are_exact(self):
+        """Threads sharing one monitor lose no update to the totals."""
+
+        class StubService:
+            def handle(self, request):
+                return RTPResponse(route=np.arange(3), eta_minutes=np.zeros(3),
+                                   aoi_route=None, aoi_eta_minutes=None,
+                                   latency_ms=1.0, build_ms=0.25,
+                                   infer_ms=0.75)
+
+        monitor = ServiceMonitor(StubService())
+        threads_n, per_thread = 8, 400
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(
+                target=lambda: [monitor.handle(None)
+                                for _ in range(per_thread)])
+                for _ in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(previous)
+        stats = monitor.stats()
+        assert stats.queries == threads_n * per_thread
+        assert stats.mean_route_length == 3.0
+        assert stats.mean_build_ms == 0.25 and stats.mean_infer_ms == 0.75
 
 
 class TestCourierSplits:

@@ -7,8 +7,9 @@ The properties that make :mod:`repro.serving_shard` trustworthy:
 * admission control sheds at the per-shard depth bound through the
   degraded fallback path, never with an error;
 * two shards never share mutable serving state: each runtime owns its
-  workspace (no kernel scratch aliasing), graph cache and batcher, and
-  process workers rebuild everything post-fork from plain spec data;
+  graph cache and batcher (the fused kernels keep no scratch between
+  calls), and process workers rebuild everything post-fork from plain
+  spec data;
 * hot swap and canary stop/promote are *drains* — every in-flight
   request is answered by a coherent installed version, versions are
   FIFO-monotonic per shard, and nothing is dropped;
@@ -128,25 +129,9 @@ class TestInlineServing:
 
 
 # ----------------------------------------------------------------------
-# Isolation (satellite: no fork sharing, no workspace aliasing)
+# Isolation (satellite: no fork sharing, no per-shard state aliasing)
 # ----------------------------------------------------------------------
 class TestShardIsolation:
-    def test_inline_shards_never_alias_workspace_buffers(self, requests):
-        router = make_router(num_shards=2)
-        served = [0, 0]
-        for request in requests:
-            served[router.place(request)] += 1
-            router.handle(request)
-        assert all(served), "pool must exercise both shards"
-        ws0 = router.runtimes[0].workspace
-        ws1 = router.runtimes[1].workspace
-        assert ws0 is not ws1
-        assert len(ws0) > 0 and len(ws1) > 0, (
-            "serving must draw kernel scratch from the shard workspace")
-        for a in ws0._buffers.values():
-            for b in ws1._buffers.values():
-                assert not np.shares_memory(a, b)
-
     def test_inline_shards_own_caches_and_batchers(self, requests):
         router = make_router(num_shards=2)
         lanes = [runtime.primary for runtime in router.runtimes]
@@ -156,7 +141,7 @@ class TestShardIsolation:
 
     def test_spec_is_plain_data(self):
         """The worker spec must cross fork as pickled values — no live
-        model, cache or workspace objects smuggled through."""
+        model or cache objects smuggled through."""
         router = make_router(num_shards=1)
         spec = router._spec()
         rebuilt = pickle.loads(pickle.dumps(spec))
