@@ -30,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels
 from .core import FallbackPredictor, M2G4RTP, M2G4RTPConfig
 from .data import GeneratorConfig, RTPDataset, SyntheticWorld, read_csv, write_csv
 from .deploy import (DeploymentController, FaultInjector, FaultPlan,
@@ -53,12 +52,6 @@ def _save_model(model: M2G4RTP, path: Path) -> None:
     save_checkpoint(model, path)
     _config_path(path).write_text(
         json.dumps(dataclasses.asdict(model.config), indent=2))
-
-
-def _select_kernels(args: argparse.Namespace) -> None:
-    """Apply ``--kernels`` (overrides ``REPRO_KERNELS`` and the default)."""
-    if getattr(args, "kernels", None):
-        kernels.use(args.kernels)
 
 
 def _load_model(path: Path) -> M2G4RTP:
@@ -142,7 +135,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    _select_kernels(args)
     dataset = read_csv(args.data)
     _, _, test = dataset.split_by_day()
     model = _load_model(Path(args.model))
@@ -197,7 +189,6 @@ def _serve_sharded(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    _select_kernels(args)
     if args.shards > 0:
         return _serve_sharded(args)
     dataset = read_csv(args.data)
@@ -383,7 +374,6 @@ def cmd_deploy(args: argparse.Namespace) -> int:
         return 0
 
     if action == "serve":
-        _select_kernels(args)
         dataset = read_csv(args.data)
         _, _, test = dataset.split_by_day()
         resilience = ResilienceConfig(
@@ -460,7 +450,6 @@ def cmd_load(args: argparse.Namespace) -> int:
         print("error: --scenario is required (or use --list)",
               file=sys.stderr)
         return 2
-    _select_kernels(args)
     virtual = args.mode == "virtual" or (args.smoke and args.mode is None)
     rate = args.rate
     duration = args.duration
@@ -526,7 +515,6 @@ def cmd_online(args: argparse.Namespace) -> int:
     registry_dir = Path(args.registry)
 
     if args.online_action == "run":
-        _select_kernels(args)
         config = load_harness.LoadRunConfig(
             phase_duration_s=1.0 if args.smoke else args.duration,
             seed=args.seed, virtual=args.mode != "wall")
@@ -620,13 +608,6 @@ def cmd_info(args: argparse.Namespace) -> int:
     dataset = read_csv(args.data)
     for key, value in dataset.summary().items():
         print(f"{key:28s} {value}")
-    print(f"{'kernel_backend_active':28s} {kernels.active_name()}")
-    for name, error in sorted(kernels.available_backends().items()):
-        status = "available" if error is None else f"unavailable: {error}"
-        print(f"{'kernel_backend_' + name:28s} {status}")
-    fallback = kernels.fallback_reason()
-    if fallback:
-        print(f"{'kernel_backend_fallback':28s} {fallback}")
     return 0
 
 
@@ -677,10 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = sub.add_parser("evaluate", help="evaluate a trained model")
     evaluate.add_argument("--data", required=True)
     evaluate.add_argument("--model", required=True)
-    evaluate.add_argument("--kernels", choices=list(kernels.BACKENDS),
-                          default=None,
-                          help="inference kernel backend (default: fused, "
-                               "or the REPRO_KERNELS env var)")
     evaluate.set_defaults(func=cmd_evaluate)
 
     serve = sub.add_parser("serve", help="replay requests through the service")
@@ -695,13 +672,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve through N worker-process shards "
                             "(0 = single in-process service)")
     serve.add_argument("--profile-ops", action="store_true",
-                       help="profile autodiff ops and print the top-k table")
+                       help="profile autodiff ops and print the top-k "
+                            "table (served requests run the fused kernels, "
+                            "which it cannot see; served stages appear as "
+                            "kernel.* spans under --trace)")
     serve.add_argument("--top-ops", type=int, default=10,
                        help="rows in the op-profile table")
-    serve.add_argument("--kernels", choices=list(kernels.BACKENDS),
-                       default=None,
-                       help="inference kernel backend (default: fused, "
-                            "or the REPRO_KERNELS env var)")
     serve.set_defaults(func=cmd_serve)
 
     obs = sub.add_parser(
@@ -788,10 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
     deploy_serve.add_argument("--fault-spike-ms", type=float, default=0.0)
     deploy_serve.add_argument("--seed", type=int, default=0)
     deploy_serve.add_argument("--metrics-out", default=None, metavar="PATH")
-    deploy_serve.add_argument("--kernels", choices=list(kernels.BACKENDS),
-                              default=None,
-                              help="inference kernel backend (default: "
-                                   "fused, or the REPRO_KERNELS env var)")
     deploy_serve.set_defaults(func=cmd_deploy)
 
     load_cmd = sub.add_parser(
@@ -828,10 +800,6 @@ def build_parser() -> argparse.ArgumentParser:
     load_cmd.add_argument("--slo-max-degraded", type=float, default=0.2)
     load_cmd.add_argument("--enforce-slo", action="store_true",
                           help="exit non-zero when the SLO verdict fails")
-    load_cmd.add_argument("--kernels", choices=list(kernels.BACKENDS),
-                          default=None,
-                          help="inference kernel backend (default: fused, "
-                               "or the REPRO_KERNELS env var)")
     load_cmd.set_defaults(func=cmd_load)
 
     online = sub.add_parser(
@@ -858,9 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
                             default="virtual")
     online_run.add_argument("--out", default=None, metavar="PATH",
                             help="also write the JSON run artifact here")
-    online_run.add_argument("--kernels", choices=list(kernels.BACKENDS),
-                            default=None,
-                            help="inference kernel backend")
     online_run.set_defaults(func=cmd_online)
     online_status = online_sub.add_parser(
         "status", help="inspect persisted loop state and candidate lineage")

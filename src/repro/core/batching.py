@@ -146,15 +146,12 @@ class BatchedM2G4RTP:
 
     # ------------------------------------------------------------------
     def _predict(self, batch: GraphBatch) -> List[M2G4RTPOutput]:
-        from .. import kernels
-
         model = self.model
         cfg = model.config
         size = len(batch)
         n = batch.location.max_nodes
-        backend = kernels.active_name()
 
-        with span("encoder", batch_size=size, kernel_backend=backend):
+        with span("encoder", batch_size=size):
             location_reps, aoi_reps = model.encoder.forward_batch(batch)
         courier_embed = model.courier_embedding(
             batch.courier_ids % cfg.num_couriers)
@@ -163,11 +160,11 @@ class BatchedM2G4RTP:
         aoi_routes = None
         aoi_times = None
         if cfg.use_aoi:
-            with span("route_decode", level="aoi", kernel_backend=backend):
+            with span("route_decode", level="aoi"):
                 aoi_routes = model.aoi_route_decoder.forward_batch(
                     aoi_reps, courier, batch.aoi.lengths,
                     adjacency=batch.aoi.adjacency)
-            with span("time_decode", level="aoi", kernel_backend=backend):
+            with span("time_decode", level="aoi"):
                 aoi_times = model.aoi_time_decoder.forward_batch(
                     aoi_reps, aoi_routes, batch.aoi.lengths)
 
@@ -188,11 +185,11 @@ class BatchedM2G4RTP:
         else:
             location_inputs = location_reps
 
-        with span("route_decode", level="location", kernel_backend=backend):
+        with span("route_decode", level="location"):
             routes = model.location_route_decoder.forward_batch(
                 location_inputs, courier, batch.location.lengths,
                 adjacency=batch.location.adjacency)
-        with span("time_decode", level="location", kernel_backend=backend):
+        with span("time_decode", level="location"):
             times = model.location_time_decoder.forward_batch(
                 location_inputs, routes, batch.location.lengths)
 

@@ -20,6 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..autodiff import Tensor, concat, is_grad_enabled, padded_gather, stack
+from ..kernels import fused
 from ..nn import AdditivePointerAttention, GRUCell, Linear, LSTMCell, Module
 from ..nn.init import normal
 from ..nn.module import Parameter
@@ -205,18 +206,13 @@ class RouteDecoder(Module):
         whose inputs are zeroed (:func:`padded_gather`), which cannot
         affect any still-active instance.
 
-        When gradients are disabled, decoding runs through the active
-        kernel backend (:mod:`repro.kernels`): the ``reference``
-        backend is the raw-numpy replica proven bit-identical to the
-        Tensor path below, the ``fused`` backend decodes incrementally
-        over preallocated buffers.
+        When gradients are disabled, decoding runs the fused kernel
+        (:func:`repro.kernels.fused.pointer_decode`), which decodes
+        incrementally and is bit-identical to the Tensor path below.
         """
         if not is_grad_enabled():
-            from .. import kernels
-            with span("kernel.pointer_decode",
-                      backend=kernels.active_name(),
-                      batch_size=nodes.shape[0]):
-                return kernels.active().pointer_decode(
+            with span("kernel.pointer_decode", batch_size=nodes.shape[0]):
+                return fused.pointer_decode(
                     self, nodes.data, courier.data, lengths, adjacency)
         batch, n = nodes.shape[0], nodes.shape[1]
         lengths = np.asarray(lengths, dtype=np.int64)
@@ -299,9 +295,9 @@ class SortLSTM(Module):
         ``ValueError``.  Returns ``(B, n)`` arrival times in node order;
         padding entries are exactly zero.
 
-        When gradients are disabled, the pass runs through the active
-        kernel backend (:mod:`repro.kernels`), bit-identical to the
-        Tensor path below.
+        When gradients are disabled, the pass runs the fused kernel
+        (:func:`repro.kernels.fused.sort_rnn_forward`), bit-identical to
+        the Tensor path below.
         """
         routes = np.asarray(routes, dtype=np.int64)
         lengths = np.asarray(lengths, dtype=np.int64)
@@ -313,11 +309,8 @@ class SortLSTM(Module):
                               np.broadcast_to(steps, padded.shape)):
             raise ValueError("route must be a permutation of the node indices")
         if not is_grad_enabled():
-            from .. import kernels
-            with span("kernel.sort_rnn",
-                      backend=kernels.active_name(),
-                      batch_size=nodes.shape[0]):
-                return Tensor(kernels.active().sort_rnn_forward(
+            with span("kernel.sort_rnn", batch_size=nodes.shape[0]):
+                return Tensor(fused.sort_rnn_forward(
                     self, nodes.data, routes, lengths))
         batch, n = nodes.shape[0], nodes.shape[1]
         step_valid = steps[None, :] < lengths[:, None]        # (B, n)

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..autodiff import Tensor, concat, is_grad_enabled, padded_gather, stack
 from ..graphs import LevelGraph, MultiLevelGraph
+from ..kernels import fused
 from ..nn import BiLSTM, FeatureEncoder, Linear, Module
 from ..obs.tracing import span
 from .gat_e import GATEEncoder
@@ -107,16 +108,14 @@ class LevelEncoder(Module):
         ``edge_features (B, n, n, 3)`` and ``adjacency (B, n, n)`` whose
         padding rows/columns are all ``False``.
 
-        When gradients are disabled the feature embedding runs through
-        the active kernel backend (:mod:`repro.kernels`), bit-identical
+        When gradients are disabled the feature embedding runs the fused
+        kernel (:func:`repro.kernels.fused.level_embed`), bit-identical
         to the Tensor glue; training keeps the Tensor path.
         """
         if not is_grad_enabled():
-            from .. import kernels
-            backend = kernels.active()
-            with span("kernel.level_embed", backend=kernels.active_name(),
+            with span("kernel.level_embed",
                       batch_size=level.continuous.shape[0]):
-                node_data, edge_data = backend.level_embed(
+                node_data, edge_data = fused.level_embed(
                     self, level.continuous, level.discrete,
                     level.edge_features, global_vector.data)
             nodes, edges = Tensor(node_data), Tensor(edge_data)
@@ -204,15 +203,13 @@ class SequenceEncoder(Module):
 def _unroll_lstm_batch(cell, sequence: Tensor) -> Tensor:
     """Run an LSTM cell over ``(B, n, d)`` steps; returns ``(B, n, hidden)``.
 
-    When gradients are disabled the unroll runs through the active
-    kernel backend (:mod:`repro.kernels`), bit-identical to the Tensor
-    loop below.
+    When gradients are disabled the unroll runs the fused kernel
+    (:func:`repro.kernels.fused.lstm_unroll`), bit-identical to the
+    Tensor loop below.
     """
     if not is_grad_enabled():
-        from .. import kernels
-        with span("kernel.lstm_unroll", backend=kernels.active_name(),
-                  batch_size=sequence.shape[0]):
-            return Tensor(kernels.active().lstm_unroll(cell, sequence.data))
+        with span("kernel.lstm_unroll", batch_size=sequence.shape[0]):
+            return Tensor(fused.lstm_unroll(cell, sequence.data))
     batch = sequence.shape[0]
     state = cell.initial_state((batch,))
     outputs = []

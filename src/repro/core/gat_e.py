@@ -25,6 +25,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..autodiff import Tensor, concat, is_grad_enabled, masked_softmax, softmax, stack
+from ..kernels import fused
 from ..nn import Linear, Module
 from ..nn.init import xavier_uniform
 from ..nn.module import Parameter
@@ -232,28 +233,18 @@ class GATEEncoder(Module):
         With ``need_edges=False`` the last layer's edge update — whose
         output no caller reads — is skipped; node outputs are identical.
 
-        When gradients are disabled, the stack runs through the active
-        kernel backend (:mod:`repro.kernels`) — bit-identical results,
-        no tape; training keeps the Tensor path below.
+        When gradients are disabled, the stack runs the fused kernel
+        (:func:`repro.kernels.fused.gat_encoder_forward`) — bit-identical
+        results, no tape; training keeps the Tensor path below.
         """
         if not is_grad_enabled():
-            from .. import kernels
-            backend = kernels.active()
-            with span("kernel.gat_encoder", backend=kernels.active_name(),
-                      batch_size=nodes.shape[0], layers=len(self.layers)):
-                out_nodes, out_edges = backend.gat_encoder_forward(
+            with span("kernel.gat_encoder", batch_size=nodes.shape[0],
+                      layers=len(self.layers)):
+                out_nodes, out_edges = fused.gat_encoder_forward(
                     self, nodes.data, edges.data,
                     np.asarray(adjacency, dtype=bool), need_edges=need_edges)
             return Tensor(out_nodes), (
                 None if out_edges is None else Tensor(out_edges))
-        return self._forward_batch_tensor(nodes, edges, adjacency,
-                                          need_edges=need_edges)
-
-    def _forward_batch_tensor(self, nodes: Tensor, edges: Tensor,
-                              adjacency: np.ndarray,
-                              need_edges: bool = True
-                              ) -> Tuple[Tensor, Optional[Tensor]]:
-        """Tensor-op stack: the autodiff path and the reference kernel."""
         last = len(self.layers) - 1
         for index, layer in enumerate(self.layers):
             layer_need_edges = need_edges or index < last

@@ -258,16 +258,6 @@ class M2G4RTP(Module):
             if was_training:
                 self.train()
 
-    def predict_batch(self, graphs) -> List[M2G4RTPOutput]:
-        """Batched inference over a list of graphs.
-
-        Equivalent to ``[self.predict(g) for g in graphs]`` (routes
-        identical, times within 1e-6) but executed as padded batch
-        tensors — see :mod:`repro.core.batching`.
-        """
-        from .batching import BatchedM2G4RTP  # local import: avoids cycle
-        return BatchedM2G4RTP(self).predict(graphs)
-
     # ------------------------------------------------------------------
     # Parameter groups for the two-step ablation trainer
     # ------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Fused kernel backend: single-pass no-grad kernels.
+"""Fused kernels: single-pass no-grad inference.
 
 Each kernel performs the *same floating-point operations in the same
-association order* as the reference backend — per-head matmuls stay
-separate, gate splits keep the reference order, the masked softmax runs
-the exact reference sequence — so outputs are bit-identical; only
+association order* as the Tensor code in ``repro.core`` — per-head
+matmuls stay separate, gate splits keep the Tensor order, the masked
+softmax runs the exact Tensor sequence — so outputs are bit-identical; only
 temporaries, tape bookkeeping and Python overhead are removed.  Scratch
 arrays are allocated once per call with ``np.empty``/``np.zeros`` and
 then written in place; no buffer outlives the call that made it, so
@@ -27,7 +27,7 @@ concurrent callers (threads, inline shards) never share one.
   steppers for the time decoder and the BiLSTM ablation encoder.
 
 The differential conformance suite (``tests/test_kernel_conformance.py``)
-certifies all of this against the reference backend.
+certifies all of this against the grad-enabled Tensor code.
 """
 
 from __future__ import annotations
@@ -80,9 +80,9 @@ class _BareCell:
 class _FusedRecurrent:
     """Preallocated-buffer LSTM/GRU stepper.
 
-    Bit-identical to :func:`repro.kernels.reference.recurrent_step`:
-    the gate pre-activation keeps the ``(x W_x + h W_h) + b``
-    association (LSTM) / ``(x W_x + b) + h W_h`` slice sums (GRU), and
+    Bit-identical to the Tensor ``RecurrentCell.step``: the gate
+    pre-activation keeps the ``(x W_x + h W_h) + b`` association
+    (LSTM) / ``(x W_x + b) + h W_h`` slice sums (GRU), and
     state updates keep ``(f*c) + (i*g)`` / ``((1-z)*n) + (z*h)``.
     Buffers are allocated once per stepper; hidden/cell buffers are
     ping-pong swapped between steps.
@@ -115,7 +115,7 @@ class _FusedRecurrent:
         if x.ndim == 2:
             np.matmul(x, self.weight_x, out=gates)
         else:
-            # 1-D input (the start token): the reference computes a
+            # 1-D input (the start token): the Tensor cell computes a
             # vector x @ W_x and lets the h-term broadcast; replicating
             # that (vector matmul, then broadcast add) keeps bit parity.
             gates[...] = x @ self.weight_x
@@ -246,16 +246,16 @@ def _gat_layer(layer, nodes: np.ndarray, edges: np.ndarray,
     np.add(source[:, :, :, None], target[:, :, None, :], out=logits)
     logits += scratch
     # Leaky ReLU as max(x, slope*x): picks the same product the
-    # reference's where()-multiply computes, with no temporaries.
+    # Tensor leaky_relu's where()-multiply computes, with no temporaries.
     np.multiply(logits, heads[0].leaky_slope, out=scratch)
     np.maximum(logits, scratch, out=logits)
-    # Masked softmax, reference op order (see autodiff.masked_softmax).
+    # Masked softmax, Tensor op order (see autodiff.masked_softmax).
     logits.max(axis=3, keepdims=True, where=adjacency[None, :, :, :],
                initial=-np.inf, out=row_max)
     np.copyto(row_max, 0.0, where=empty_b[None])       # fully-masked rows
     logits -= row_max
-    # Zero masked positions *before* exp (reference clamps them with a
-    # where()); multiplying by the mask maps them to +-0.0, and
+    # Zero masked positions *before* exp (the Tensor path clamps them
+    # with a where()); multiplying by the mask maps them to +-0.0, and
     # exp(+-0.0) == 1.0 exactly, so the exp'd values match bitwise.
     logits *= mask_f
     np.exp(logits, out=logits)
@@ -269,7 +269,7 @@ def _gat_layer(layer, nodes: np.ndarray, edges: np.ndarray,
     node_out = np.empty((batch, n, out_dim))
     if layer.final:
         # add.reduce over a length-H axis accumulates sequentially —
-        # the same h0+h1+... order as the reference head loop.
+        # the same h0+h1+... order as the Tensor head loop.
         np.add.reduce(node_tmp, axis=0, out=node_out)
     else:
         for index in range(num_heads):
@@ -316,7 +316,7 @@ def gat_encoder_forward(gat, nodes: np.ndarray, edges: np.ndarray,
     edge_acc = np.array(edges, dtype=np.float64)
     last = len(gat.layers) - 1
     # One errstate for the whole stack: fully-masked rows produce
-    # -inf - -inf inside the attention shift (reference behaviour).
+    # -inf - -inf inside the attention shift (Tensor behaviour).
     with np.errstate(invalid="ignore"):
         for index, layer in enumerate(gat.layers):
             layer_need_edges = need_edges or index < last
@@ -399,8 +399,8 @@ def pointer_decode(decoder, nodes: np.ndarray, courier: np.ndarray,
     penalised scores (the log-softmax subtracts a per-row constant, a
     monotone shift that cannot change the argmax).  With
     ``restrict_to_neighbors`` the feasible set depends on the previous
-    choice, so the mask is recomputed per step exactly as the reference
-    does.
+    choice, so the mask is recomputed per step exactly as the Tensor
+    path does.
     """
     batch, n, node_dim = nodes.shape
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -432,7 +432,7 @@ def pointer_decode(decoder, nodes: np.ndarray, courier: np.ndarray,
     if incremental:
         penalty = np.where(visited, -1e30, 0.0)
         exhausted = lengths <= 0
-        if exhausted.any():   # dummy candidate for empty rows, like reference
+        if exhausted.any():   # dummy candidate for empty rows, like Tensor
             penalty[exhausted, 0] = 0.0
         close_value = np.where(steps[:, None] > lengths[None, :], 0.0, -1e30)
         # Rows whose last real node is chosen at step s (lengths == s),

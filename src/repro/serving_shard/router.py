@@ -46,6 +46,7 @@ import dataclasses
 import hashlib
 import threading
 import time
+from collections import deque
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -55,6 +56,7 @@ from ..deploy.resilience import ResilienceConfig, degraded_response
 from ..obs import tracing
 from ..obs.metrics import MetricsRegistry
 from ..obs.propagate import capture_context, merge_worker_spans
+from ..service.monitoring import PERCENTILE_WINDOW
 from .runtime import ShardRuntime, shard_worker_main
 
 #: Latency buckets for the per-shard histogram (ms); wide enough that
@@ -131,7 +133,12 @@ class _ShardHandle:
 
 
 class _ShardTally:
-    """Router-side per-shard accounting behind the artifact block."""
+    """Router-side per-shard accounting behind the artifact block.
+
+    ``requests`` counts every answer; ``latencies_ms`` keeps only the
+    most recent :data:`PERCENTILE_WINDOW` for the p99, so a router that
+    runs forever holds bounded memory.
+    """
 
     __slots__ = ("requests", "shed", "respawns", "swaps", "queue_peak",
                  "latencies_ms")
@@ -142,7 +149,7 @@ class _ShardTally:
         self.respawns = 0
         self.swaps = 0
         self.queue_peak = 0
-        self.latencies_ms: List[float] = []
+        self.latencies_ms: deque = deque(maxlen=PERCENTILE_WINDOW)
 
 
 class ShardRouter:

@@ -53,33 +53,6 @@ class TestCommands:
         assert main(["info", "--data", str(csv)]) == 0
         out = capsys.readouterr().out
         assert "num_instances" in out
-        assert "kernel_backend_active" in out
-        assert "kernel_backend_fused" in out
-        assert "kernel_backend_reference" in out
-
-    def test_evaluate_kernels_flag_identical_output(self, workspace, capsys):
-        """`--kernels reference` and `--kernels fused` agree exactly,
-        and the flag round-trips through the dispatch layer."""
-        from repro import kernels
-        csv, model = workspace
-        before = kernels.active_name()
-        try:
-            main(["evaluate", "--data", str(csv), "--model", str(model),
-                  "--kernels", "reference"])
-            assert kernels.active_name() == "reference"
-            reference_out = capsys.readouterr().out
-            main(["evaluate", "--data", str(csv), "--model", str(model),
-                  "--kernels", "fused"])
-            assert kernels.active_name() == "fused"
-            fused_out = capsys.readouterr().out
-        finally:
-            kernels.use(before)
-        assert reference_out == fused_out
-
-    def test_kernels_flag_rejects_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--data", "x", "--model", "y",
-                                       "--kernels", "turbo"])
 
     def test_evaluate(self, workspace, capsys):
         csv, model = workspace

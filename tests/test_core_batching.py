@@ -175,7 +175,7 @@ class TestFastPathParity:
     def test_decoder_fast_path_matches_tensor_path(self, models, graph_pool,
                                                    cell_type):
         """forward_batch must give bit-identical results whether it runs
-        the raw-numpy inference fast path (grad off) or Tensor ops."""
+        the fused kernels (grad off) or Tensor ops."""
         from repro.autodiff import concat, no_grad
 
         model = models("full", cell_type)

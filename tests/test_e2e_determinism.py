@@ -1,22 +1,16 @@
 """End-to-end determinism: same seed ⇒ bitwise-identical predictions.
 
-Two axes of nondeterminism are certified away:
-
-* **Loader configuration** — ``ParallelDataLoader`` derives each item's
-  RNG from ``(seed, index)``, so the number of workers (0 = inline,
-  1, 2 = pooled) must not change a single bit of the transformed
-  graphs nor of the predictions computed from them.
-* **Kernel backend** — the ``fused`` backend is certified bit-identical
-  to ``reference`` (see ``tests/test_kernel_conformance.py``), so
-  routes and ETAs must not depend on ``kernels.use`` either.
-
-The product of both axes is checked against one golden output.
+``ParallelDataLoader`` derives each item's RNG from ``(seed, index)``,
+so the number of loader workers (0 = inline, 1, 2 = pooled) must not
+change a single bit of the transformed graphs nor of the predictions
+the fused kernels compute from them; every configuration is checked
+against one golden output.  The kernels themselves are checked against
+the Tensor code in ``tests/test_kernel_conformance.py``.
 """
 
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.core import BatchedM2G4RTP, M2G4RTP, M2G4RTPConfig
 from repro.parallel import ParallelDataLoader
 
@@ -80,22 +74,19 @@ class TestLoaderDeterminism:
 class TestEndToEndDeterminism:
     def test_predictions_bitwise_identical_across_configs(self, instances,
                                                           builder):
-        """The full matrix: loader workers {0, 1, 2} × kernel backends
-        {reference, fused} all produce one bitwise-identical answer."""
+        """Loader workers {0, 1, 2} all produce one bitwise-identical
+        answer."""
         model = M2G4RTP(small_config())
         engine = BatchedM2G4RTP(model)
         golden = None
         for num_workers in (0, 1, 2):
             graphs = load_graphs(instances, builder, num_workers=num_workers)
-            for backend in ("reference", "fused"):
-                with kernels.backend_scope(backend):
-                    flat = flatten_outputs(engine.predict(graphs))
-                label = f"workers={num_workers} backend={backend}"
-                if golden is None:
-                    golden = flat
-                else:
-                    np.testing.assert_array_equal(flat, golden,
-                                                  err_msg=label)
+            flat = flatten_outputs(engine.predict(graphs))
+            if golden is None:
+                golden = flat
+            else:
+                np.testing.assert_array_equal(
+                    flat, golden, err_msg=f"workers={num_workers}")
 
     def test_repeated_prediction_is_stable(self, instances, builder):
         """Two runs of the same configuration agree with themselves —
@@ -103,11 +94,10 @@ class TestEndToEndDeterminism:
         model = M2G4RTP(small_config())
         engine = BatchedM2G4RTP(model)
         graphs = load_graphs(instances, builder, num_workers=0)
-        with kernels.backend_scope("fused"):
-            first = flatten_outputs(engine.predict(graphs))
-            # Interleave a different-shaped batch between the two runs.
-            engine.predict(graphs[:3])
-            second = flatten_outputs(engine.predict(graphs))
+        first = flatten_outputs(engine.predict(graphs))
+        # Interleave a different-shaped batch between the two runs.
+        engine.predict(graphs[:3])
+        second = flatten_outputs(engine.predict(graphs))
         np.testing.assert_array_equal(first, second)
 
 

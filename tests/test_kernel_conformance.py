@@ -1,39 +1,34 @@
-"""Differential conformance suite for the fused kernel backend.
+"""Differential conformance suite for the fused kernels.
 
-Contract (see ``repro.kernels``): for every no-grad inference kernel —
-GAT-e encoder stack, LSTM/GRU steppers, pointer decode, sort-RNN — the
-``fused`` backend must reproduce the ``reference`` backend exactly:
+Contract (see ``repro.kernels``): every no-grad inference kernel —
+level embed, GAT-e encoder stack, LSTM/GRU steppers and unroll, pointer
+decode, sort-RNN — must reproduce the Tensor code of the matching
+``repro.core`` method *run with gradients enabled*, i.e. the code
+training runs.  Throughout this file, the "reference" side of a
+comparison is that grad-enabled Tensor code, never another fast path:
 
-* encoder embeddings within 1e-8 (empirically bit-identical, and the
-  suite asserts the stronger property);
+* encoder embeddings bit-identical;
 * decoded routes exactly, at both levels, including tie behaviour and
   the padding region;
-* arrival times within 1e-8 (again asserted bit-identical).
+* arrival times bit-identical.
 
 The sweep covers randomized instances from 1 to 64 locations and 1 to
 16 AOIs, every ablation variant, both decoder cell types, and the
 degenerate shapes that historically break masked kernels: single-node
 graphs, fully-masked attention rows and zero-length decode rows.  A
-seeded fuzz sweep over random kernel-level shapes runs under
-``--runslow``.
+seeded fuzz sweep over random kernel-level shapes and whole models
+runs under ``--runslow``.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
-from repro import kernels
-from repro.autodiff import Tensor, concat, no_grad
+from repro.autodiff import Tensor, is_grad_enabled, no_grad
 from repro.core import BatchedM2G4RTP, GraphBatch, M2G4RTP, M2G4RTPConfig, make_variant
 from repro.core.decoder import RecurrentCell
+from repro.core.encoder import _unroll_lstm_batch
 from repro.core.gat_e import GATEEncoder
-from repro.kernels import (
-    KernelUnavailableError,
-    dispatch,
-    fused,
-    reference,
-)
+from repro.kernels import fused
 from repro.nn.recurrent import LSTMCell
 
 
@@ -45,77 +40,28 @@ def small_config(**overrides) -> M2G4RTPConfig:
     return M2G4RTPConfig(**base)
 
 
-# ----------------------------------------------------------------------
-# Dispatch layer
-# ----------------------------------------------------------------------
-class TestDispatch:
-    @pytest.fixture(autouse=True)
-    def _restore(self, monkeypatch):
-        monkeypatch.delenv(dispatch.ENV_VAR, raising=False)
-        yield
-        dispatch._reset()
+@pytest.fixture(autouse=True)
+def _grad_enabled():
+    """The reference side of every comparison must run the Tensor code."""
+    assert is_grad_enabled()
 
-    def test_use_returns_previous_and_switches(self):
-        previous = kernels.use("reference")
-        try:
-            assert kernels.active_name() == "reference"
-            assert kernels.active() is reference
-        finally:
-            kernels.use(previous)
 
-    def test_backend_scope_restores(self):
-        before = kernels.active_name()
-        with kernels.backend_scope("reference"):
-            assert kernels.active_name() == "reference"
-        assert kernels.active_name() == before
+def tensor_gat(gat, nodes, edges, adjacency, need_edges=True):
+    """Grad-enabled ``GATEEncoder.forward_batch`` on raw arrays."""
+    out_nodes, out_edges = gat.forward_batch(
+        Tensor(nodes), Tensor(edges), adjacency, need_edges=need_edges)
+    return out_nodes.data, (None if out_edges is None else out_edges.data)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            kernels.use("turbo")
-        with pytest.raises(ValueError):
-            kernels.require("turbo")
 
-    def test_both_backends_available(self):
-        status = kernels.available_backends()
-        assert status == {"reference": None, "fused": None}
-        kernels.require("fused")
-        kernels.require("reference")
+def tensor_decode(route, nodes, courier, lengths, adjacency=None):
+    """Grad-enabled ``RouteDecoder.forward_batch`` on raw arrays."""
+    return route.forward_batch(Tensor(nodes), Tensor(courier), lengths,
+                               adjacency=adjacency)
 
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(dispatch.ENV_VAR, "reference")
-        dispatch._reset()
-        assert kernels.active_name() == "reference"
 
-    def test_invalid_env_var_is_loud(self, monkeypatch):
-        monkeypatch.setenv(dispatch.ENV_VAR, "nope")
-        dispatch._reset()
-        with pytest.raises(ValueError):
-            kernels.active_name()
-
-    def test_broken_fused_default_falls_back_with_warning(self):
-        dispatch._reset()
-        dispatch._modules.pop("fused", None)
-        dispatch._import_errors["fused"] = "simulated import failure"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert kernels.active_name() == "reference"
-        assert any(issubclass(w.category, RuntimeWarning) for w in caught)
-        assert "simulated import failure" in kernels.fallback_reason()
-
-    def test_broken_fused_explicit_request_propagates(self, monkeypatch):
-        dispatch._reset()
-        dispatch._modules.pop("fused", None)
-        dispatch._import_errors["fused"] = "simulated import failure"
-        with warnings.catch_warnings():
-            # use() resolves the previous selection first, which falls
-            # back (loudly) to reference; that warning is expected here.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(KernelUnavailableError):
-                kernels.use("fused")
-        monkeypatch.setenv(dispatch.ENV_VAR, "fused")
-        dispatch._reset(clear_import_errors=False)
-        with pytest.raises(KernelUnavailableError):
-            kernels.active_name()
+def tensor_sort(sort, nodes, routes, lengths):
+    """Grad-enabled ``SortLSTM.forward_batch`` on raw arrays."""
+    return sort.forward_batch(Tensor(nodes), routes, lengths).data
 
 
 # ----------------------------------------------------------------------
@@ -128,39 +74,37 @@ class TestRecurrentKernels:
         recurrent = RecurrentCell(6, 8, rng, cell_type=cell_type)
         xs = rng.normal(size=(10, batch, 6))
         fused_rec = fused._FusedRecurrent(recurrent, batch)
-        state = reference._initial_numpy_state(recurrent, batch)
+        state = recurrent.initial_state((batch,))
         for step in range(xs.shape[0]):
-            h_ref, state = reference.recurrent_step(recurrent, xs[step], state)
+            h_ref, state = recurrent.step(Tensor(xs[step]), state)
             h_fused = fused_rec.step(xs[step])
-            np.testing.assert_array_equal(h_fused, h_ref)
+            np.testing.assert_array_equal(h_fused, h_ref.data)
 
     @pytest.mark.parametrize("cell_type", ["lstm", "gru"])
     def test_stepper_1d_start_token_broadcast(self, cell_type, rng):
         """A 1-D input (the decoder start token) must broadcast exactly
-        like the reference's vector-matmul path."""
+        like the Tensor cell's vector-matmul path."""
         recurrent = RecurrentCell(6, 8, rng, cell_type=cell_type)
         token = rng.normal(size=6)
         fused_rec = fused._FusedRecurrent(recurrent, 3)
-        state = reference._initial_numpy_state(recurrent, 3)
-        h_ref, state = reference.recurrent_step(recurrent, token, state)
+        h_ref, _ = recurrent.step(Tensor(token), recurrent.initial_state((3,)))
         h_fused = fused_rec.step(token)
-        np.testing.assert_array_equal(h_fused, np.broadcast_to(h_ref, (3, 8)))
+        assert h_ref.shape == (3, 8)
+        np.testing.assert_array_equal(h_fused, h_ref.data)
 
     def test_lstm_unroll_matches_reference(self, rng):
         cell = LSTMCell(5, 7, rng)
         sequence = rng.normal(size=(4, 9, 5))
-        with no_grad():
-            out_ref = reference.lstm_unroll(cell, sequence)
+        out_ref = _unroll_lstm_batch(cell, Tensor(sequence)).data
         out_fused = fused.lstm_unroll(cell, sequence)
         np.testing.assert_array_equal(out_fused, out_ref)
 
     def test_lstm_unroll_length_one_sequence(self, rng):
         cell = LSTMCell(5, 7, rng)
         sequence = rng.normal(size=(2, 1, 5))
-        with no_grad():
-            np.testing.assert_array_equal(
-                fused.lstm_unroll(cell, sequence),
-                reference.lstm_unroll(cell, sequence))
+        np.testing.assert_array_equal(
+            fused.lstm_unroll(cell, sequence),
+            _unroll_lstm_batch(cell, Tensor(sequence)).data)
 
 
 # ----------------------------------------------------------------------
@@ -181,9 +125,8 @@ class TestGATKernel:
     def test_stack_matches_reference(self, rng, need_edges):
         gat = GATEEncoder(dim=8, num_layers=2, num_heads=2, rng=rng)
         nodes, edges, adjacency = random_gat_inputs(rng, batch=3, n=7, dim=8)
-        with no_grad():
-            ref_nodes, ref_edges = reference.gat_encoder_forward(
-                gat, nodes, edges, adjacency, need_edges=need_edges)
+        ref_nodes, ref_edges = tensor_gat(gat, nodes, edges, adjacency,
+                                          need_edges=need_edges)
         fused_nodes, fused_edges = fused.gat_encoder_forward(
             gat, nodes, edges, adjacency, need_edges=need_edges)
         np.testing.assert_array_equal(fused_nodes, ref_nodes)
@@ -197,9 +140,7 @@ class TestGATKernel:
         gat = GATEEncoder(dim=8, num_layers=2, num_heads=2, rng=rng)
         nodes, edges, adjacency = random_gat_inputs(
             rng, batch=2, n=6, dim=8, mask_rows=3)
-        with no_grad():
-            ref_nodes, _ = reference.gat_encoder_forward(
-                gat, nodes, edges, adjacency)
+        ref_nodes, _ = tensor_gat(gat, nodes, edges, adjacency)
         fused_nodes, _ = fused.gat_encoder_forward(gat, nodes, edges, adjacency)
         assert np.isfinite(fused_nodes).all()
         np.testing.assert_array_equal(fused_nodes, ref_nodes)
@@ -210,9 +151,7 @@ class TestGATKernel:
         nodes = rng.normal(size=(2, 4, 8))
         edges = rng.normal(size=(2, 4, 4, 8))
         adjacency = np.zeros((2, 4, 4), dtype=bool)
-        with no_grad():
-            ref_nodes, _ = reference.gat_encoder_forward(
-                gat, nodes, edges, adjacency)
+        ref_nodes, _ = tensor_gat(gat, nodes, edges, adjacency)
         fused_nodes, _ = fused.gat_encoder_forward(gat, nodes, edges, adjacency)
         assert np.isfinite(fused_nodes).all()
         np.testing.assert_array_equal(fused_nodes, ref_nodes)
@@ -223,15 +162,13 @@ class TestGATKernel:
         edges = rng.normal(size=(1, 1, 1, 8))
         for adjacency in (np.ones((1, 1, 1), dtype=bool),
                           np.zeros((1, 1, 1), dtype=bool)):
-            with no_grad():
-                ref_nodes, ref_edges = reference.gat_encoder_forward(
-                    gat, nodes, edges, adjacency)
+            ref_nodes, ref_edges = tensor_gat(gat, nodes, edges, adjacency)
             fused_nodes, fused_edges = fused.gat_encoder_forward(
                 gat, nodes, edges, adjacency)
             np.testing.assert_array_equal(fused_nodes, ref_nodes)
             np.testing.assert_array_equal(fused_edges, ref_edges)
 
-    def test_outputs_detached_from_workspace(self, rng):
+    def test_outputs_not_aliased_across_calls(self, rng):
         """A second call must not corrupt previously returned arrays."""
         gat = GATEEncoder(dim=8, num_layers=1, num_heads=2, rng=rng)
         nodes, edges, adjacency = random_gat_inputs(rng, batch=2, n=5, dim=8)
@@ -244,6 +181,13 @@ class TestGATKernel:
 # ----------------------------------------------------------------------
 # Kernel units: level feature embedding
 # ----------------------------------------------------------------------
+def tensor_embed(encoder, continuous, discrete, edge_features, global_data):
+    """Grad-enabled ``LevelEncoder._embed_tensor`` on raw arrays."""
+    nodes, edges = encoder._embed_tensor(continuous, discrete, edge_features,
+                                         Tensor(global_data))
+    return nodes.data, edges.data
+
+
 class TestLevelEmbedKernel:
     @pytest.fixture()
     def level_encoder(self, rng):
@@ -263,8 +207,7 @@ class TestLevelEmbedKernel:
     def test_matches_reference(self, level_encoder, rng):
         encoder, _ = level_encoder
         inputs = self.embed_inputs(rng)
-        with no_grad():
-            ref_nodes, ref_edges = reference.level_embed(encoder, *inputs)
+        ref_nodes, ref_edges = tensor_embed(encoder, *inputs)
         out_nodes, out_edges = fused.level_embed(encoder, *inputs)
         np.testing.assert_array_equal(out_nodes, ref_nodes)
         np.testing.assert_array_equal(out_edges, ref_edges)
@@ -272,8 +215,7 @@ class TestLevelEmbedKernel:
     def test_single_node_level(self, level_encoder, rng):
         encoder, _ = level_encoder
         inputs = self.embed_inputs(rng, batch=1, n=1)
-        with no_grad():
-            ref_nodes, ref_edges = reference.level_embed(encoder, *inputs)
+        ref_nodes, ref_edges = tensor_embed(encoder, *inputs)
         out_nodes, out_edges = fused.level_embed(encoder, *inputs)
         np.testing.assert_array_equal(out_nodes, ref_nodes)
         np.testing.assert_array_equal(out_edges, ref_edges)
@@ -285,9 +227,9 @@ class TestLevelEmbedKernel:
         with pytest.raises(IndexError, match="out of range"):
             fused.level_embed(encoder, continuous, discrete, edge_features,
                               global_data)
-        with no_grad(), pytest.raises(IndexError, match="out of range"):
-            reference.level_embed(encoder, continuous, discrete,
-                                  edge_features, global_data)
+        with pytest.raises(IndexError, match="out of range"):
+            tensor_embed(encoder, continuous, discrete, edge_features,
+                         global_data)
 
 
 # ----------------------------------------------------------------------
@@ -312,19 +254,19 @@ class TestPointerDecodeKernel:
         nodes = rng.normal(size=(4, 9, 10))
         courier = rng.normal(size=(4, 4))
         lengths = np.array([9, 5, 1, 7])
-        ref = reference.pointer_decode(route, nodes, courier, lengths)
+        ref = tensor_decode(route, nodes, courier, lengths)
         out = fused.pointer_decode(route, nodes, courier, lengths)
         np.testing.assert_array_equal(out, ref)
 
     def test_zero_length_rows(self, rng):
-        """Exhausted rows must loop on the dummy candidate like reference."""
+        """Exhausted rows must loop on the dummy candidate like Tensor."""
         route, _ = build_decoders(rng)
         nodes = rng.normal(size=(3, 6, 10))
         courier = rng.normal(size=(3, 4))
         lengths = np.array([0, 6, 3])
         np.testing.assert_array_equal(
             fused.pointer_decode(route, nodes, courier, lengths),
-            reference.pointer_decode(route, nodes, courier, lengths))
+            tensor_decode(route, nodes, courier, lengths))
 
     def test_single_node(self, rng):
         route, _ = build_decoders(rng)
@@ -333,7 +275,7 @@ class TestPointerDecodeKernel:
         lengths = np.array([1])
         np.testing.assert_array_equal(
             fused.pointer_decode(route, nodes, courier, lengths),
-            reference.pointer_decode(route, nodes, courier, lengths))
+            tensor_decode(route, nodes, courier, lengths))
 
     def test_restrict_to_neighbors_path(self, rng):
         route, _ = build_decoders(rng, restrict_to_neighbors=True)
@@ -343,7 +285,7 @@ class TestPointerDecodeKernel:
         adjacency = rng.random((3, 8, 8)) < 0.5
         np.testing.assert_array_equal(
             fused.pointer_decode(route, nodes, courier, lengths, adjacency),
-            reference.pointer_decode(route, nodes, courier, lengths, adjacency))
+            tensor_decode(route, nodes, courier, lengths, adjacency))
 
 
 class TestSortRNNKernel:
@@ -356,7 +298,7 @@ class TestSortRNNKernel:
         routes = np.zeros((batch, n), dtype=np.int64)
         for b, k in enumerate(lengths):
             routes[b, :k] = rng.permutation(k)
-        ref = reference.sort_rnn_forward(sort, nodes, routes, lengths)
+        ref = tensor_sort(sort, nodes, routes, lengths)
         out = fused.sort_rnn_forward(sort, nodes, routes, lengths)
         np.testing.assert_array_equal(out, ref)
         # Padding positions are exactly zero.
@@ -370,7 +312,7 @@ class TestSortRNNKernel:
         lengths = np.array([1])
         np.testing.assert_array_equal(
             fused.sort_rnn_forward(sort, nodes, routes, lengths),
-            reference.sort_rnn_forward(sort, nodes, routes, lengths))
+            tensor_sort(sort, nodes, routes, lengths))
 
 
 # ----------------------------------------------------------------------
@@ -392,13 +334,12 @@ def sweep_graphs(world, builder):
     return graphs
 
 
-def predict_both_backends(model, graphs):
+def predict_tensor_and_fused(model, graphs):
+    """``BatchedM2G4RTP._predict`` with grad on (Tensor) and off (fused)."""
     engine = BatchedM2G4RTP(model)
-    with kernels.backend_scope("reference"):
-        ref = engine.predict(graphs)
-    with kernels.backend_scope("fused"):
-        out = engine.predict(graphs)
-    return ref, out
+    model.eval()
+    ref = engine._predict(GraphBatch.from_graphs(graphs))
+    return ref, engine.predict(graphs)
 
 
 def assert_outputs_identical(ref, out):
@@ -419,37 +360,34 @@ class TestEndToEndConformance:
                                          "w/o graph", "w/o uncertainty"])
     def test_variant_sweep(self, variant, sweep_graphs):
         model = M2G4RTP(make_variant(variant, small_config()))
-        ref, out = predict_both_backends(model, sweep_graphs)
+        ref, out = predict_tensor_and_fused(model, sweep_graphs)
         assert_outputs_identical(ref, out)
 
     @pytest.mark.parametrize("cell_type", ["lstm", "gru"])
     def test_cell_types(self, cell_type, sweep_graphs):
         model = M2G4RTP(small_config(cell_type=cell_type))
-        ref, out = predict_both_backends(model, sweep_graphs)
+        ref, out = predict_tensor_and_fused(model, sweep_graphs)
         assert_outputs_identical(ref, out)
 
     def test_restrict_to_neighbors(self, sweep_graphs):
         model = M2G4RTP(small_config(restrict_to_neighbors=True))
-        ref, out = predict_both_backends(model, sweep_graphs)
+        ref, out = predict_tensor_and_fused(model, sweep_graphs)
         assert_outputs_identical(ref, out)
 
     def test_encoder_embeddings_identical(self, sweep_graphs):
         model = M2G4RTP(small_config())
         model.eval()
         batch = GraphBatch.from_graphs(sweep_graphs)
+        loc_ref, aoi_ref = model.encoder.forward_batch(batch)
         with no_grad():
-            with kernels.backend_scope("reference"):
-                loc_ref, aoi_ref = model.encoder.forward_batch(batch)
-            with kernels.backend_scope("fused"):
-                loc_out, aoi_out = model.encoder.forward_batch(batch)
+            loc_out, aoi_out = model.encoder.forward_batch(batch)
         np.testing.assert_array_equal(loc_out.data, loc_ref.data)
         np.testing.assert_array_equal(aoi_out.data, aoi_ref.data)
 
     def test_fused_matches_sequential_predict(self, sweep_graphs):
         """The existing batched-vs-sequential contract holds on fused."""
         model = M2G4RTP(small_config())
-        with kernels.backend_scope("fused"):
-            batched = BatchedM2G4RTP(model).predict(sweep_graphs)
+        batched = BatchedM2G4RTP(model).predict(sweep_graphs)
         for graph, out in zip(sweep_graphs, batched):
             sequential = model.predict(graph)
             np.testing.assert_array_equal(out.route, sequential.route)
@@ -461,7 +399,7 @@ class TestEndToEndConformance:
                                               num_aois=1, seed=77)
         graph = builder.build(instance)
         model = M2G4RTP(small_config())
-        ref, out = predict_both_backends(model, [graph])
+        ref, out = predict_tensor_and_fused(model, [graph])
         assert_outputs_identical(ref, out)
         assert len(out[0].route) == 1
 
@@ -482,30 +420,30 @@ class TestFuzzConformance:
                               num_heads=heads, rng=rng)
             nodes, edges, adjacency = random_gat_inputs(
                 rng, batch, n, dim, mask_rows=int(rng.integers(0, n + 1)))
-            with no_grad():
-                ref_nodes, _ = reference.gat_encoder_forward(
-                    gat, nodes, edges, adjacency)
+            ref_nodes, _ = tensor_gat(gat, nodes, edges, adjacency)
             fused_nodes, _ = fused.gat_encoder_forward(
                 gat, nodes, edges, adjacency)
             np.testing.assert_array_equal(fused_nodes, ref_nodes,
                                           err_msg=f"trial {trial}")
 
             cell_type = str(rng.choice(["lstm", "gru"]))
+            # Odd trials take fused pointer_decode's per-step-mask branch.
             route, sort = build_decoders(rng, node_dim=dim,
-                                         cell_type=cell_type)
+                                         cell_type=cell_type,
+                                         restrict_to_neighbors=trial % 2 == 1)
             dec_nodes = rng.normal(size=(batch, n, dim))
             courier = rng.normal(size=(batch, 4))
             lengths = rng.integers(0, n + 1, size=batch)
-            ref_routes = reference.pointer_decode(route, dec_nodes, courier,
-                                                  lengths)
+            dec_adjacency = rng.random((batch, n, n)) < 0.5
+            ref_routes = tensor_decode(route, dec_nodes, courier, lengths,
+                                       dec_adjacency)
             out_routes = fused.pointer_decode(route, dec_nodes, courier,
-                                              lengths)
+                                              lengths, dec_adjacency)
             np.testing.assert_array_equal(out_routes, ref_routes,
                                           err_msg=f"trial {trial}")
             np.testing.assert_array_equal(
                 fused.sort_rnn_forward(sort, dec_nodes, out_routes, lengths),
-                reference.sort_rnn_forward(sort, dec_nodes, ref_routes,
-                                           lengths),
+                tensor_sort(sort, dec_nodes, ref_routes, lengths),
                 err_msg=f"trial {trial}")
 
     def test_model_level_fuzz(self, world, builder):
@@ -519,5 +457,5 @@ class TestFuzzConformance:
                 num_locations=n, num_aois=min(m, n),
                 seed=int(rng.integers(0, 2 ** 31))))
                 for n, m in sizes]
-            ref, out = predict_both_backends(model, graphs)
+            ref, out = predict_tensor_and_fused(model, graphs)
             assert_outputs_identical(ref, out)

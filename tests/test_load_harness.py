@@ -14,8 +14,8 @@ of the resilience layer:
   concurrent load (the ``rtp_degraded_responses_total`` ==
   per-reason-sum invariant);
 * (``--runslow``) a 60-second wall-clock soak through the fused
-  kernels serves with zero errors and bitwise-matches the reference
-  backend.
+  kernels serves with zero errors and matches the per-instance Tensor
+  ``model.predict`` on sampled requests.
 """
 
 import dataclasses
@@ -27,7 +27,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.core import FallbackPredictor
 from repro.deploy import (FaultPlan, ResilienceConfig, ResilientRTPService,
                           TransientServiceError)
@@ -422,16 +421,15 @@ class TestDegradedAccounting:
 # ----------------------------------------------------------------------
 @pytest.mark.slow
 class TestSoak:
-    def test_steady_soak_fused_matches_reference(self):
+    def test_steady_soak_fused_matches_predict(self):
         """A sustained wall-clock steady run through the fused kernels:
         zero hard errors, all answers valid, and sampled predictions
-        bitwise-identical to the reference backend."""
+        equal to the per-instance Tensor ``model.predict``."""
         soak_s = float(os.environ.get("REPRO_SOAK_SECONDS", "60"))
         model = small_model(seed=17, hidden_dim=16)
         config = LoadRunConfig(rate=20.0, phase_duration_s=soak_s * 0.8,
                                virtual=False, seed=17)
-        with kernels.backend_scope("fused"):
-            result = run_scenario("steady", config, model=model)
+        result = run_scenario("steady", config, model=model)
         for phase in result.phases:
             assert phase.degraded_by_reason.get("error", 0) == 0, (
                 f"{phase.name}: hard errors during the soak")
@@ -439,16 +437,16 @@ class TestSoak:
         steady = next(p for p in result.phases if p.name == "steady")
         assert steady.requests >= int(0.8 * soak_s * config.rate)
 
-        # Bitwise conformance on sampled requests: fused and reference
-        # backends must produce identical routes and ETAs.
+        # Conformance on sampled requests: the served answer matches the
+        # per-instance Tensor spec (routes identical, ETAs within 1e-6).
         pool = result.context.stream.instances
         sample = pool[:: max(1, len(pool) // 8)]
+        service = RTPService(model)
         for instance in sample:
             request = RTPRequest.from_instance(instance)
-            with kernels.backend_scope("fused"):
-                fused = RTPService(model).handle(request)
-            with kernels.backend_scope("reference"):
-                reference = RTPService(model).handle(request)
-            assert list(fused.route) == list(reference.route)
-            assert np.array_equal(np.asarray(fused.eta_minutes),
-                                  np.asarray(reference.eta_minutes))
+            served = service.handle(request)
+            expected = model.predict(service.builder.build(request))
+            assert list(served.route) == list(expected.route)
+            np.testing.assert_allclose(served.eta_minutes,
+                                       expected.arrival_times,
+                                       rtol=0, atol=1e-6)

@@ -27,6 +27,7 @@ import pytest
 from repro.core import M2G4RTP, M2G4RTPConfig
 from repro.obs import disable_tracing, enable_tracing
 from repro.service import RTPRequest
+from repro.service.monitoring import PERCENTILE_WINDOW
 from repro.serving_shard import (ShardConfig, ShardRouter, ShardRuntime,
                                  SleepLatencyService, build_model)
 
@@ -126,6 +127,19 @@ class TestInlineServing:
                              on_shed=shed_shards.append)
         router.handle(requests[0])
         assert shed_shards == [router.place(requests[0])]
+
+    def test_latency_window_is_bounded(self):
+        """The p99 reads the last PERCENTILE_WINDOW answers; the request
+        count stays exact however many answers a shard records."""
+        router = make_router(num_shards=2)
+        total = PERCENTILE_WINDOW + 500
+        for index in range(total):
+            router._record_answer(0, float(index))
+        assert len(router._tallies[0].latencies_ms) == PERCENTILE_WINDOW
+        stats = router.shard_stats()[0]
+        assert stats["requests"] == total
+        recent = np.arange(total - PERCENTILE_WINDOW, total, dtype=float)
+        assert stats["p99_ms"] == float(np.percentile(recent, 99))
 
 
 # ----------------------------------------------------------------------
