@@ -9,9 +9,9 @@ Measures the same request stream through the two service paths:
   ``repro.core.batching``).
 
 Reports throughput (requests/s) and p50/p95 per-request latency for
-both paths, verifies both against the per-instance Tensor
-``M2G4RTP.predict`` (routes exact, ETAs within 1e-6), and writes the
-table to
+both paths, verifies both against the spec ``M2G4RTP.predict`` (the
+grad-enabled Tensor code, one request as a batch of one; routes exact,
+ETAs within 1e-6), and writes the table to
 ``benchmarks/results/batched_inference.txt`` (``_smoke`` suffix in
 smoke mode).
 

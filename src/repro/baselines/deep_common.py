@@ -13,14 +13,14 @@ faithfully present.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..autodiff import Adam, Tensor, clip_grad_norm, concat, no_grad, stack
 from ..data.dataset import RTPDataset
 from ..data.entities import RTPInstance
-from ..graphs import GraphBuilder, MultiLevelGraph
+from ..graphs import GraphBuilder, LevelGraph, MultiLevelGraph
 from ..nn import FeatureEncoder, Linear, MLP, Module
 from ..nn.positional import sinusoidal_position_encoding
 from ..core.decoder import RouteDecoder
@@ -61,9 +61,9 @@ class LocationInputEncoder(Module):
         )
         self.proj = Linear(self.features.output_dim, config.hidden_dim, rng)
 
-    def forward(self, graph: MultiLevelGraph) -> Tensor:
-        level = graph.location
-        return self.proj(self.features(Tensor(level.continuous), level.discrete))
+    def forward(self, location: LevelGraph) -> Tensor:
+        return self.proj(self.features(Tensor(location.continuous),
+                                       location.discrete))
 
 
 class PluginTimeHead(Module):
@@ -157,16 +157,10 @@ class DeepRouteTimeBaseline(RTPBaseline):
         for _ in range(cfg.epochs):
             for instance, graph in zip(train, graphs):
                 optimizer.zero_grad()
-                representations = self._representations(graph)
-                decode = self.decoder(
-                    representations, Tensor(graph.courier_profile),
-                    adjacency=graph.location.adjacency if self.uses_adjacency else None,
+                _, label_log_probs = self._decode(
+                    self._representations(graph), graph,
                     teacher_route=instance.route)
-                loss = stack([
-                    -log_probs[int(target)]
-                    for log_probs, target in zip(decode.step_log_probs,
-                                                 instance.route)
-                ], axis=0).mean()
+                loss = -label_log_probs.mean()
                 loss.backward()
                 clip_grad_norm(optimizer.parameters, cfg.grad_clip)
                 optimizer.step()
@@ -189,18 +183,34 @@ class DeepRouteTimeBaseline(RTPBaseline):
         return self
 
     def _representations(self, graph: MultiLevelGraph) -> Tensor:
-        return self._encode(self.input_encoder(graph), graph)
+        return self._encode(self.input_encoder(graph.location), graph)
+
+    def _decode(self, representations: Tensor, graph: MultiLevelGraph,
+                teacher_route: Optional[np.ndarray] = None):
+        """Pointer-decode ``graph`` as a batch of one.
+
+        Returns ``(route, label_log_probs)``; the latter is ``None``
+        without a teacher route (greedy decoding).
+        """
+        n = graph.num_locations
+        adjacency = (graph.location.adjacency[None]
+                     if self.uses_adjacency else None)
+        routes, label_log_probs = self.decoder.forward_batch(
+            representations.reshape(1, n, -1),
+            Tensor(graph.courier_profile.reshape(1, -1)), np.array([n]),
+            adjacency=adjacency,
+            teacher_routes=(None if teacher_route is None
+                            else np.asarray(teacher_route)[None]))
+        return routes[0], label_log_probs
 
     # -- inference --------------------------------------------------------
     def predict(self, instance: RTPInstance) -> BaselinePrediction:
         graph = self.builder.build(instance)
         with no_grad():
             representations = self._representations(graph)
-            decode = self.decoder(
-                representations, Tensor(graph.courier_profile),
-                adjacency=graph.location.adjacency if self.uses_adjacency else None)
-            times = self.time_head(representations, decode.route, instance)
+            route, _ = self._decode(representations, graph)
+            times = self.time_head(representations, route, instance)
         return BaselinePrediction(
-            route=decode.route,
+            route=route,
             arrival_times=times.data * self.config.time_scale,
         )

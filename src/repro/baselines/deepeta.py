@@ -37,9 +37,9 @@ class _DeepETANet(Module):
         self.attention = MultiHeadSelfAttention(d, num_heads=2, rng=rng)
         self.head = Linear(d, 1, rng)
 
-    def forward(self, graph, route: np.ndarray) -> Tensor:
+    def forward(self, location, route: np.ndarray) -> Tensor:
         """Per-location ETA (scaled units) in node order."""
-        inputs = self.input_encoder(graph)
+        inputs = self.input_encoder(location)
         n = inputs.shape[0]
         encodings = Tensor(np.stack([
             sinusoidal_position_encoding(position, self.position_dim)
@@ -78,7 +78,7 @@ class DeepETA(RTPBaseline):
         for _ in range(cfg.epochs):
             for instance, graph in zip(train, graphs):
                 optimizer.zero_grad()
-                predicted = self.network(graph, instance.route)
+                predicted = self.network(graph.location, instance.route)
                 target = Tensor(instance.arrival_times / cfg.time_scale)
                 loss = (predicted - target).abs().mean()
                 loss.backward()
@@ -90,7 +90,7 @@ class DeepETA(RTPBaseline):
         route = self.route_provider.predict(instance).route
         graph = self.builder.build(instance)
         with no_grad():
-            times = self.network(graph, route)
+            times = self.network(graph.location, route)
         return BaselinePrediction(
             route=route,
             arrival_times=times.data * self.config.time_scale,

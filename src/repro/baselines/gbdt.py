@@ -120,9 +120,9 @@ class RegressionTree:
         if self._root is None:
             raise RuntimeError("tree is not fitted")
         features = np.asarray(features, dtype=np.float64)
-        return np.array([self._predict_row(row) for row in features])
+        return np.array([self._lookup(row) for row in features])
 
-    def _predict_row(self, row: np.ndarray) -> float:
+    def _lookup(self, row: np.ndarray) -> float:
         node = self._root
         while not node.is_leaf:
             node = node.left if row[node.feature] <= node.threshold else node.right

@@ -8,7 +8,7 @@ from .encoder import (
     MultiLevelEncoder,
     SequenceEncoder,
 )
-from .decoder import RouteDecoder, RouteDecoderOutput, SortLSTM, positional_guidance
+from .decoder import RouteDecoder, SortLSTM
 from .uncertainty import FixedWeighting, UncertaintyWeighting, TASKS
 from .model import (
     M2G4RTP,
@@ -33,7 +33,7 @@ __all__ = [
     "GATEHead", "GATELayer", "GATEEncoder",
     "EncoderConfig", "GlobalFeatureEncoder", "LevelEncoder",
     "MultiLevelEncoder", "SequenceEncoder",
-    "RouteDecoder", "RouteDecoderOutput", "SortLSTM", "positional_guidance",
+    "RouteDecoder", "SortLSTM",
     "FixedWeighting", "UncertaintyWeighting", "TASKS",
     "M2G4RTP", "M2G4RTPConfig", "M2G4RTPOutput", "RTPTargets",
     "VARIANT_NAMES", "make_variant",

@@ -1,17 +1,17 @@
-"""Batched inference engine for M²G4RTP.
+"""Padded graph batches — the one model input — and the no-grad engine.
 
-The online service (paper Section VI) answers each query with one
-encoder + decoder pass.  Sequential per-request execution leaves most
-of the numpy substrate idle: every matmul is tiny and Python overhead
-dominates.  This module packs a list of :class:`MultiLevelGraph`
-instances into padded batch tensors with validity masks, runs the
-*same* parameters through batched versions of the forward passes
-(`forward_batch` on the encoder/decoder modules), and unpads the
-per-instance predictions.
+Every model stage is written once, over padded batches
+(`forward_batch` on the encoder/decoder modules, :meth:`M2G4RTP.forward`
+for the whole model); one graph is a batch of one.  This module packs a
+list of :class:`MultiLevelGraph` instances into padded batch tensors
+with validity masks, and :class:`BatchedM2G4RTP` serves such batches
+under ``no_grad`` (the fused kernels), unpadding the per-instance
+predictions.
 
 Parity contract — enforced by ``tests/test_core_batching.py``:
 
-* decoded routes are identical to sequential :meth:`M2G4RTP.predict`;
+* decoded routes are identical to :meth:`M2G4RTP.predict`, the
+  grad-enabled Tensor specification run on each graph as a batch of one;
 * arrival times match within 1e-6;
 * padding positions receive exactly zero attention probability (GAT-e
   and pointer attention) and exactly zero gradient
@@ -26,15 +26,15 @@ ever receive probability mass or influence a real node.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
 
-from ..autodiff import Tensor, concat, no_grad, padded_gather
+from ..autodiff import no_grad
 from ..graphs import LevelGraph, MultiLevelGraph
-from ..obs.tracing import span
-from .decoder import positional_guidance
-from .model import M2G4RTP, M2G4RTPOutput
+
+if TYPE_CHECKING:
+    from .model import M2G4RTP, M2G4RTPOutput
 
 
 @dataclasses.dataclass
@@ -115,94 +115,33 @@ class GraphBatch:
 
 
 class BatchedM2G4RTP:
-    """Runs a trained :class:`M2G4RTP` over whole graph batches.
+    """Runs a trained :class:`M2G4RTP` over whole graph batches, no-grad.
 
-    The engine owns no parameters — it reads the wrapped model's modules
-    through their ``forward_batch`` methods, so any model (any ablation
-    variant, either decoder cell type) batches without retraining or
-    weight copies.  It is the no-grad serving path for batches of any
-    size, one included (``RTPService.handle``); ``M2G4RTP.predict`` is
-    the per-instance Tensor specification it is checked against.
+    The engine owns no parameters — it runs the wrapped model's
+    :meth:`~repro.core.model.M2G4RTP.forward` on the padded batch under
+    ``no_grad``, so every stage runs its fused kernel, and any model (any
+    ablation variant, either decoder cell type) batches without
+    retraining or weight copies.  It is the serving path for batches of
+    any size, one included (``RTPService.handle``); ``M2G4RTP.predict``
+    — the same forward with gradients on, i.e. the Tensor code — is the
+    specification it is checked against.
     """
 
     def __init__(self, model: M2G4RTP):
         self.model = model
 
-    # ------------------------------------------------------------------
     def predict(self, graphs: Sequence[MultiLevelGraph]) -> List[M2G4RTPOutput]:
         """Batched equivalent of ``[model.predict(g) for g in graphs]``."""
         if not graphs:
             return []
         model = self.model
+        batch = GraphBatch.from_graphs(graphs)
         was_training = model.training
         if was_training:
             model.eval()
         try:
             with no_grad():
-                return self._predict(GraphBatch.from_graphs(graphs))
+                return model(batch).rows(batch)
         finally:
             if was_training:
                 model.train()
-
-    # ------------------------------------------------------------------
-    def _predict(self, batch: GraphBatch) -> List[M2G4RTPOutput]:
-        model = self.model
-        cfg = model.config
-        size = len(batch)
-        n = batch.location.max_nodes
-
-        with span("encoder", batch_size=size):
-            location_reps, aoi_reps = model.encoder.forward_batch(batch)
-        courier_embed = model.courier_embedding(
-            batch.courier_ids % cfg.num_couriers)
-        courier = concat([courier_embed, Tensor(batch.courier_profiles)], axis=-1)
-
-        aoi_routes = None
-        aoi_times = None
-        if cfg.use_aoi:
-            with span("route_decode", level="aoi"):
-                aoi_routes = model.aoi_route_decoder.forward_batch(
-                    aoi_reps, courier, batch.aoi.lengths,
-                    adjacency=batch.aoi.adjacency)
-            with span("time_decode", level="aoi"):
-                aoi_times = model.aoi_time_decoder.forward_batch(
-                    aoi_reps, aoi_routes, batch.aoi.lengths)
-
-            # Guidance (Eq. 34), per instance over real AOIs only.
-            positions = np.zeros((size, batch.aoi.max_nodes, cfg.position_dim))
-            for b in range(size):
-                m_b = int(batch.aoi.lengths[b])
-                positions[b, :m_b] = positional_guidance(
-                    aoi_routes[b, :m_b], cfg.position_dim)
-            per_location_positions = positions[
-                np.arange(size)[:, None], batch.aoi_of_location]
-            per_location_eta = padded_gather(
-                aoi_times, batch.aoi_of_location, valid=batch.location.mask)
-            location_inputs = concat(
-                [location_reps, Tensor(per_location_positions),
-                 per_location_eta.reshape(size, n, 1)],
-                axis=-1)
-        else:
-            location_inputs = location_reps
-
-        with span("route_decode", level="location"):
-            routes = model.location_route_decoder.forward_batch(
-                location_inputs, courier, batch.location.lengths,
-                adjacency=batch.location.adjacency)
-        with span("time_decode", level="location"):
-            times = model.location_time_decoder.forward_batch(
-                location_inputs, routes, batch.location.lengths)
-
-        outputs: List[M2G4RTPOutput] = []
-        for b in range(size):
-            n_b = int(batch.location.lengths[b])
-            m_b = int(batch.aoi.lengths[b])
-            outputs.append(M2G4RTPOutput(
-                route=routes[b, :n_b].copy(),
-                arrival_times=times.data[b, :n_b] * cfg.time_scale,
-                aoi_route=(aoi_routes[b, :m_b].copy()
-                           if aoi_routes is not None else None),
-                aoi_arrival_times=(aoi_times.data[b, :m_b] * cfg.time_scale
-                                   if aoi_times is not None else None),
-            ))
-        return outputs

@@ -11,13 +11,14 @@ strategy differs — so it can be toggled per query.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..autodiff import Tensor, concat, no_grad
+from .batching import GraphBatch
 from .decoder import RouteDecoder
+from .model import M2G4RTPOutput
 
 
 @dataclasses.dataclass
@@ -26,8 +27,8 @@ class _Beam:
 
     log_prob: float
     route: List[int]
-    visited: np.ndarray
-    state: Optional[Tuple[Tensor, Tensor]]
+    visited: np.ndarray        # (1, n)
+    state: object              # the recurrent cell's state
     previous: Optional[int]
 
     def key(self) -> Tuple[int, ...]:
@@ -44,7 +45,10 @@ def beam_search_route(decoder: RouteDecoder, nodes: Tensor, courier: Tensor,
     decoder:
         A trained :class:`RouteDecoder`.
     nodes / courier / adjacency:
-        Exactly the arguments :meth:`RouteDecoder.forward` takes.
+        One instance as a batch of one, exactly as
+        :meth:`RouteDecoder.forward_batch` takes them: ``(1, n, d)``
+        nodes, a ``(1, c)`` courier and an optional ``(1, n, n)``
+        adjacency.
     width:
         Beam width; ``width=1`` reduces to greedy decoding.
 
@@ -55,28 +59,35 @@ def beam_search_route(decoder: RouteDecoder, nodes: Tensor, courier: Tensor,
     """
     if width < 1:
         raise ValueError(f"beam width must be >= 1, got {width}")
-    n = nodes.shape[0]
+    n = nodes.shape[1]
 
     with no_grad():
-        beams = [_Beam(log_prob=0.0, route=[], visited=np.zeros(n, dtype=bool),
-                       state=None, previous=None)]
+        keys = decoder.attention.key_proj(nodes)
+        beams = [_Beam(log_prob=0.0, route=[],
+                       visited=np.zeros((1, n), dtype=bool),
+                       state=decoder.recurrent.initial_state((1,)),
+                       previous=None)]
         for _ in range(n):
             candidates: List[_Beam] = []
             for beam in beams:
-                step_input = (decoder.start_token if beam.previous is None
-                              else nodes[beam.previous])
+                if beam.previous is None:
+                    step_input, previous = decoder.start_token, None
+                else:
+                    step_input = nodes[:, beam.previous, :]
+                    previous = np.array([beam.previous])
                 h, new_state = decoder.recurrent.step(step_input, beam.state)
                 query = concat([h, courier], axis=-1)
-                mask = decoder._candidate_mask(beam.visited, beam.previous,
-                                               adjacency)
-                log_probs = decoder.attention.log_probs(nodes, query, mask).data
-                feasible = np.flatnonzero(mask)
+                mask = decoder._candidate_mask_batch(beam.visited, previous,
+                                                     adjacency)
+                log_probs = decoder.attention.log_probs_batch(
+                    keys, query, mask).data[0]
+                feasible = np.flatnonzero(mask[0])
                 # Expand only the top-``width`` children of this beam —
                 # more can never survive the global prune.
                 order = feasible[np.argsort(log_probs[feasible])[::-1][:width]]
                 for child in order:
                     visited = beam.visited.copy()
-                    visited[child] = True
+                    visited[0, child] = True
                     candidates.append(_Beam(
                         log_prob=beam.log_prob + float(log_probs[child]),
                         route=beam.route + [int(child)],
@@ -106,50 +117,48 @@ def beam_search_route(decoder: RouteDecoder, nodes: Tensor, courier: Tensor,
 def beam_search_predict(model, graph, width: int = 4):
     """Full-model inference with beam-searched routes at both levels.
 
-    Runs the encoder once, beam-searches the AOI route (when the model
-    has an AOI level), rebuilds the guidance inputs from that route,
-    then beam-searches the location route and runs the SortLSTMs on the
-    beam results.  Returns an :class:`~repro.core.model.M2G4RTPOutput`.
+    Runs the encoder once on ``graph`` as a batch of one, beam-searches
+    the AOI route (when the model has an AOI level), rebuilds the
+    guidance inputs from that route, then beam-searches the location
+    route and runs the SortLSTMs on the beam results.  Returns an
+    :class:`~repro.core.model.M2G4RTPOutput`.
     """
-    from .decoder import positional_guidance
-    from .model import M2G4RTPOutput
-
-    cfg = model.config
+    batch = GraphBatch.from_graphs([graph])
     was_training = model.training
     model.eval()
     try:
         with no_grad():
-            location_reps, aoi_reps = model.encoder(graph)
-            courier = model._courier_vector(graph)
+            location_reps, aoi_reps = model.encoder.forward_batch(batch)
+            courier = model._courier_batch(batch)
 
-            aoi_route = None
+            aoi_routes = None
             aoi_times = None
-            if cfg.use_aoi:
+            if model.config.use_aoi:
                 aoi_route, _ = beam_search_route(
                     model.aoi_route_decoder, aoi_reps, courier,
-                    adjacency=graph.aoi.adjacency, width=width)
-                aoi_times = model.aoi_time_decoder(aoi_reps, aoi_route)
-                positions = positional_guidance(aoi_route, cfg.position_dim)
-                per_location_positions = Tensor(positions[graph.aoi_of_location])
-                per_location_eta = aoi_times[graph.aoi_of_location]
-                location_inputs = concat(
-                    [location_reps, per_location_positions,
-                     per_location_eta.reshape(-1, 1)], axis=-1)
+                    adjacency=batch.aoi.adjacency, width=width)
+                aoi_routes = aoi_route[None, :]
+                aoi_times = model.aoi_time_decoder.forward_batch(
+                    aoi_reps, aoi_routes, batch.aoi.lengths)
+                location_inputs = model._guided_inputs(
+                    batch, location_reps, aoi_routes, aoi_times)
             else:
                 location_inputs = location_reps
 
             route, _ = beam_search_route(
                 model.location_route_decoder, location_inputs, courier,
-                adjacency=graph.location.adjacency, width=width)
-            times = model.location_time_decoder(location_inputs, route)
+                adjacency=batch.location.adjacency, width=width)
+            times = model.location_time_decoder.forward_batch(
+                location_inputs, route[None, :], batch.location.lengths)
 
+        scale = model.config.time_scale
         return M2G4RTPOutput(
-            route=route,
-            arrival_times=times.data * cfg.time_scale,
-            aoi_route=aoi_route,
-            aoi_arrival_times=(aoi_times.data * cfg.time_scale
+            route=route[None, :],
+            arrival_times=times.data * scale,
+            aoi_route=aoi_routes,
+            aoi_arrival_times=(aoi_times.data * scale
                                if aoi_times is not None else None),
-        )
+        ).rows(batch)[0]
     finally:
         if was_training:
             model.train()

@@ -14,8 +14,7 @@
 
 from __future__ import annotations
 
-import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from ..kernels import fused
 from ..nn import AdditivePointerAttention, GRUCell, Linear, LSTMCell, Module
 from ..nn.init import normal
 from ..nn.module import Parameter
-from ..nn.positional import sinusoidal_position_encoding
+from ..nn.positional import position_table
 from ..obs.tracing import span
 
 
@@ -58,23 +57,15 @@ class RecurrentCell(Module):
         return self.cell.initial_state(batch_shape)
 
 
-@dataclasses.dataclass
-class RouteDecoderOutput:
-    """Result of one route decoding pass.
-
-    ``route[j]`` is the node index decoded at step ``j``;
-    ``step_log_probs[j]`` is the masked log-probability vector of step
-    ``j`` (a Tensor over all nodes, infeasible ones at -inf), used for
-    the route cross-entropy loss.  When a teacher route was supplied,
-    ``step_targets[j]`` is the supervised label of step ``j`` — under
-    plain teacher forcing it equals ``teacher_route[j]``; under
-    scheduled sampling it is the oracle label re-aligned to the decoded
-    prefix (the earliest still-unvisited node of the true route).
-    """
-
-    route: np.ndarray
-    step_log_probs: List[Tensor]
-    step_targets: Optional[np.ndarray] = None
+def route_positions(routes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Inverse of padded routes: ``(B, n)`` 0-based step at which each node
+    of row ``b`` is visited; 0 for padding nodes."""
+    batch, n = routes.shape
+    step_valid = np.arange(n)[None, :] < lengths[:, None]
+    positions = np.zeros((batch, n), dtype=np.int64)
+    row_index, step_index = np.nonzero(step_valid)
+    positions[row_index, routes[row_index, step_index]] = step_index
+    return positions
 
 
 class RouteDecoder(Module):
@@ -108,78 +99,12 @@ class RouteDecoder(Module):
         self.start_token = Parameter(normal(rng, (node_dim,), std=0.1))
         self.restrict_to_neighbors = restrict_to_neighbors
 
-    def _candidate_mask(self, visited: np.ndarray, previous: Optional[int],
-                        adjacency: Optional[np.ndarray]) -> np.ndarray:
-        unvisited = ~visited
-        if (self.restrict_to_neighbors and previous is not None
-                and adjacency is not None):
-            neighbors = np.asarray(adjacency[previous], dtype=bool) & unvisited
-            if neighbors.any():
-                return neighbors
-        return unvisited
-
-    def forward(self, nodes: Tensor, courier: Tensor,
-                adjacency: Optional[np.ndarray] = None,
-                teacher_route: Optional[np.ndarray] = None,
-                sample_prob: float = 0.0,
-                rng: Optional[np.random.Generator] = None
-                ) -> RouteDecoderOutput:
-        """Decode a full route over ``nodes``.
-
-        With ``teacher_route`` given, the decoder is teacher-forced: the
-        supervised node is fed forward at each step while the log
-        probabilities are still produced for the loss.  With
-        ``sample_prob > 0`` (scheduled sampling), each step instead
-        feeds the model's own argmax with that probability, and the
-        supervision label is re-aligned to the decoded prefix — the
-        earliest still-unvisited node of the true route — so training
-        sees its own mistakes (DAgger-style oracle labelling).
-        """
-        n = nodes.shape[0]
-        visited = np.zeros(n, dtype=bool)
-        state = None
-        step_input = self.start_token
-        previous: Optional[int] = None
-        route = np.empty(n, dtype=np.int64)
-        step_log_probs: List[Tensor] = []
-        step_targets: Optional[np.ndarray] = None
-        true_rank: Optional[np.ndarray] = None
-        if teacher_route is not None:
-            step_targets = np.empty(n, dtype=np.int64)
-            true_rank = np.empty(n, dtype=np.int64)
-            true_rank[np.asarray(teacher_route)] = np.arange(n)
-            if sample_prob > 0.0 and rng is None:
-                raise ValueError("scheduled sampling requires an rng")
-
-        for step in range(n):
-            h, state = self.recurrent.step(step_input, state)
-            query = concat([h, courier], axis=-1)
-            mask = self._candidate_mask(visited, previous, adjacency)
-            log_probs = self.attention.log_probs(nodes, query, mask)
-            step_log_probs.append(log_probs)
-
-            if teacher_route is not None:
-                unvisited = np.flatnonzero(~visited)
-                target = int(unvisited[np.argmin(true_rank[unvisited])])
-                step_targets[step] = target
-                if sample_prob > 0.0 and rng.random() < sample_prob:
-                    chosen = int(np.argmax(log_probs.data))
-                else:
-                    chosen = target
-            else:
-                chosen = int(np.argmax(log_probs.data))
-            route[step] = chosen
-            visited[chosen] = True
-            previous = chosen
-            step_input = nodes[chosen]
-
-        return RouteDecoderOutput(route=route, step_log_probs=step_log_probs,
-                                  step_targets=step_targets)
-
     def _candidate_mask_batch(self, visited: np.ndarray,
                               previous: Optional[np.ndarray],
                               adjacency: Optional[np.ndarray]) -> np.ndarray:
-        """Row-wise :meth:`_candidate_mask` over a ``(B, n)`` batch."""
+        """Feasible candidates per row of a ``(B, n)`` batch: the unvisited
+        neighbours of the previous node when restricted and any exist,
+        else every unvisited node."""
         unvisited = ~visited
         if (self.restrict_to_neighbors and previous is not None
                 and adjacency is not None):
@@ -192,35 +117,74 @@ class RouteDecoder(Module):
 
     def forward_batch(self, nodes: Tensor, courier: Tensor,
                       lengths: np.ndarray,
-                      adjacency: Optional[np.ndarray] = None) -> np.ndarray:
-        """Greedy (inference-only) batched decode.
+                      adjacency: Optional[np.ndarray] = None,
+                      teacher_routes: Optional[np.ndarray] = None,
+                      sample_prob: float = 0.0,
+                      rng: Optional[np.random.Generator] = None
+                      ) -> Tuple[np.ndarray, Optional[Tensor]]:
+        """Decode one route per row of a padded batch.
 
         ``nodes`` is ``(B, n, d)`` padded node inputs, ``courier``
         ``(B, c)``, ``lengths`` the per-instance real node counts and
         ``adjacency`` the optional ``(B, n, n)`` padded connectivity.
-        Returns an ``(B, n)`` int array whose row ``b`` holds the decoded
-        route in its first ``lengths[b]`` entries.
+        Returns ``(routes, label_log_probs)``: ``routes`` is an ``(B, n)``
+        int array whose row ``b`` holds the decoded route in its first
+        ``lengths[b]`` entries.
+
+        Without ``teacher_routes`` decoding is greedy (Eq. 31) and
+        ``label_log_probs`` is ``None``.  With ``teacher_routes`` (padded
+        like ``routes``) the decoder is teacher-forced: the supervised
+        node is fed forward at each step, and ``label_log_probs`` is the
+        ``(B, n)`` Tensor of each step's log-probability of its label,
+        zero past ``lengths[b]``.  With ``sample_prob > 0`` (scheduled
+        sampling) each row instead feeds its own argmax with that
+        probability — one ``rng.random(B)`` draw per step — and its label
+        is re-aligned to the decoded prefix: the earliest still-unvisited
+        node of its true route, so training sees its own mistakes
+        (DAgger-style oracle labelling).
 
         Padding nodes start out "visited" so they are never feasible;
         instances that finish early keep stepping on a dummy candidate
         whose inputs are zeroed (:func:`padded_gather`), which cannot
         affect any still-active instance.
 
-        When gradients are disabled, decoding runs the fused kernel
+        When gradients are disabled and no teacher routes are given,
+        decoding runs the fused kernel
         (:func:`repro.kernels.fused.pointer_decode`), which decodes
         incrementally and is bit-identical to the Tensor path below.
         """
-        if not is_grad_enabled():
+        teacher = teacher_routes is not None
+        if not is_grad_enabled() and not teacher:
             with span("kernel.pointer_decode", batch_size=nodes.shape[0]):
                 return fused.pointer_decode(
-                    self, nodes.data, courier.data, lengths, adjacency)
+                    self, nodes.data, courier.data, lengths, adjacency), None
+        sampling = teacher and sample_prob > 0.0
+        if sampling and rng is None:
+            raise ValueError("scheduled sampling requires an rng")
         batch, n = nodes.shape[0], nodes.shape[1]
         lengths = np.asarray(lengths, dtype=np.int64)
-        visited = np.arange(n)[None, :] >= lengths[:, None]   # padding pre-visited
+        rows = np.arange(batch)
+        steps = np.arange(n)
+        step_valid = steps[None, :] < lengths[:, None]
+        visited = ~step_valid                                 # padding pre-visited
         state = self.recurrent.initial_state((batch,))
         step_input: Tensor = self.start_token
         previous: Optional[np.ndarray] = None
         routes = np.zeros((batch, n), dtype=np.int64)
+        keys = self.attention.key_proj(nodes)
+        label_log_probs: List[Tensor] = []
+        if teacher:
+            labels = np.where(step_valid, teacher_routes, 0)
+            if sampling:
+                # Rank of each node in its row's true route; padding
+                # nodes rank after every real one.
+                true_rank = np.full((batch, n), n, dtype=np.int64)
+                row_index, step_index = np.nonzero(step_valid)
+                true_rank[row_index, labels[row_index, step_index]] = step_index
+            else:
+                # Plain teacher forcing knows every step's input up front.
+                teacher_inputs = padded_gather(
+                    nodes, labels, valid=steps[None, :] + 1 < lengths[:, None])
 
         for step in range(n):
             h, state = self.recurrent.step(step_input, state)
@@ -234,16 +198,32 @@ class RouteDecoder(Module):
             if done.any():
                 feasible = feasible.copy()
                 feasible[done, 0] = True
-            log_probs = self.attention.log_probs_batch(nodes, query, feasible)
-            chosen = np.argmax(log_probs.data, axis=1)
+            log_probs = self.attention.log_probs_batch(keys, query, feasible)
+            if not teacher:
+                chosen = np.argmax(log_probs.data, axis=1)
+            elif sampling:
+                target = np.argmin(np.where(visited, n, true_rank), axis=1)
+                sampled = rng.random(batch) < sample_prob
+                chosen = np.where(sampled, np.argmax(log_probs.data, axis=1),
+                                  target)
+            else:
+                target = chosen = labels[:, step]
+            if teacher:
+                label_log_probs.append(log_probs[rows, target])
             routes[:, step] = chosen
-            visited[np.arange(batch), chosen] = True
+            visited[rows, chosen] = True
             previous = chosen
-            active = (step + 1 < lengths)[:, None]
-            step_input = padded_gather(nodes, chosen[:, None],
-                                       valid=active)[:, 0, :]
+            if teacher and not sampling:
+                step_input = teacher_inputs[:, step, :]
+            else:
+                active = (step + 1 < lengths)[:, None]
+                step_input = padded_gather(nodes, chosen[:, None],
+                                           valid=active)[:, 0, :]
 
-        return routes
+        if not teacher:
+            return routes, None
+        return routes, (stack(label_log_probs, axis=1)
+                        * Tensor(step_valid.astype(np.float64)))
 
 
 class SortLSTM(Module):
@@ -252,7 +232,7 @@ class SortLSTM(Module):
     Consumes node embeddings *sorted by a route*, concatenated with the
     positional encoding of each step, and emits one arrival-time scalar
     per step.  The returned tensor is re-scattered to node order, i.e.
-    ``output[i]`` is the predicted arrival time of node ``i``.
+    ``output[b, i]`` is the predicted arrival time of node ``i``.
     """
 
     def __init__(self, node_dim: int, state_dim: int, position_dim: int,
@@ -265,35 +245,15 @@ class SortLSTM(Module):
                                        rng, cell_type)
         self.head = Linear(state_dim, 1, rng)
 
-    def forward(self, nodes: Tensor, route: np.ndarray) -> Tensor:
-        """Predict arrival times; ``route`` orders the input nodes."""
-        n = nodes.shape[0]
-        route = np.asarray(route, dtype=np.int64)
-        if sorted(route.tolist()) != list(range(n)):
-            raise ValueError("route must be a permutation of the node indices")
-        state = None
-        times_by_step: List[Tensor] = []
-        for position, node_index in enumerate(route, start=1):
-            encoding = Tensor(
-                sinusoidal_position_encoding(position, self.position_dim))
-            step_input = concat([nodes[int(node_index)], encoding], axis=-1)
-            h, state = self.recurrent.step(step_input, state)
-            times_by_step.append(self.head(h).reshape(()))
-        by_step = stack(times_by_step, axis=0)
-        # Scatter step-ordered times back to node order.
-        inverse = np.empty(n, dtype=np.int64)
-        inverse[route] = np.arange(n)
-        return by_step[inverse]
-
     def forward_batch(self, nodes: Tensor, routes: np.ndarray,
                       lengths: np.ndarray) -> Tensor:
-        """Batched :meth:`forward` over padded routes.
+        """Predict arrival times over padded routes.
 
         ``nodes`` is ``(B, n, d)``, ``routes`` ``(B, n)`` with row ``b``
         a permutation of ``range(lengths[b])`` in its first ``lengths[b]``
-        entries; like :meth:`forward`, any other route raises
-        ``ValueError``.  Returns ``(B, n)`` arrival times in node order;
-        padding entries are exactly zero.
+        entries; any other route raises ``ValueError``.  Returns
+        ``(B, n)`` arrival times in node order; padding entries are
+        exactly zero.
 
         When gradients are disabled, the pass runs the fused kernel
         (:func:`repro.kernels.fused.sort_rnn_forward`), bit-identical to
@@ -314,37 +274,20 @@ class SortLSTM(Module):
                     self, nodes.data, routes, lengths))
         batch, n = nodes.shape[0], nodes.shape[1]
         step_valid = steps[None, :] < lengths[:, None]        # (B, n)
+        # Every step's input is known up front: route-ordered nodes plus
+        # the position encoding of each step.
+        positions = np.broadcast_to(position_table(n, self.position_dim),
+                                    (batch, n, self.position_dim))
+        sequence = concat([padded_gather(nodes, routes, valid=step_valid),
+                           Tensor(positions)], axis=-1)
         state = self.recurrent.initial_state((batch,))
         times_by_step: List[Tensor] = []
-        for position in range(1, n + 1):
-            step_nodes = padded_gather(
-                nodes, routes[:, position - 1][:, None],
-                valid=step_valid[:, position - 1][:, None])[:, 0, :]
-            encoding = Tensor(np.tile(
-                sinusoidal_position_encoding(position, self.position_dim),
-                (batch, 1)))
-            step_input = concat([step_nodes, encoding], axis=-1)
-            h, state = self.recurrent.step(step_input, state)
+        for step in range(n):
+            h, state = self.recurrent.step(sequence[:, step, :], state)
             times_by_step.append(self.head(h).reshape(batch))
         by_step = stack(times_by_step, axis=1)                # (B, n)
         # Scatter step-ordered times back to node order per instance.
-        inverse = np.zeros((batch, n), dtype=np.int64)
-        row_index, step_index = np.nonzero(step_valid)
-        inverse[row_index, routes[row_index, step_index]] = step_index
         # Node i is real exactly when i < lengths, the same mask as the
         # steps (real node ids are 0..lengths-1).
-        return padded_gather(by_step, inverse, valid=step_valid)
-
-
-def positional_guidance(route: np.ndarray, dim: int) -> np.ndarray:
-    """Per-node positional encodings given a route (used as AOI guidance).
-
-    ``result[i]`` is the encoding of node ``i``'s 1-indexed position in
-    ``route`` — the ``p_aoi`` of Eq. 34.
-    """
-    route = np.asarray(route, dtype=np.int64)
-    n = route.size
-    result = np.zeros((n, dim))
-    for position, node_index in enumerate(route, start=1):
-        result[node_index] = sinusoidal_position_encoding(position, dim)
-    return result
+        return padded_gather(by_step, route_positions(routes, lengths),
+                             valid=step_valid)

@@ -16,7 +16,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..autodiff import Tensor, concat, is_grad_enabled, padded_gather, stack
-from ..graphs import LevelGraph, MultiLevelGraph
 from ..kernels import fused
 from ..nn import BiLSTM, FeatureEncoder, Linear, Module
 from ..obs.tracing import span
@@ -52,12 +51,9 @@ class GlobalFeatureEncoder(Module):
         )
         self.output_dim = self.encoder.output_dim
 
-    def forward(self, graph: MultiLevelGraph) -> Tensor:
-        return self.encoder(Tensor(graph.global_continuous), graph.global_discrete)
-
     def forward_batch(self, global_continuous: np.ndarray,
                       global_discrete: np.ndarray) -> Tensor:
-        """Batched global context: ``(B, 3)`` continuous, ``(B, 2)`` discrete → ``(B, g)``."""
+        """Global context: ``(B, 3)`` continuous, ``(B, 2)`` discrete → ``(B, g)``."""
         return self.encoder(Tensor(global_continuous), global_discrete)
 
 
@@ -80,15 +76,6 @@ class LevelEncoder(Module):
         self.gat = GATEEncoder(config.hidden_dim, config.num_layers,
                                config.num_heads, rng)
 
-    def forward(self, level: LevelGraph, global_vector: Tensor) -> Tensor:
-        n = level.num_nodes
-        node_embed = self.node_features(Tensor(level.continuous), level.discrete)
-        tiled_global = global_vector.reshape(1, -1) * Tensor(np.ones((n, 1)))
-        nodes = self.node_proj(concat([node_embed, tiled_global], axis=-1))
-        edges = self.edge_proj(Tensor(level.edge_features))
-        encoded_nodes, _ = self.gat(nodes, edges, level.adjacency)
-        return encoded_nodes
-
     def _embed_tensor(self, continuous: np.ndarray, discrete: np.ndarray,
                       edge_features: np.ndarray,
                       global_vector: Tensor) -> Tuple[Tensor, Tensor]:
@@ -101,7 +88,7 @@ class LevelEncoder(Module):
         return nodes, edges
 
     def forward_batch(self, level, global_vector: Tensor) -> Tensor:
-        """Batched :meth:`forward` over a padded level batch.
+        """Embed and encode one padded level batch → ``(B, n, d)``.
 
         ``level`` is duck-typed (see ``repro.core.batching.LevelBatch``):
         ``continuous (B, n, c)``, ``discrete (B, n, 2)``,
@@ -131,9 +118,9 @@ class LevelEncoder(Module):
 class SequenceEncoder(Module):
     """BiLSTM over deadline-ordered nodes — the "w/o graph" ablation.
 
-    Nodes are fed in deadline order (the natural sequence a dispatcher
-    would read) and the bidirectional states are projected back to
-    ``hidden_dim`` in the original node order.
+    Nodes are fed nearest-first (distance to the courier) and the
+    bidirectional states are projected back to ``hidden_dim`` in the
+    original node order.
     """
 
     def __init__(self, continuous_dim: int, config: EncoderConfig,
@@ -151,25 +138,13 @@ class SequenceEncoder(Module):
         self.bilstm = BiLSTM(config.hidden_dim, config.hidden_dim, rng)
         self.out_proj = Linear(2 * config.hidden_dim, config.hidden_dim, rng)
 
-    def forward(self, level: LevelGraph, global_vector: Tensor) -> Tensor:
-        n = level.num_nodes
-        node_embed = self.node_features(Tensor(level.continuous), level.discrete)
-        tiled_global = global_vector.reshape(1, -1) * Tensor(np.ones((n, 1)))
-        nodes = self.node_proj(concat([node_embed, tiled_global], axis=-1))
-        # Column 2 is distance-to-courier at both levels; feeding nodes
-        # nearest-first gives the BiLSTM a meaningful sequence.
-        order = np.argsort(level.continuous[:, 2], kind="stable")
-        states = self.bilstm(nodes[order])
-        inverse = np.argsort(order, kind="stable")
-        return self.out_proj(states[inverse])
-
     def forward_batch(self, level, global_vector: Tensor) -> Tensor:
-        """Batched :meth:`forward` over a padded level batch.
+        """Embed and encode one padded level batch → ``(B, n, d)``.
 
-        Real nodes are ordered nearest-first per instance exactly as in
-        the sequential path; padding nodes sort last (key ``inf``), so
-        they only ever sit *after* the real prefix in both LSTM
-        directions and cannot influence any real node's state.
+        Column 2 is distance-to-courier at both levels, so real nodes are
+        fed nearest-first per instance; padding nodes sort last (key
+        ``inf``), so they only ever sit *after* the real prefix in both
+        LSTM directions and cannot influence any real node's state.
         """
         batch, n = level.continuous.shape[:2]
         lengths = np.asarray(level.lengths, dtype=np.int64)
@@ -240,15 +215,8 @@ class MultiLevelEncoder(Module):
         self.aoi_encoder = encoder_cls(
             6, self.config, self.global_encoder.output_dim, rng)
 
-    def forward(self, graph: MultiLevelGraph) -> Tuple[Tensor, Tensor]:
-        """Return (location representations, AOI representations)."""
-        global_vector = self.global_encoder(graph)
-        locations = self.location_encoder(graph.location, global_vector)
-        aois = self.aoi_encoder(graph.aoi, global_vector)
-        return locations, aois
-
     def forward_batch(self, batch) -> Tuple[Tensor, Tensor]:
-        """Batched :meth:`forward` over a ``repro.core.batching.GraphBatch``.
+        """Encode a ``repro.core.batching.GraphBatch`` → (locations, AOIs).
 
         ``batch`` is duck-typed: it provides ``global_continuous``,
         ``global_discrete`` and padded ``location`` / ``aoi`` level

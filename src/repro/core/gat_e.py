@@ -24,9 +24,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..autodiff import Tensor, concat, is_grad_enabled, masked_softmax, softmax, stack
+from ..autodiff import Tensor, concat, is_grad_enabled, masked_softmax
 from ..kernels import fused
-from ..nn import Linear, Module
+from ..nn import Module
 from ..nn.init import xavier_uniform
 from ..nn.module import Parameter
 from ..obs.tracing import span
@@ -35,8 +35,9 @@ from ..obs.tracing import span
 class GATEHead(Module):
     """One attention head of a GAT-e layer.
 
-    Produces updated node embeddings ``(n, out_dim)`` and updated edge
-    embeddings ``(n, n, out_dim)`` from inputs of width ``in_dim``.
+    Produces updated node embeddings ``(B, n, out_dim)`` and updated edge
+    embeddings ``(B, n, n, out_dim)`` from padded inputs of width
+    ``in_dim``.
     """
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
@@ -54,34 +55,9 @@ class GATEHead(Module):
         self.w4 = Parameter(xavier_uniform(rng, in_dim, out_dim))
         self.w5 = Parameter(xavier_uniform(rng, in_dim, out_dim))
 
-    def attention(self, nodes: Tensor, edges: Tensor,
-                  adjacency: np.ndarray) -> Tensor:
-        """Masked attention matrix ``alpha`` of Eq. 21, shape ``(n, n)``."""
-        transformed = nodes @ self.w1
-        source_score = transformed @ self.a_src      # (n,)
-        target_score = transformed @ self.a_dst      # (n,)
-        edge_score = edges @ self.a_edge             # (n, n)
-        n = nodes.shape[0]
-        logits = (source_score.reshape(n, 1) + target_score.reshape(1, n)
-                  + edge_score).leaky_relu(self.leaky_slope)
-        return softmax(logits, axis=1, mask=np.asarray(adjacency, dtype=bool))
-
-    def forward(self, nodes: Tensor, edges: Tensor,
-                adjacency: np.ndarray) -> Tuple[Tensor, Tensor, Tensor]:
-        """Return (pre-activation node update, edge update, alpha)."""
-        alpha = self.attention(nodes, edges, adjacency)
-        node_update = alpha @ (nodes @ self.w2)
-        n = nodes.shape[0]
-        edge_update = (
-            edges @ self.w3
-            + (nodes @ self.w4).reshape(n, 1, -1)
-            + (nodes @ self.w5).reshape(1, n, -1)
-        )
-        return node_update, edge_update, alpha
-
     def attention_batch(self, nodes: Tensor, edges: Tensor,
                         adjacency: np.ndarray) -> Tensor:
-        """Batched masked attention, ``(B, n, n)``.
+        """Masked attention matrix ``alpha`` of Eq. 21, ``(B, n, n)``.
 
         ``adjacency`` rows belonging to padding nodes are entirely
         ``False``; :func:`masked_softmax` gives those rows an all-zero
@@ -101,7 +77,8 @@ class GATEHead(Module):
     def forward_batch(self, nodes: Tensor, edges: Tensor,
                       adjacency: np.ndarray,
                       need_edges: bool = True) -> Tuple[Tensor, Optional[Tensor], Tensor]:
-        """Batched :meth:`forward` over ``(B, n, d)`` nodes and ``(B, n, n, d)`` edges.
+        """Return (pre-activation node update, edge update, alpha) over
+        ``(B, n, d)`` nodes and ``(B, n, n, d)`` edges.
 
         ``need_edges=False`` skips the edge update (the node update never
         reads it, so node outputs are unchanged) — used for the last
@@ -145,31 +122,10 @@ class GATELayer(Module):
         head_dim = dim if final else dim // num_heads
         self.heads = [GATEHead(dim, head_dim, rng) for _ in range(num_heads)]
 
-    def forward(self, nodes: Tensor, edges: Tensor,
-                adjacency: np.ndarray) -> Tuple[Tensor, Tensor]:
-        node_updates = []
-        edge_updates = []
-        for head in self.heads:
-            node_update, edge_update, _ = head(nodes, edges, adjacency)
-            if not self.final:
-                node_update = node_update.relu()
-                edge_update = edge_update.relu()
-            node_updates.append(node_update)
-            edge_updates.append(edge_update)
-        if self.final:
-            count = float(len(self.heads))
-            node_out = node_updates[0]
-            edge_out = edge_updates[0]
-            for node_update, edge_update in zip(node_updates[1:], edge_updates[1:]):
-                node_out = node_out + node_update
-                edge_out = edge_out + edge_update
-            return (node_out * (1.0 / count)).relu(), (edge_out * (1.0 / count)).relu()
-        return concat(node_updates, axis=-1), concat(edge_updates, axis=-1)
-
     def forward_batch(self, nodes: Tensor, edges: Tensor,
                       adjacency: np.ndarray,
                       need_edges: bool = True) -> Tuple[Tensor, Optional[Tensor]]:
-        """Batched :meth:`forward`; head combination is unchanged."""
+        """Run every head and combine them (Eqs. 24-26)."""
         node_updates = []
         edge_updates = []
         for head in self.heads:
@@ -216,14 +172,6 @@ class GATEEncoder(Module):
             GATELayer(dim, num_heads, rng, final=(i == num_layers - 1))
             for i in range(num_layers)
         ]
-
-    def forward(self, nodes: Tensor, edges: Tensor,
-                adjacency: np.ndarray) -> Tuple[Tensor, Tensor]:
-        for layer in self.layers:
-            node_update, edge_update = layer(nodes, edges, adjacency)
-            nodes = nodes + node_update
-            edges = edges + edge_update
-        return nodes, edges
 
     def forward_batch(self, nodes: Tensor, edges: Tensor,
                       adjacency: np.ndarray,

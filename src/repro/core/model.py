@@ -15,16 +15,18 @@ through :class:`M2G4RTPConfig` flags and :func:`make_variant`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..autodiff import Tensor, concat, no_grad, stack
+from ..autodiff import Tensor, concat, padded_gather
 from ..data.entities import RTPInstance
 from ..graphs import MultiLevelGraph
 from ..obs.tracing import span
-from ..nn import Embedding, Linear, Module
-from .decoder import RouteDecoder, SortLSTM, positional_guidance
+from ..nn import Embedding, Module
+from ..nn.positional import position_table
+from .batching import GraphBatch
+from .decoder import RouteDecoder, SortLSTM, route_positions
 from .encoder import EncoderConfig, MultiLevelEncoder
 from .uncertainty import FixedWeighting, UncertaintyWeighting
 
@@ -86,7 +88,14 @@ class RTPTargets:
 
 @dataclasses.dataclass
 class M2G4RTPOutput:
-    """Predictions (and, when targets were given, the task losses)."""
+    """Predictions (and, when targets were given, the task losses).
+
+    :meth:`M2G4RTP.forward` returns one output per batch: the arrays
+    are padded ``(B, n)`` (locations) and ``(B, m)`` (AOIs), and each
+    loss is a mean over the batch's rows.  :meth:`rows` splits it into
+    one unpadded output per graph, as :meth:`M2G4RTP.predict` and
+    :class:`~repro.core.batching.BatchedM2G4RTP` return.
+    """
 
     route: np.ndarray
     arrival_times: np.ndarray
@@ -94,6 +103,37 @@ class M2G4RTPOutput:
     aoi_arrival_times: Optional[np.ndarray]
     losses: Dict[str, Tensor] = dataclasses.field(default_factory=dict)
     total_loss: Optional[Tensor] = None
+
+    def rows(self, batch: GraphBatch) -> List["M2G4RTPOutput"]:
+        """One output per graph of ``batch``, sliced to its real nodes."""
+        outputs = []
+        for b, (n_b, m_b) in enumerate(zip(batch.location.lengths,
+                                           batch.aoi.lengths)):
+            outputs.append(M2G4RTPOutput(
+                route=self.route[b, :n_b].copy(),
+                arrival_times=self.arrival_times[b, :n_b].copy(),
+                aoi_route=(self.aoi_route[b, :m_b].copy()
+                           if self.aoi_route is not None else None),
+                aoi_arrival_times=(self.aoi_arrival_times[b, :m_b].copy()
+                                   if self.aoi_arrival_times is not None
+                                   else None),
+            ))
+        return outputs
+
+
+def _padded(rows: Sequence[np.ndarray], width: int) -> np.ndarray:
+    """Stack per-row label arrays into a zero-padded ``(B, width)`` array."""
+    out = np.zeros((len(rows), width), dtype=np.asarray(rows[0]).dtype)
+    for b, row in enumerate(rows):
+        out[b, :len(row)] = row
+    return out
+
+
+def _route_loss(label_log_probs: Tensor, lengths: np.ndarray) -> Tensor:
+    """Step cross-entropy (Eqs. 37-38): mean over each row's real steps,
+    then over rows.  Padded steps carry zero log-probability."""
+    per_row = -label_log_probs.sum(axis=1) * Tensor(1.0 / lengths)
+    return per_row.mean()
 
 
 class M2G4RTP(Module):
@@ -137,123 +177,139 @@ class M2G4RTP(Module):
             UncertaintyWeighting() if cfg.use_uncertainty else FixedWeighting())
 
     # ------------------------------------------------------------------
-    def _courier_vector(self, graph: MultiLevelGraph) -> Tensor:
+    def _courier_batch(self, batch: GraphBatch) -> Tensor:
+        """Courier vectors ``u`` (embedding + profile), ``(B, c)``."""
         embedding = self.courier_embedding(
-            graph.courier_id % self.config.num_couriers)
-        return concat([embedding, Tensor(graph.courier_profile)], axis=-1)
+            batch.courier_ids % self.config.num_couriers)
+        return concat([embedding, Tensor(batch.courier_profiles)], axis=-1)
 
-    @staticmethod
-    def _route_loss(step_log_probs: List[Tensor],
-                    teacher_route: np.ndarray) -> Tensor:
-        """Mean step cross-entropy (Eqs. 37-38)."""
-        terms = [
-            -log_probs[int(target)]
-            for log_probs, target in zip(step_log_probs, teacher_route)
-        ]
-        return stack(terms, axis=0).mean()
+    def _guided_inputs(self, batch: GraphBatch, location_reps: Tensor,
+                       aoi_routes: np.ndarray, aoi_times: Tensor) -> Tensor:
+        """Location decoder inputs with AOI guidance (Eq. 34): each
+        location's representation, the position encoding of its AOI in
+        the AOI route, and that AOI's predicted arrival time."""
+        size, n = len(batch), batch.location.max_nodes
+        aoi_positions = route_positions(aoi_routes, batch.aoi.lengths)
+        location_positions = aoi_positions[np.arange(size)[:, None],
+                                           batch.aoi_of_location]
+        table = position_table(batch.aoi.max_nodes, self.config.position_dim)
+        per_location_eta = padded_gather(
+            aoi_times, batch.aoi_of_location, valid=batch.location.mask)
+        return concat([location_reps, Tensor(table[location_positions]),
+                       per_location_eta.reshape(size, n, 1)], axis=-1)
 
-    def _time_loss(self, predicted: Tensor, target_minutes: np.ndarray) -> Tensor:
-        """MAE in scaled time units (Eqs. 39-40)."""
-        target = Tensor(np.asarray(target_minutes) / self.config.time_scale)
-        return (predicted - target).abs().mean()
+    def _time_loss(self, predicted: Tensor, target_minutes: np.ndarray,
+                   lengths: np.ndarray) -> Tensor:
+        """MAE in scaled time units (Eqs. 39-40): mean over each row's
+        real nodes, then over rows.  Padded entries are zero on both
+        sides."""
+        target = Tensor(target_minutes / self.config.time_scale)
+        per_row = ((predicted - target).abs().sum(axis=1)
+                   * Tensor(1.0 / lengths))
+        return per_row.mean()
 
     # ------------------------------------------------------------------
-    def forward(self, graph: MultiLevelGraph,
-                targets: Optional[RTPTargets] = None,
+    def forward(self, batch: GraphBatch,
+                targets: Optional[Sequence[RTPTargets]] = None,
                 sample_prob: float = 0.0,
                 rng: Optional[np.random.Generator] = None) -> M2G4RTPOutput:
-        """Run the model; with ``targets`` also compute the four losses.
+        """Run the model over a padded batch; one graph is a batch of one.
 
-        With targets the decoders are teacher-forced and the SortLSTMs
-        sort by the ground-truth routes; without targets the model runs
-        fully autoregressively on its own predictions.  ``sample_prob``
-        enables scheduled sampling during training (see
-        :meth:`RouteDecoder.forward`).
+        With ``targets`` (one per row) the decoders are teacher-forced,
+        the SortLSTMs sort by the ground-truth routes and the four task
+        losses are computed per row and averaged over rows; without
+        targets the model decodes greedily on its own predictions.
+        ``sample_prob`` enables scheduled sampling during training (see
+        :meth:`RouteDecoder.forward_batch`).  Under ``no_grad`` every
+        stage that has no teacher routes runs its fused kernel.
         """
         cfg = self.config
-        with span("encoder"):
-            location_reps, aoi_reps = self.encoder(graph)
-        courier = self._courier_vector(graph)
+        if targets is not None and len(targets) != len(batch):
+            raise ValueError(f"{len(targets)} targets for a batch of "
+                             f"{len(batch)} graphs")
+        n, m = batch.location.max_nodes, batch.aoi.max_nodes
+        with span("encoder", batch_size=len(batch)):
+            location_reps, aoi_reps = self.encoder.forward_batch(batch)
+        courier = self._courier_batch(batch)
         losses: Dict[str, Tensor] = {}
 
-        aoi_route: Optional[np.ndarray] = None
-        aoi_times_tensor: Optional[Tensor] = None
+        aoi_routes: Optional[np.ndarray] = None
+        aoi_times: Optional[Tensor] = None
         if cfg.use_aoi:
             assert self.aoi_route_decoder is not None
+            aoi_labels = (None if targets is None else
+                          _padded([t.aoi_route for t in targets], m))
             with span("route_decode", level="aoi"):
-                aoi_decode = self.aoi_route_decoder(
-                    aoi_reps, courier, adjacency=graph.aoi.adjacency,
-                    teacher_route=(targets.aoi_route
-                                   if targets is not None else None),
-                    sample_prob=sample_prob, rng=rng)
-            aoi_route = aoi_decode.route
-            sort_route = targets.aoi_route if targets is not None else aoi_route
+                aoi_routes, aoi_label_log_probs = \
+                    self.aoi_route_decoder.forward_batch(
+                        aoi_reps, courier, batch.aoi.lengths,
+                        adjacency=batch.aoi.adjacency,
+                        teacher_routes=aoi_labels,
+                        sample_prob=sample_prob, rng=rng)
+            aoi_sort = aoi_routes if targets is None else aoi_labels
             time_inputs = aoi_reps.detach() if cfg.detach_time_inputs else aoi_reps
             with span("time_decode", level="aoi"):
-                aoi_times_tensor = self.aoi_time_decoder(time_inputs, sort_route)
+                aoi_times = self.aoi_time_decoder.forward_batch(
+                    time_inputs, aoi_sort, batch.aoi.lengths)
             if targets is not None:
-                losses["aoi_route"] = self._route_loss(
-                    aoi_decode.step_log_probs, aoi_decode.step_targets)
+                losses["aoi_route"] = _route_loss(aoi_label_log_probs,
+                                                  batch.aoi.lengths)
                 losses["aoi_time"] = self._time_loss(
-                    aoi_times_tensor, targets.aoi_arrival_times)
-
-            # Guidance (Eq. 34): position of each location's AOI in the
-            # AOI route, plus that AOI's predicted arrival time.
-            guidance_route = sort_route
-            aoi_positions = positional_guidance(guidance_route, cfg.position_dim)
-            per_location_positions = Tensor(
-                aoi_positions[graph.aoi_of_location])
-            per_location_eta = aoi_times_tensor[graph.aoi_of_location]
-            location_inputs = concat(
-                [location_reps, per_location_positions,
-                 per_location_eta.reshape(-1, 1)],
-                axis=-1)
+                    aoi_times,
+                    _padded([t.aoi_arrival_times for t in targets], m),
+                    batch.aoi.lengths)
+            location_inputs = self._guided_inputs(batch, location_reps,
+                                                  aoi_sort, aoi_times)
         else:
             location_inputs = location_reps
 
+        labels = (None if targets is None else
+                  _padded([t.route for t in targets], n))
         with span("route_decode", level="location"):
-            location_decode = self.location_route_decoder(
-                location_inputs, courier, adjacency=graph.location.adjacency,
-                teacher_route=targets.route if targets is not None else None,
+            routes, label_log_probs = self.location_route_decoder.forward_batch(
+                location_inputs, courier, batch.location.lengths,
+                adjacency=batch.location.adjacency, teacher_routes=labels,
                 sample_prob=sample_prob, rng=rng)
-        route = location_decode.route
-        location_sort = targets.route if targets is not None else route
+        location_sort = routes if targets is None else labels
         time_inputs = (location_inputs.detach()
                        if cfg.detach_time_inputs else location_inputs)
         with span("time_decode", level="location"):
-            location_times_tensor = self.location_time_decoder(
-                time_inputs, location_sort)
+            times = self.location_time_decoder.forward_batch(
+                time_inputs, location_sort, batch.location.lengths)
 
         if targets is not None:
-            losses["location_route"] = self._route_loss(
-                location_decode.step_log_probs, location_decode.step_targets)
+            losses["location_route"] = _route_loss(label_log_probs,
+                                                   batch.location.lengths)
             losses["location_time"] = self._time_loss(
-                location_times_tensor, targets.arrival_times)
+                times, _padded([t.arrival_times for t in targets], n),
+                batch.location.lengths)
 
-        total = self.loss_weighting(losses) if losses else None
         return M2G4RTPOutput(
-            route=route,
-            arrival_times=location_times_tensor.data * cfg.time_scale,
-            aoi_route=aoi_route,
-            aoi_arrival_times=(aoi_times_tensor.data * cfg.time_scale
-                               if aoi_times_tensor is not None else None),
+            route=routes,
+            arrival_times=times.data * cfg.time_scale,
+            aoi_route=aoi_routes,
+            aoi_arrival_times=(aoi_times.data * cfg.time_scale
+                               if aoi_times is not None else None),
             losses=losses,
-            total_loss=total,
+            total_loss=self.loss_weighting(losses) if losses else None,
         )
 
     # ------------------------------------------------------------------
     def predict(self, graph: MultiLevelGraph) -> M2G4RTPOutput:
-        """Inference: autoregressive decoding without the tape.
+        """The inference specification: ``graph`` as a batch of one.
 
-        Runs in eval mode; the module tree is only walked to switch
-        modes when the model is in train mode (and is restored after).
+        Runs in eval mode with gradients enabled, so every stage runs
+        its Tensor code — the code training runs — and never a fused
+        kernel; every served path is checked against this answer.  The
+        module tree is only walked to switch modes when the model is in
+        train mode (and is restored after).
         """
+        batch = GraphBatch.from_graphs([graph])
         was_training = self.training
         if was_training:
             self.eval()
         try:
-            with no_grad():
-                return self.forward(graph)
+            return self.forward(batch).rows(batch)[0]
         finally:
             if was_training:
                 self.train()

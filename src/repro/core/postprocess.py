@@ -21,7 +21,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..autodiff import Tensor, concat, no_grad
-from .decoder import RouteDecoder, positional_guidance
+from .batching import GraphBatch
+from .decoder import RouteDecoder
 
 
 def enforce_aoi_contiguity(route: Sequence[int],
@@ -54,31 +55,35 @@ def sample_route(decoder: RouteDecoder, nodes: Tensor, courier: Tensor,
                  temperature: float = 1.0) -> np.ndarray:
     """Sample one route from the decoder's step distributions.
 
+    ``nodes`` / ``courier`` / ``adjacency`` are one instance as a batch
+    of one, exactly as :meth:`RouteDecoder.forward_batch` takes them.
     ``temperature`` < 1 sharpens toward greedy; > 1 flattens.
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    n = nodes.shape[0]
-    visited = np.zeros(n, dtype=bool)
-    state = None
+    n = nodes.shape[1]
+    visited = np.zeros((1, n), dtype=bool)
     step_input = decoder.start_token
-    previous: Optional[int] = None
+    previous: Optional[np.ndarray] = None
     route = np.empty(n, dtype=np.int64)
     with no_grad():
+        keys = decoder.attention.key_proj(nodes)
+        state = decoder.recurrent.initial_state((1,))
         for step in range(n):
             h, state = decoder.recurrent.step(step_input, state)
             query = concat([h, courier], axis=-1)
-            mask = decoder._candidate_mask(visited, previous, adjacency)
-            log_probs = decoder.attention.log_probs(nodes, query, mask).data
+            mask = decoder._candidate_mask_batch(visited, previous, adjacency)
+            log_probs = decoder.attention.log_probs_batch(
+                keys, query, mask).data[0]
             scaled = log_probs / temperature
             scaled = scaled - scaled.max()
-            probs = np.where(mask, np.exp(scaled), 0.0)
+            probs = np.where(mask[0], np.exp(scaled), 0.0)
             probs /= probs.sum()
             chosen = int(rng.choice(n, p=probs))
             route[step] = chosen
-            visited[chosen] = True
-            previous = chosen
-            step_input = nodes[chosen]
+            visited[0, chosen] = True
+            previous = np.array([chosen])
+            step_input = nodes[:, chosen, :]
     return route
 
 
@@ -107,23 +112,21 @@ def predict_with_uncertainty(model, graph, num_samples: int = 16,
         raise ValueError("need at least two samples for a spread estimate")
     cfg = model.config
     rng = np.random.default_rng(seed)
+    batch = GraphBatch.from_graphs([graph])
     was_training = model.training
     model.eval()
     try:
         with no_grad():
-            location_reps, aoi_reps = model.encoder(graph)
-            courier = model._courier_vector(graph)
+            location_reps, aoi_reps = model.encoder.forward_batch(batch)
+            courier = model._courier_batch(batch)
             if cfg.use_aoi:
-                aoi_decode = model.aoi_route_decoder(
-                    aoi_reps, courier, adjacency=graph.aoi.adjacency)
-                aoi_times = model.aoi_time_decoder(aoi_reps, aoi_decode.route)
-                positions = positional_guidance(aoi_decode.route,
-                                                cfg.position_dim)
-                location_inputs = concat([
-                    location_reps,
-                    Tensor(positions[graph.aoi_of_location]),
-                    aoi_times[graph.aoi_of_location].reshape(-1, 1),
-                ], axis=-1)
+                aoi_routes, _ = model.aoi_route_decoder.forward_batch(
+                    aoi_reps, courier, batch.aoi.lengths,
+                    adjacency=batch.aoi.adjacency)
+                aoi_times = model.aoi_time_decoder.forward_batch(
+                    aoi_reps, aoi_routes, batch.aoi.lengths)
+                location_inputs = model._guided_inputs(
+                    batch, location_reps, aoi_routes, aoi_times)
             else:
                 location_inputs = location_reps
 
@@ -132,11 +135,12 @@ def predict_with_uncertainty(model, graph, num_samples: int = 16,
             for _ in range(num_samples):
                 route = sample_route(
                     model.location_route_decoder, location_inputs, courier,
-                    rng, adjacency=graph.location.adjacency,
+                    rng, adjacency=batch.location.adjacency,
                     temperature=temperature)
-                eta = model.location_time_decoder(location_inputs, route)
+                eta = model.location_time_decoder.forward_batch(
+                    location_inputs, route[None, :], batch.location.lengths)
                 samples.append(route)
-                times.append(eta.data * cfg.time_scale)
+                times.append(eta.data[0] * cfg.time_scale)
     finally:
         if was_training:
             model.train()

@@ -36,21 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..nn.positional import sinusoidal_position_encoding
-
-# Position-encoding rows are pure functions of (position, dim); caching
-# the stacked table per (n, dim) hoists them out of the sort-RNN step
-# loop entirely (the values are bitwise-identical to fresh computation).
-_POSITION_TABLES: dict = {}
-
-
-def _position_table(n: int, dim: int) -> np.ndarray:
-    table = _POSITION_TABLES.get(dim)
-    if table is None or table.shape[0] < n:
-        table = np.stack([sinusoidal_position_encoding(p, dim)
-                          for p in range(1, n + 1)])
-        _POSITION_TABLES[dim] = table
-    return table
+from ..nn.positional import position_table
 
 
 def _sigmoid_(values: np.ndarray) -> np.ndarray:
@@ -499,7 +485,7 @@ def sort_rnn_forward(sort, nodes: np.ndarray, routes: np.ndarray,
     sequence = np.empty((batch, n, node_dim + sort.position_dim))
     np.multiply(nodes[rows[:, None], safe_all], step_valid_f[:, :, None],
                 out=sequence[:, :, :node_dim])
-    sequence[:, :, node_dim:] = _position_table(n, sort.position_dim)[None, :n]
+    sequence[:, :, node_dim:] = position_table(n, sort.position_dim)
     pre = recurrent.precompute_inputs(sequence)
     for position in range(1, n + 1):
         h = recurrent.step(None, pre=pre[position - 1])

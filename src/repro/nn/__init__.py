@@ -10,7 +10,8 @@ from .attention import (
     TransformerEncoderLayer,
 )
 from .gcn import GCN, GCNLayer, normalize_adjacency
-from .positional import sinusoidal_position_encoding, position_encoding_table
+from .positional import (sinusoidal_position_encoding, position_encoding_table,
+                         position_table)
 from .summary import count_parameters_by_module, parameter_table
 from . import init
 
@@ -21,7 +22,7 @@ __all__ = [
     "GRUCell", "GRU",
     "AdditivePointerAttention", "MultiHeadSelfAttention", "TransformerEncoderLayer",
     "GCN", "GCNLayer", "normalize_adjacency",
-    "sinusoidal_position_encoding", "position_encoding_table",
+    "sinusoidal_position_encoding", "position_encoding_table", "position_table",
     "count_parameters_by_module", "parameter_table",
     "init",
 ]

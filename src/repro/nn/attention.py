@@ -9,8 +9,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..autodiff import Tensor, concat, log_softmax, softmax
@@ -28,7 +26,9 @@ class AdditivePointerAttention(Module):
         o_j = v^T tanh(W_k key_j + W_q query)     if j feasible
         o_j = -inf                                otherwise
 
-    :meth:`log_probs` applies masked log-softmax (Eq. 30).
+    :meth:`log_probs_batch` applies masked log-softmax (Eq. 30).  Both
+    scoring methods take the keys already projected, ``key_proj(keys)``:
+    a decoder projects them once per decode, not once per step.
     """
 
     def __init__(self, key_dim: int, query_dim: int, hidden_dim: int,
@@ -38,43 +38,27 @@ class AdditivePointerAttention(Module):
         self.query_proj = Linear(query_dim, hidden_dim, rng, bias=False)
         self.v = Parameter(xavier_uniform(rng, hidden_dim, 1, shape=(hidden_dim,)))
 
-    def scores(self, keys: Tensor, query: Tensor) -> Tensor:
-        """Unmasked scores, one per key: ``(n,)``."""
-        hidden = (self.key_proj(keys) + self.query_proj(query)).tanh()
-        return hidden @ self.v
-
-    def log_probs(self, keys: Tensor, query: Tensor,
-                  mask: np.ndarray) -> Tensor:
-        """Masked log-probabilities over candidates.
-
-        ``mask`` is boolean, ``True`` where a candidate is feasible.
-        """
-        mask = np.asarray(mask, dtype=bool)
-        if not mask.any():
-            raise ValueError("pointer attention requires at least one feasible candidate")
-        return log_softmax(self.scores(keys, query), axis=-1, mask=mask)
-
-    def scores_batch(self, keys: Tensor, query: Tensor) -> Tensor:
-        """Batched unmasked scores: ``(B, n, d)`` keys × ``(B, q)`` queries → ``(B, n)``."""
-        batch = keys.shape[0]
+    def scores_batch(self, projected_keys: Tensor, query: Tensor) -> Tensor:
+        """Unmasked scores: ``(B, n, h)`` projected keys × ``(B, q)`` queries → ``(B, n)``."""
+        batch = projected_keys.shape[0]
         projected_query = self.query_proj(query).reshape(batch, 1, -1)
-        hidden = (self.key_proj(keys) + projected_query).tanh()
+        hidden = (projected_keys + projected_query).tanh()
         return hidden @ self.v
 
-    def log_probs_batch(self, keys: Tensor, query: Tensor,
+    def log_probs_batch(self, projected_keys: Tensor, query: Tensor,
                         mask: np.ndarray) -> Tensor:
-        """Batched masked log-probabilities, ``(B, n)``.
+        """Masked log-probabilities, ``(B, n)``.
 
-        Each row of ``mask`` must have at least one feasible candidate
-        (batched decoders give finished/padded rows a dummy candidate).
-        The per-row arithmetic is identical to :meth:`log_probs`, so a
-        batched decode step reproduces the sequential one bit-for-bit.
+        ``mask`` is boolean, ``True`` where a candidate is feasible; each
+        row must have at least one (batched decoders give finished or
+        padded rows a dummy candidate).
         """
         mask = np.asarray(mask, dtype=bool)
         if not mask.any(axis=-1).all():
             raise ValueError(
                 "pointer attention requires at least one feasible candidate per row")
-        return log_softmax(self.scores_batch(keys, query), axis=-1, mask=mask)
+        return log_softmax(self.scores_batch(projected_keys, query), axis=-1,
+                           mask=mask)
 
 
 class MultiHeadSelfAttention(Module):

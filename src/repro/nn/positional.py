@@ -35,3 +35,23 @@ def position_encoding_table(max_position: int, dim: int,
         sinusoidal_position_encoding(pos, dim, base)
         for pos in range(1, max_position + 1)
     ])
+
+
+# Rows are pure functions of (position, dim), so one table per ``dim``,
+# grown on demand, serves every caller with values bitwise-identical to
+# fresh computation.
+_TABLES: dict = {}
+
+
+def position_table(n: int, dim: int) -> np.ndarray:
+    """Cached read-only :func:`position_encoding_table` rows for positions 1..n.
+
+    The SortLSTM step inputs (Eq. 32, Tensor code and fused kernel) and
+    the AOI positional guidance (Eq. 34) all gather from this table.
+    """
+    table = _TABLES.get(dim)
+    if table is None or table.shape[0] < n:
+        table = position_encoding_table(n, dim)
+        table.flags.writeable = False
+        _TABLES[dim] = table
+    return table[:n]

@@ -11,7 +11,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..autodiff import Tensor, concat, stack
+from ..autodiff import Tensor, stack
 from .init import orthogonal, xavier_uniform
 from .module import Module, Parameter
 
@@ -88,10 +88,12 @@ class LSTM(Module):
 
 
 class BiLSTM(Module):
-    """Bidirectional LSTM — the paper's "w/o graph" ablation encoder.
+    """The two LSTMs of a bidirectional encoder — the "w/o graph" ablation.
 
-    Concatenates forward and backward hidden states, giving output
-    dimension ``2 * hidden_dim``.
+    Holds the forward and backward LSTMs (and their ``state_dict``
+    keys); ``SequenceEncoder.forward_batch`` in ``repro.core.encoder``
+    runs them over a padded batch and concatenates their hidden states,
+    giving output dimension ``2 * hidden_dim``.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
@@ -99,11 +101,3 @@ class BiLSTM(Module):
         self.forward_lstm = LSTM(input_dim, hidden_dim, rng)
         self.backward_lstm = LSTM(input_dim, hidden_dim, rng)
         self.output_dim = 2 * hidden_dim
-
-    def forward(self, sequence: Tensor) -> Tensor:
-        n = sequence.shape[0]
-        forward_states, _ = self.forward_lstm(sequence)
-        reversed_seq = sequence[np.arange(n - 1, -1, -1)]
-        backward_states, _ = self.backward_lstm(reversed_seq)
-        backward_states = backward_states[np.arange(n - 1, -1, -1)]
-        return concat([forward_states, backward_states], axis=-1)

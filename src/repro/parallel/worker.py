@@ -55,6 +55,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.batching import GraphBatch
 from ..core.model import M2G4RTP, M2G4RTPConfig
 from ..deploy.faults import FaultInjector, FaultPlan, TransientServiceError
 from ..obs.propagate import capture_context, merge_worker_spans, \
@@ -184,8 +185,10 @@ def gradient_worker_main(worker_id: int, model_config: M2G4RTPConfig,
                     for index in indices:
                         rng = (_instance_rng(sample_seed, epoch, index)
                                if sample_prob > 0.0 else None)
-                        output = model(graphs[index], targets[index],
-                                       sample_prob=sample_prob, rng=rng)
+                        output = model(
+                            GraphBatch.from_graphs([graphs[index]]),
+                            [targets[index]], sample_prob=sample_prob,
+                            rng=rng)
                         (output.total_loss * scale).backward()
                         loss_sum += float(output.total_loss.data)
                 grads = [parameter.grad for parameter in parameters]

@@ -65,9 +65,10 @@ class RTPService:
     Both :meth:`handle` (one request) and :meth:`handle_batch` answer
     through the padded :class:`~repro.core.batching.BatchedM2G4RTP`
     engine, i.e. the no-grad kernels of :mod:`repro.kernels`; a single
-    request is a batch of one.  The per-instance Tensor
-    :meth:`M2G4RTP.predict` is the specification both are tested
-    against (routes identical, ETAs within 1e-6).
+    request is a batch of one.  :meth:`M2G4RTP.predict` — the same
+    padded forward with gradients on, i.e. the Tensor code — is the
+    specification both are tested against (routes identical, ETAs
+    within 1e-6).
 
     Parameters
     ----------

@@ -1,7 +1,8 @@
 """Training loop for M²G4RTP and its ablation variants.
 
-Implements the paper's multi-task training (Section IV-D): per-instance
-teacher forcing, the four losses combined by the model's weighting
+Implements the paper's multi-task training (Section IV-D): teacher
+forcing through the padded :meth:`M2G4RTP.forward`, run on each instance
+as a batch of one, the four losses combined by the model's weighting
 module, Adam with gradient clipping and a step LR schedule, and early
 stopping on validation loss.
 
@@ -19,7 +20,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..autodiff import (Adam, CosineAnnealingLR, StepLR, Tensor,
-                        clip_grad_norm, no_grad, stack)
+                        clip_grad_norm, no_grad)
+from ..core.batching import GraphBatch
 from ..core.model import M2G4RTP, RTPTargets
 from ..data.dataset import RTPDataset
 from ..graphs import GraphBuilder, MultiLevelGraph
@@ -304,8 +306,8 @@ class Trainer:
         scale = 1.0 / len(graphs)
         total = 0.0
         for graph, target in zip(graphs, targets):
-            output = self.model(graph, target, sample_prob=sample_prob,
-                                rng=rng)
+            output = self.model(GraphBatch.from_graphs([graph]), [target],
+                                sample_prob=sample_prob, rng=rng)
             (output.total_loss * scale).backward()
             total += float(output.total_loss.data)
         self._epoch_grad_norms.append(
@@ -316,7 +318,8 @@ class Trainer:
     def _two_step_update(self, graph: MultiLevelGraph, target: RTPTargets,
                          route_optimizer: Adam, time_optimizer: Adam,
                          sample_prob: float = 0.0, rng=None) -> float:
-        output = self.model(graph, target, sample_prob=sample_prob, rng=rng)
+        output = self.model(GraphBatch.from_graphs([graph]), [target],
+                            sample_prob=sample_prob, rng=rng)
         route_loss = _sum_losses(output.losses, _ROUTE_TASKS)
         time_loss = _sum_losses(output.losses, _TIME_TASKS)
         total = 0.0
@@ -346,7 +349,7 @@ class Trainer:
             with no_grad():
                 losses = []
                 for graph, target in zip(graphs, targets):
-                    output = model(graph, target)
+                    output = model(GraphBatch.from_graphs([graph]), [target])
                     # Compare raw task losses (not sigma-weighted) so
                     # early stopping is insensitive to the weighting
                     # parameters drifting.

@@ -200,13 +200,14 @@ class TestFuzzGradients:
         from repro.core.gat_e import GATEEncoder
         rng = np.random.default_rng(5)
         gat = GATEEncoder(dim=4, num_layers=1, num_heads=2, rng=rng)
-        nodes = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
-        edges = Tensor(rng.normal(size=(1, 1, 4)), requires_grad=True)
+        nodes = Tensor(rng.normal(size=(1, 1, 4)), requires_grad=True)
+        edges = Tensor(rng.normal(size=(1, 1, 1, 4)), requires_grad=True)
         head = gat.layers[0].heads[0]
-        for adjacency in (np.ones((1, 1), dtype=bool),
-                          np.zeros((1, 1), dtype=bool)):
+        for adjacency in (np.ones((1, 1, 1), dtype=bool),
+                          np.zeros((1, 1, 1), dtype=bool)):
             def fn():
-                out_nodes, out_edges = gat(nodes, edges, adjacency)
+                out_nodes, out_edges = gat.forward_batch(nodes, edges,
+                                                         adjacency)
                 return (out_nodes ** 2).sum() + (out_edges ** 2).sum() * 0.1
 
             check_gradients(fn, [nodes, edges, head.w1, head.a_src, head.w2])

@@ -1,10 +1,12 @@
-"""Batched-vs-sequential parity suite for the batched inference engine.
+"""Batched-vs-spec parity suite for the padded model and its engine.
 
 The contract under test (see ``repro.core.batching``): for any list of
-graphs and any model variant, ``BatchedM2G4RTP.predict(graphs)`` must
-equal ``[model.predict(g) for g in graphs]`` — routes exactly, arrival
-times within 1e-6 — and padding positions must receive exactly zero
-attention probability.
+graphs and any model variant, ``BatchedM2G4RTP.predict(graphs)`` (the
+fused kernels) must equal ``[model.predict(g) for g in graphs]`` (the
+grad-enabled Tensor specification, each graph a batch of one) — routes
+exactly, arrival times within 1e-6 — and padding positions must receive
+exactly zero attention probability.  The padded training losses and
+gradients must equal the mean of the rows run as batches of one.
 """
 
 import numpy as np
@@ -18,8 +20,11 @@ from repro.core import (
     LevelBatch,
     M2G4RTP,
     M2G4RTPConfig,
+    RTPTargets,
     make_variant,
 )
+from repro.kernels import fused
+from repro.obs.tracing import disable_tracing, enable_tracing
 
 VARIANTS = ["full", "two-step", "w/o aoi", "w/o graph", "w/o uncertainty"]
 
@@ -186,13 +191,13 @@ class TestFastPathParity:
                 batch.courier_ids % model.config.num_couriers),
              Tensor(batch.courier_profiles)], axis=-1)
         _, aoi_reps = model.encoder.forward_batch(batch)
-        routes_tensor = model.aoi_route_decoder.forward_batch(
+        routes_tensor, _ = model.aoi_route_decoder.forward_batch(
             aoi_reps, courier, batch.aoi.lengths,
             adjacency=batch.aoi.adjacency)
         times_tensor = model.aoi_time_decoder.forward_batch(
             aoi_reps, routes_tensor, batch.aoi.lengths)
         with no_grad():
-            routes_fast = model.aoi_route_decoder.forward_batch(
+            routes_fast, _ = model.aoi_route_decoder.forward_batch(
                 aoi_reps, courier, batch.aoi.lengths,
                 adjacency=batch.aoi.adjacency)
             times_fast = model.aoi_time_decoder.forward_batch(
@@ -272,9 +277,9 @@ class TestPredictModes:
 
 
 class TestSortRouteValidation:
-    """``SortLSTM.forward_batch`` rejects a non-permutation route the way
-    the per-instance ``forward`` does, on both the Tensor and kernel
-    paths; padding entries beyond ``lengths[b]`` are never inspected."""
+    """``SortLSTM.forward_batch`` rejects a non-permutation route on both
+    the Tensor and kernel paths; padding entries beyond ``lengths[b]``
+    are never inspected."""
 
     @pytest.fixture()
     def sort(self, models):
@@ -313,3 +318,92 @@ class TestSortRouteValidation:
         assert times.shape == (3, 3)
         assert np.all(times.data[1, 2:] == 0.0) and np.all(
             times.data[2, 1:] == 0.0)
+
+
+# ----------------------------------------------------------------------
+# The spec stays the Tensor code
+# ----------------------------------------------------------------------
+class TestSpecIsTensorCode:
+    """``M2G4RTP.predict`` is what every served answer is checked
+    against.  Were it to run the fused kernels, each such check would
+    compare fused with fused and prove nothing."""
+
+    @staticmethod
+    def traced_names(run):
+        collector = enable_tracing()
+        try:
+            run()
+        finally:
+            disable_tracing()
+        return [span.name for root in collector.roots
+                for span in root.iter_spans()]
+
+    def test_predict_emits_no_kernel_span(self, models, graph_pool):
+        model = models("full")
+        spec = self.traced_names(lambda: model.predict(graph_pool[0]))
+        assert "encoder" in spec and "route_decode" in spec
+        assert not [name for name in spec if name.startswith("kernel.")]
+        served = self.traced_names(
+            lambda: BatchedM2G4RTP(model).predict(graph_pool[:1]))
+        assert "kernel.sort_rnn" in served
+
+    def test_perturbed_kernel_fails_parity(self, models, graph_pool,
+                                           monkeypatch):
+        original = fused.sort_rnn_forward
+        monkeypatch.setattr(fused, "sort_rnn_forward",
+                            lambda *args: original(*args) + 1e-3)
+        with pytest.raises(AssertionError):
+            assert_parity(models("full"), graph_pool[:3])
+
+
+# ----------------------------------------------------------------------
+# Padded training losses and gradients
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def target_pool(dataset):
+    return [RTPTargets.from_instance(instance)
+            for instance in list(dataset)[:24]]
+
+
+def losses_and_grads(model, graphs, targets):
+    """Task losses and parameter gradients of one teacher-forced step."""
+    for parameter in model.parameters():
+        parameter.zero_grad()
+    output = model(GraphBatch.from_graphs(graphs), targets)
+    output.total_loss.backward()
+    grads = [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+             for p in model.parameters()]
+    return {task: float(loss.data) for task, loss in output.losses.items()}, grads
+
+
+class TestPaddedTrainingParity:
+    """``model(batch, targets)`` on a mixed-length batch equals the mean
+    of its rows run as batches of one — the check that batching the
+    optimizer step rests on."""
+
+    @pytest.mark.parametrize("variant,cell_type,restrict",
+                             [(v, c, False) for v in VARIANTS
+                              for c in ("lstm", "gru")]
+                             + [("full", "lstm", True)])
+    def test_losses_and_grads_are_row_means(self, models, graph_pool,
+                                            target_pool, variant, cell_type,
+                                            restrict):
+        model = models(variant, cell_type, restrict)
+        rng = np.random.default_rng(17)
+        for size in (2, 5, 8):
+            indices = rng.choice(len(graph_pool), size=size, replace=False)
+            graphs = [graph_pool[i] for i in indices]
+            targets = [target_pool[i] for i in indices]
+            assert len({g.num_locations for g in graphs}) > 1
+            losses, grads = losses_and_grads(model, graphs, targets)
+            rows = [losses_and_grads(model, [g], [t])
+                    for g, t in zip(graphs, targets)]
+            for task, loss in losses.items():
+                expected = np.mean([row_losses[task] for row_losses, _ in rows])
+                assert abs(loss - expected) <= 1e-12 * abs(expected), task
+            scale = max(np.max(np.abs(g)) for g in grads)
+            for index, grad in enumerate(grads):
+                expected = np.mean([row_grads[index] for _, row_grads in rows],
+                                   axis=0)
+                np.testing.assert_allclose(grad, expected, rtol=0,
+                                           atol=1e-9 * scale)

@@ -19,46 +19,50 @@ def decoder(rng):
                         restrict_to_neighbors=False)
 
 
+def instance_nodes(rng, n):
+    """Random ``(1, n, 6)`` decoder inputs: one instance as a batch of one."""
+    return Tensor(rng.normal(size=(1, n, 6)))
+
+
+COURIER = Tensor(np.zeros((1, 3)))
+
+
 class TestBeamSearchRoute:
     def test_returns_permutation(self, decoder, rng):
-        nodes = Tensor(rng.normal(size=(6, 6)))
-        route, log_prob = beam_search_route(decoder, nodes, Tensor(np.zeros(3)),
-                                            width=3)
+        nodes = instance_nodes(rng, 6)
+        route, log_prob = beam_search_route(decoder, nodes, COURIER, width=3)
         assert sorted(route.tolist()) == list(range(6))
         assert np.isfinite(log_prob)
 
     def test_width_one_matches_greedy(self, decoder, rng):
-        nodes = Tensor(rng.normal(size=(7, 6)))
-        courier = Tensor(np.zeros(3))
+        nodes = instance_nodes(rng, 7)
         with no_grad():
-            greedy = decoder(nodes, courier).route
-        beam, _ = beam_search_route(decoder, nodes, courier, width=1)
-        assert np.array_equal(beam, greedy)
+            greedy, _ = decoder.forward_batch(nodes, COURIER, np.array([7]))
+        beam, _ = beam_search_route(decoder, nodes, COURIER, width=1)
+        assert np.array_equal(beam, greedy[0])
 
     def test_wider_beam_never_lower_log_prob(self, decoder, rng):
-        nodes = Tensor(rng.normal(size=(7, 6)))
-        courier = Tensor(np.zeros(3))
-        _, narrow = beam_search_route(decoder, nodes, courier, width=1)
-        _, wide = beam_search_route(decoder, nodes, courier, width=5)
+        nodes = instance_nodes(rng, 7)
+        _, narrow = beam_search_route(decoder, nodes, COURIER, width=1)
+        _, wide = beam_search_route(decoder, nodes, COURIER, width=5)
         assert wide >= narrow - 1e-9
 
     def test_invalid_width(self, decoder, rng):
-        nodes = Tensor(rng.normal(size=(3, 6)))
+        nodes = instance_nodes(rng, 3)
         with pytest.raises(ValueError):
-            beam_search_route(decoder, nodes, Tensor(np.zeros(3)), width=0)
+            beam_search_route(decoder, nodes, COURIER, width=0)
 
     def test_single_node(self, decoder, rng):
-        nodes = Tensor(rng.normal(size=(1, 6)))
-        route, _ = beam_search_route(decoder, nodes, Tensor(np.zeros(3)),
-                                     width=4)
+        nodes = instance_nodes(rng, 1)
+        route, _ = beam_search_route(decoder, nodes, COURIER, width=4)
         assert route.tolist() == [0]
 
     def test_respects_adjacency_restriction(self, rng):
         decoder = RouteDecoder(node_dim=6, state_dim=8, courier_dim=3,
                                rng=rng, restrict_to_neighbors=True)
-        nodes = Tensor(rng.normal(size=(5, 6)))
-        adjacency = np.eye(5, dtype=bool)  # fallback path must engage
-        route, _ = beam_search_route(decoder, nodes, Tensor(np.zeros(3)),
+        nodes = instance_nodes(rng, 5)
+        adjacency = np.eye(5, dtype=bool)[None]  # fallback path must engage
+        route, _ = beam_search_route(decoder, nodes, COURIER,
                                      adjacency=adjacency, width=3)
         assert sorted(route.tolist()) == list(range(5))
 

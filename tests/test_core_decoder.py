@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.autodiff import Tensor
-from repro.core import RouteDecoder, SortLSTM, positional_guidance
+from repro.core import RouteDecoder, SortLSTM
+from repro.core.decoder import route_positions
+from repro.nn import position_table
 
 
 def make_decoder(rng, node_dim=6, restrict=False):
@@ -13,38 +15,62 @@ def make_decoder(rng, node_dim=6, restrict=False):
                         rng=rng, restrict_to_neighbors=restrict)
 
 
+def decode(decoder, nodes, adjacency=None, teacher=None):
+    """``decoder.forward_batch`` on one ``(n, d)`` instance as a batch of one."""
+    n = nodes.shape[0]
+    routes, label_log_probs = decoder.forward_batch(
+        nodes.reshape(1, n, -1), Tensor(np.zeros((1, 3))), np.array([n]),
+        adjacency=None if adjacency is None else adjacency[None],
+        teacher_routes=None if teacher is None else teacher[None])
+    return routes[0], label_log_probs
+
+
+def record_log_probs(decoder, monkeypatch):
+    """Capture every step's ``(B, n)`` log-probability rows."""
+    steps = []
+    original = decoder.attention.log_probs_batch
+
+    def spy(keys, query, mask):
+        out = original(keys, query, mask)
+        steps.append(out.data.copy())
+        return out
+
+    monkeypatch.setattr(decoder.attention, "log_probs_batch", spy)
+    return steps
+
+
 class TestRouteDecoder:
     def test_output_is_permutation(self, rng):
         decoder = make_decoder(rng)
-        nodes = Tensor(rng.normal(size=(7, 6)))
-        output = decoder(nodes, Tensor(np.zeros(3)))
-        assert sorted(output.route.tolist()) == list(range(7))
+        route, _ = decode(decoder, Tensor(rng.normal(size=(7, 6))))
+        assert sorted(route.tolist()) == list(range(7))
 
     def test_step_log_probs_count(self, rng):
         decoder = make_decoder(rng)
         nodes = Tensor(rng.normal(size=(5, 6)))
-        output = decoder(nodes, Tensor(np.zeros(3)))
-        assert len(output.step_log_probs) == 5
+        _, label_log_probs = decode(decoder, nodes, teacher=np.arange(5))
+        assert label_log_probs.shape == (1, 5)
 
     def test_teacher_forcing_follows_targets(self, rng):
         decoder = make_decoder(rng)
         nodes = Tensor(rng.normal(size=(6, 6)))
         teacher = np.array([3, 1, 5, 0, 4, 2])
-        output = decoder(nodes, Tensor(np.zeros(3)), teacher_route=teacher)
-        assert np.array_equal(output.route, teacher)
+        route, _ = decode(decoder, nodes, teacher=teacher)
+        assert np.array_equal(route, teacher)
 
-    def test_visited_nodes_masked(self, rng):
+    def test_visited_nodes_masked(self, rng, monkeypatch):
         decoder = make_decoder(rng)
-        nodes = Tensor(rng.normal(size=(5, 6)))
-        output = decoder(nodes, Tensor(np.zeros(3)))
-        for step, log_probs in enumerate(output.step_log_probs):
-            visited = output.route[:step]
-            assert np.all(log_probs.data[visited] < -1e20)
+        steps = record_log_probs(decoder, monkeypatch)
+        route, _ = decode(decoder, Tensor(rng.normal(size=(5, 6))))
+        assert len(steps) == 5
+        for step, log_probs in enumerate(steps):
+            visited = route[:step]
+            assert np.all(log_probs[0, visited] < -1e20)
 
     def test_single_node(self, rng):
         decoder = make_decoder(rng)
-        output = decoder(Tensor(rng.normal(size=(1, 6))), Tensor(np.zeros(3)))
-        assert output.route.tolist() == [0]
+        route, _ = decode(decoder, Tensor(rng.normal(size=(1, 6))))
+        assert route.tolist() == [0]
 
     def test_neighbor_restriction_falls_back(self, rng):
         decoder = make_decoder(rng, restrict=True)
@@ -52,8 +78,8 @@ class TestRouteDecoder:
         # Adjacency where node 0 has no neighbours at all: decoding must
         # still produce a full permutation via the fallback.
         adjacency = np.eye(4, dtype=bool)
-        output = decoder(nodes, Tensor(np.zeros(3)), adjacency=adjacency)
-        assert sorted(output.route.tolist()) == list(range(4))
+        route, _ = decode(decoder, nodes, adjacency=adjacency)
+        assert sorted(route.tolist()) == list(range(4))
 
     def test_neighbor_restriction_prefers_neighbors(self, rng):
         decoder = make_decoder(rng, restrict=True)
@@ -62,24 +88,30 @@ class TestRouteDecoder:
         adjacency = np.zeros((4, 4), dtype=bool)
         for i in range(4):
             adjacency[i, (i + 1) % 4] = adjacency[(i + 1) % 4, i] = True
-        output = decoder(nodes, Tensor(np.zeros(3)), adjacency=adjacency)
+        route, _ = decode(decoder, nodes, adjacency=adjacency)
         # Every consecutive pair must be ring-adjacent or a fallback step.
-        for a, b in zip(output.route[:-1], output.route[1:]):
+        for a, b in zip(route[:-1], route[1:]):
             unvisited_neighbors = adjacency[a]
             if unvisited_neighbors.any():
                 # The chosen successor is a neighbour whenever one existed.
                 assert adjacency[a, b] or not np.any(
-                    adjacency[a][np.setdiff1d(np.arange(4), output.route[:list(output.route).index(b)])])
+                    adjacency[a][np.setdiff1d(np.arange(4), route[:list(route).index(b)])])
 
     def test_loss_gradients_flow(self, rng):
         decoder = make_decoder(rng)
         nodes = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
         teacher = np.array([2, 0, 3, 1])
-        output = decoder(nodes, Tensor(np.zeros(3)), teacher_route=teacher)
-        loss = sum((-lp[int(t)] for lp, t in zip(output.step_log_probs, teacher)),
-                   Tensor(0.0))
-        loss.backward()
+        _, label_log_probs = decode(decoder, nodes, teacher=teacher)
+        (-label_log_probs.sum()).backward()
         assert nodes.grad is not None and np.any(nodes.grad != 0)
+
+
+def sort_times(sort_lstm, nodes, route):
+    """``SortLSTM.forward_batch`` on one ``(n, d)`` instance → ``(n,)``."""
+    n = nodes.shape[0]
+    return sort_lstm.forward_batch(nodes.reshape(1, n, -1),
+                                   np.asarray(route)[None],
+                                   np.array([n])).reshape(n)
 
 
 class TestSortLSTM:
@@ -87,7 +119,7 @@ class TestSortLSTM:
         sort_lstm = SortLSTM(6, 8, position_dim=4, rng=rng)
         nodes = Tensor(rng.normal(size=(5, 6)))
         route = np.array([4, 2, 0, 3, 1])
-        times = sort_lstm(nodes, route)
+        times = sort_times(sort_lstm, nodes, route)
         assert times.shape == (5,)
 
     def test_position_dim_validation(self, rng):
@@ -98,13 +130,13 @@ class TestSortLSTM:
         sort_lstm = SortLSTM(6, 8, position_dim=4, rng=rng)
         nodes = Tensor(rng.normal(size=(3, 6)))
         with pytest.raises(ValueError):
-            sort_lstm(nodes, np.array([0, 0, 2]))
+            sort_times(sort_lstm, nodes, np.array([0, 0, 2]))
 
     def test_route_order_changes_prediction(self, rng):
         sort_lstm = SortLSTM(6, 8, position_dim=4, rng=rng)
         nodes = Tensor(rng.normal(size=(4, 6)))
-        a = sort_lstm(nodes, np.array([0, 1, 2, 3])).data
-        b = sort_lstm(nodes, np.array([3, 2, 1, 0])).data
+        a = sort_times(sort_lstm, nodes, np.array([0, 1, 2, 3])).data
+        b = sort_times(sort_lstm, nodes, np.array([3, 2, 1, 0])).data
         assert not np.allclose(a, b)
 
     def test_scatter_correctness(self, rng):
@@ -112,9 +144,9 @@ class TestSortLSTM:
         sort_lstm = SortLSTM(6, 8, position_dim=4, rng=rng)
         nodes = Tensor(rng.normal(size=(4, 6)))
         route = np.array([2, 0, 3, 1])
-        times = sort_lstm(nodes, route).data
+        times = sort_times(sort_lstm, nodes, route).data
         # Recompute step-ordered outputs directly.
-        identity = sort_lstm(nodes[route], np.arange(4)).data
+        identity = sort_times(sort_lstm, nodes[route], np.arange(4)).data
         assert np.allclose(times[route], identity)
 
     def test_not_forced_monotone(self, rng):
@@ -124,21 +156,24 @@ class TestSortLSTM:
             local = np.random.default_rng(seed)
             sort_lstm = SortLSTM(6, 8, position_dim=4, rng=local)
             nodes = Tensor(local.normal(size=(6, 6)) * 3)
-            times = sort_lstm(nodes, np.arange(6)).data
+            times = sort_times(sort_lstm, nodes, np.arange(6)).data
             candidates.append(np.any(np.diff(times) < 0))
         assert any(candidates)
 
     def test_gradients_flow(self, rng):
         sort_lstm = SortLSTM(6, 8, position_dim=4, rng=rng)
         nodes = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-        sort_lstm(nodes, np.arange(4)).sum().backward()
+        sort_times(sort_lstm, nodes, np.arange(4)).sum().backward()
         assert nodes.grad is not None
 
 
 class TestPositionalGuidance:
+    """AOI guidance (Eq. 34) gathers each AOI's position encoding from
+    the cached table at the AOI's step in the route."""
+
     def test_shape_and_values(self):
-        route = np.array([2, 0, 1])
-        guidance = positional_guidance(route, 4)
+        route = np.array([[2, 0, 1]])
+        guidance = position_table(3, 4)[route_positions(route, np.array([3]))[0]]
         assert guidance.shape == (3, 4)
         from repro.nn import sinusoidal_position_encoding
         # Node 2 is visited first -> position 1.
@@ -150,6 +185,12 @@ class TestPositionalGuidance:
     @settings(max_examples=20, deadline=None)
     def test_every_row_filled(self, n):
         rng = np.random.default_rng(n)
-        route = rng.permutation(n)
-        guidance = positional_guidance(route, 6)
+        route = rng.permutation(n)[None]
+        guidance = position_table(n, 6)[route_positions(route, np.array([n]))[0]]
         assert np.all(np.abs(guidance).sum(axis=1) > 0)
+        # Bitwise the rows a fresh computation gives, and read-only.
+        from repro.nn import sinusoidal_position_encoding
+        for node, step in enumerate(np.argsort(route[0])):
+            np.testing.assert_array_equal(
+                guidance[node], sinusoidal_position_encoding(step + 1, 6))
+        assert not position_table(n, 6).flags.writeable

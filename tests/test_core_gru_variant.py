@@ -5,6 +5,7 @@ import pytest
 
 from repro.autodiff import Tensor
 from repro.core import (
+    GraphBatch,
     M2G4RTP,
     M2G4RTPConfig,
     RouteDecoder,
@@ -37,13 +38,16 @@ class TestGRUDecoders:
     def test_route_decoder_gru(self, rng):
         decoder = RouteDecoder(6, 8, 3, rng, restrict_to_neighbors=False,
                                cell_type="gru")
-        output = decoder(Tensor(rng.normal(size=(5, 6))), Tensor(np.zeros(3)))
-        assert sorted(output.route.tolist()) == list(range(5))
+        routes, _ = decoder.forward_batch(Tensor(rng.normal(size=(1, 5, 6))),
+                                          Tensor(np.zeros((1, 3))),
+                                          np.array([5]))
+        assert sorted(routes[0].tolist()) == list(range(5))
 
     def test_sortlstm_gru(self, rng):
         sorter = SortLSTM(6, 8, position_dim=4, rng=rng, cell_type="gru")
-        times = sorter(Tensor(rng.normal(size=(4, 6))), np.arange(4))
-        assert times.shape == (4,)
+        times = sorter.forward_batch(Tensor(rng.normal(size=(1, 4, 6))),
+                                     np.arange(4)[None], np.array([4]))
+        assert times.shape == (1, 4)
 
 
 class TestGRUModel:
@@ -53,7 +57,8 @@ class TestGRUModel:
                                      num_encoder_layers=1, cell_type="gru"))
 
     def test_forward_and_losses(self, gru_model, graph, instance):
-        output = gru_model(graph, RTPTargets.from_instance(instance))
+        output = gru_model(GraphBatch.from_graphs([graph]),
+                           [RTPTargets.from_instance(instance)])
         assert np.isfinite(float(output.total_loss.data))
         output.total_loss.backward()
 

@@ -6,6 +6,7 @@ import pytest
 from repro.autodiff import Adam, Tensor, no_grad
 from repro.core import (
     FixedWeighting,
+    GraphBatch,
     M2G4RTP,
     M2G4RTPConfig,
     MultiLevelEncoder,
@@ -64,20 +65,24 @@ class TestUncertaintyWeighting:
         assert np.isclose(total.item(), 101.0)
 
 
+def batch_of(graph):
+    return GraphBatch.from_graphs([graph])
+
+
 class TestMultiLevelEncoder:
     def test_output_shapes(self, graph, instance, rng):
         encoder = MultiLevelEncoder(rng=rng)
-        locations, aois = encoder(graph)
-        assert locations.shape == (instance.num_locations,
+        locations, aois = encoder.forward_batch(batch_of(graph))
+        assert locations.shape == (1, instance.num_locations,
                                    encoder.config.hidden_dim)
-        assert aois.shape == (instance.num_aois, encoder.config.hidden_dim)
+        assert aois.shape == (1, instance.num_aois, encoder.config.hidden_dim)
 
     def test_sequence_variant_shapes(self, graph, instance, rng):
         encoder = MultiLevelEncoder(rng=rng, use_graph=False)
-        locations, aois = encoder(graph)
-        assert locations.shape == (instance.num_locations,
+        locations, aois = encoder.forward_batch(batch_of(graph))
+        assert locations.shape == (1, instance.num_locations,
                                    encoder.config.hidden_dim)
-        assert aois.shape[0] == instance.num_aois
+        assert aois.shape[1] == instance.num_aois
 
 
 class TestM2G4RTPModel:
@@ -97,7 +102,7 @@ class TestM2G4RTPModel:
 
     def test_forward_training_losses(self, model, graph, instance):
         targets = RTPTargets.from_instance(instance)
-        output = model(graph, targets)
+        output = model(batch_of(graph), [targets])
         assert set(output.losses) == set(TASKS)
         assert output.total_loss is not None
         assert all(np.isfinite(loss.data) for loss in output.losses.values())
@@ -110,7 +115,7 @@ class TestM2G4RTPModel:
         first = None
         for step in range(30):
             optimizer.zero_grad()
-            output = model(graph, targets)
+            output = model(batch_of(graph), [targets])
             output.total_loss.backward()
             optimizer.step()
             if first is None:
@@ -152,7 +157,7 @@ class TestVariants:
         model = M2G4RTP(make_variant("w/o aoi", M2G4RTPConfig(
             hidden_dim=16, num_heads=2, num_encoder_layers=1)))
         assert model.aoi_route_decoder is None
-        output = model(graph, RTPTargets.from_instance(instance))
+        output = model(batch_of(graph), [RTPTargets.from_instance(instance)])
         assert output.aoi_route is None
         assert set(output.losses) == {"location_route", "location_time"}
 
@@ -171,7 +176,7 @@ class TestVariants:
         model = M2G4RTP(make_variant("two-step", M2G4RTPConfig(
             hidden_dim=16, num_heads=2, num_encoder_layers=1)))
         targets = RTPTargets.from_instance(instance)
-        output = model(graph, targets)
+        output = model(batch_of(graph), [targets])
         time_loss = output.losses["location_time"] + output.losses["aoi_time"]
         time_loss.backward()
         encoder_params = model.encoder.parameters()
@@ -184,7 +189,7 @@ class TestVariants:
         for name in VARIANT_NAMES:
             model = M2G4RTP(make_variant(name, M2G4RTPConfig(
                 hidden_dim=16, num_heads=2, num_encoder_layers=1)))
-            output = model(graph, targets)
+            output = model(batch_of(graph), [targets])
             assert output.total_loss is not None
             prediction = model.predict(graph)
             assert sorted(prediction.route.tolist()) == list(

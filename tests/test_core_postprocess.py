@@ -51,39 +51,42 @@ class TestAOIContiguity:
 
 
 class TestSampleRoute:
+    """``sample_route`` takes one instance as a batch of one: ``(1, n, 6)``
+    nodes and a ``(1, 3)`` courier."""
+
+    COURIER = Tensor(np.zeros((1, 3)))
+
     @pytest.fixture
     def decoder(self, rng):
         return RouteDecoder(6, 8, 3, rng, restrict_to_neighbors=False)
 
     def test_sample_is_permutation(self, decoder, rng):
-        nodes = Tensor(rng.normal(size=(6, 6)))
-        route = sample_route(decoder, nodes, Tensor(np.zeros(3)), rng)
+        nodes = Tensor(rng.normal(size=(1, 6, 6)))
+        route = sample_route(decoder, nodes, self.COURIER, rng)
         assert sorted(route.tolist()) == list(range(6))
 
     def test_invalid_temperature(self, decoder, rng):
-        nodes = Tensor(rng.normal(size=(3, 6)))
+        nodes = Tensor(rng.normal(size=(1, 3, 6)))
         with pytest.raises(ValueError):
-            sample_route(decoder, nodes, Tensor(np.zeros(3)), rng,
-                         temperature=0.0)
+            sample_route(decoder, nodes, self.COURIER, rng, temperature=0.0)
 
     def test_low_temperature_approaches_greedy(self, decoder, rng):
         from repro.autodiff import no_grad
-        nodes = Tensor(rng.normal(size=(6, 6)) * 3)
-        courier = Tensor(np.zeros(3))
+        nodes = Tensor(rng.normal(size=(1, 6, 6)) * 3)
         with no_grad():
-            greedy = decoder(nodes, courier).route
+            greedy, _ = decoder.forward_batch(nodes, self.COURIER,
+                                              np.array([6]))
         matches = 0
         for seed in range(5):
-            sampled = sample_route(decoder, nodes, courier,
+            sampled = sample_route(decoder, nodes, self.COURIER,
                                    np.random.default_rng(seed),
                                    temperature=0.01)
-            matches += int(np.array_equal(sampled, greedy))
+            matches += int(np.array_equal(sampled, greedy[0]))
         assert matches >= 4
 
     def test_high_temperature_diversifies(self, decoder, rng):
-        nodes = Tensor(rng.normal(size=(7, 6)))
-        courier = Tensor(np.zeros(3))
-        routes = {tuple(sample_route(decoder, nodes, courier,
+        nodes = Tensor(rng.normal(size=(1, 7, 6)))
+        routes = {tuple(sample_route(decoder, nodes, self.COURIER,
                                      np.random.default_rng(seed),
                                      temperature=5.0).tolist())
                   for seed in range(10)}

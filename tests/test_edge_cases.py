@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import M2G4RTP, M2G4RTPConfig, RTPTargets
+from repro.core import GraphBatch, M2G4RTP, M2G4RTPConfig, RTPTargets
 from repro.data import AOI, Courier, Location, RTPInstance
 from repro.graphs import GraphBuilder
 from repro.service import RTPRequest, RTPService
@@ -73,7 +73,8 @@ class TestSingleLocation:
     def test_model_trains_on_n1(self, tiny_model):
         instance = tiny_instance(1, 1)
         graph = GraphBuilder().build(instance)
-        output = tiny_model(graph, RTPTargets.from_instance(instance))
+        output = tiny_model(GraphBatch.from_graphs([graph]),
+                            [RTPTargets.from_instance(instance)])
         assert np.isfinite(float(output.total_loss.data))
         output.total_loss.backward()
 

@@ -5,7 +5,8 @@ import pytest
 
 from repro.autodiff import Tensor
 from repro.baselines import DeepBaselineConfig, DeepETA, DistanceGreedy
-from repro.core import M2G4RTP, M2G4RTPConfig, RouteDecoder, RTPTargets
+from repro.core import (GraphBatch, M2G4RTP, M2G4RTPConfig, RouteDecoder,
+                        RTPTargets)
 from repro.training import Trainer, TrainerConfig
 
 
@@ -15,27 +16,54 @@ class TestScheduledSampling:
         return RouteDecoder(node_dim=6, state_dim=8, courier_dim=3, rng=rng,
                             restrict_to_neighbors=False)
 
-    def test_zero_prob_matches_teacher_forcing(self, decoder, rng):
+    @staticmethod
+    def record_steps(decoder, monkeypatch):
+        """Capture every decode step's log-probability Tensor."""
+        steps = []
+        original = decoder.attention.log_probs_batch
+
+        def spy(*args):
+            steps.append(original(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(decoder.attention, "log_probs_batch", spy)
+        return steps
+
+    @staticmethod
+    def decode(decoder, nodes, teacher, **kwargs):
+        """Teacher-forced ``forward_batch`` on one instance as a batch of one."""
+        n = nodes.shape[0]
+        routes, label_log_probs = decoder.forward_batch(
+            nodes.reshape(1, n, -1), Tensor(np.zeros((1, 3))), np.array([n]),
+            teacher_routes=teacher[None], **kwargs)
+        return routes[0], label_log_probs.data[0]
+
+    def test_zero_prob_matches_teacher_forcing(self, decoder, rng,
+                                               monkeypatch):
         nodes = Tensor(rng.normal(size=(6, 6)))
         teacher = np.array([3, 1, 5, 0, 4, 2])
-        output = decoder(nodes, Tensor(np.zeros(3)), teacher_route=teacher,
-                         sample_prob=0.0)
-        assert np.array_equal(output.route, teacher)
-        assert np.array_equal(output.step_targets, teacher)
+        steps = self.record_steps(decoder, monkeypatch)
+        route, label_log_probs = self.decode(decoder, nodes, teacher,
+                                             sample_prob=0.0)
+        assert np.array_equal(route, teacher)
+        # Each step is supervised by its teacher node.
+        for step, log_probs in enumerate(steps):
+            assert label_log_probs[step] == log_probs.data[0, teacher[step]]
 
     def test_sampling_requires_rng(self, decoder, rng):
         nodes = Tensor(rng.normal(size=(4, 6)))
         with pytest.raises(ValueError):
-            decoder(nodes, Tensor(np.zeros(3)),
-                    teacher_route=np.arange(4), sample_prob=0.5)
+            self.decode(decoder, nodes, np.arange(4), sample_prob=0.5)
 
-    def test_full_sampling_still_supervised(self, decoder, rng):
+    def test_full_sampling_still_supervised(self, decoder, rng, monkeypatch):
         nodes = Tensor(rng.normal(size=(6, 6)))
         teacher = np.array([3, 1, 5, 0, 4, 2])
-        output = decoder(nodes, Tensor(np.zeros(3)), teacher_route=teacher,
-                         sample_prob=1.0, rng=np.random.default_rng(0))
+        steps = self.record_steps(decoder, monkeypatch)
+        route, label_log_probs = self.decode(
+            decoder, nodes, teacher, sample_prob=1.0,
+            rng=np.random.default_rng(0))
         # The decoded route is the model's own choice (a permutation)...
-        assert sorted(output.route.tolist()) == list(range(6))
+        assert sorted(route.tolist()) == list(range(6))
         # ... while targets stay aligned with the true ordering: each
         # target is the earliest unvisited node of the teacher route.
         visited = set()
@@ -43,13 +71,26 @@ class TestScheduledSampling:
         for step in range(6):
             expected = min((i for i in range(6) if i not in visited),
                            key=lambda i: rank[i])
-            assert output.step_targets[step] == expected
-            visited.add(int(output.route[step]))
+            assert (label_log_probs[step]
+                    == steps[step].data[0, expected])
+            visited.add(int(route[step]))
+
+    def test_draws_one_double_per_step(self, decoder, rng):
+        """At batch size one, the per-step ``rng.random(1)`` draw is the
+        scalar ``rng.random()`` stream of one coin per step."""
+        nodes = Tensor(rng.normal(size=(6, 6)))
+        used = np.random.default_rng(3)
+        self.decode(decoder, nodes, np.arange(6), sample_prob=0.5, rng=used)
+        reference = np.random.default_rng(3)
+        for _ in range(6):
+            reference.random()
+        assert used.random() == reference.random()
 
     def test_model_forward_with_sampling(self, graph, instance):
         model = M2G4RTP(M2G4RTPConfig(hidden_dim=16, num_heads=2,
                                       num_encoder_layers=1))
-        output = model(graph, RTPTargets.from_instance(instance),
+        output = model(GraphBatch.from_graphs([graph]),
+                       [RTPTargets.from_instance(instance)],
                        sample_prob=0.8, rng=np.random.default_rng(1))
         assert np.isfinite(float(output.total_loss.data))
 

@@ -54,9 +54,10 @@ def tensor_gat(gat, nodes, edges, adjacency, need_edges=True):
 
 
 def tensor_decode(route, nodes, courier, lengths, adjacency=None):
-    """Grad-enabled ``RouteDecoder.forward_batch`` on raw arrays."""
-    return route.forward_batch(Tensor(nodes), Tensor(courier), lengths,
-                               adjacency=adjacency)
+    """Grad-enabled greedy ``RouteDecoder.forward_batch`` on raw arrays."""
+    routes, _ = route.forward_batch(Tensor(nodes), Tensor(courier), lengths,
+                                    adjacency=adjacency)
+    return routes
 
 
 def tensor_sort(sort, nodes, routes, lengths):
@@ -335,11 +336,12 @@ def sweep_graphs(world, builder):
 
 
 def predict_tensor_and_fused(model, graphs):
-    """``BatchedM2G4RTP._predict`` with grad on (Tensor) and off (fused)."""
-    engine = BatchedM2G4RTP(model)
+    """``M2G4RTP.forward`` on one padded batch with grad on (Tensor) and
+    off (fused, through ``BatchedM2G4RTP``)."""
     model.eval()
-    ref = engine._predict(GraphBatch.from_graphs(graphs))
-    return ref, engine.predict(graphs)
+    batch = GraphBatch.from_graphs(graphs)
+    ref = model(batch).rows(batch)
+    return ref, BatchedM2G4RTP(model).predict(graphs)
 
 
 def assert_outputs_identical(ref, out):
@@ -385,7 +387,8 @@ class TestEndToEndConformance:
         np.testing.assert_array_equal(aoi_out.data, aoi_ref.data)
 
     def test_fused_matches_sequential_predict(self, sweep_graphs):
-        """The existing batched-vs-sequential contract holds on fused."""
+        """The fused batch matches the spec, ``M2G4RTP.predict`` (Tensor
+        code, each graph a batch of one)."""
         model = M2G4RTP(small_config())
         batched = BatchedM2G4RTP(model).predict(sweep_graphs)
         for graph, out in zip(sweep_graphs, batched):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import M2G4RTP, M2G4RTPConfig, RTPTargets
+from repro.core import GraphBatch, M2G4RTP, M2G4RTPConfig, RTPTargets
 from repro.data import GeneratorConfig, SyntheticWorld
 from repro.graphs import GraphBuilder
 from repro.nn import parameter_table, count_parameters_by_module
@@ -46,7 +46,8 @@ class TestModelInvariants:
         rng = np.random.default_rng(seed)
         instance = shared_world.generate_instance(seed % 3, day=0, rng=rng)
         graph = GraphBuilder().build(instance)
-        output = shared_model(graph, RTPTargets.from_instance(instance))
+        output = shared_model(GraphBatch.from_graphs([graph]),
+                              [RTPTargets.from_instance(instance)])
         for name, loss in output.losses.items():
             assert np.isfinite(float(loss.data)), name
 

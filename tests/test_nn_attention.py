@@ -14,33 +14,36 @@ from repro.nn import (
 class TestPointerAttention:
     def test_scores_shape(self, rng):
         attention = AdditivePointerAttention(4, 6, 8, rng)
-        scores = attention.scores(Tensor(np.zeros((5, 4))), Tensor(np.zeros(6)))
-        assert scores.shape == (5,)
+        keys = attention.key_proj(Tensor(np.zeros((2, 5, 4))))
+        scores = attention.scores_batch(keys, Tensor(np.zeros((2, 6))))
+        assert scores.shape == (2, 5)
 
     def test_log_probs_normalized_over_mask(self, rng):
         attention = AdditivePointerAttention(4, 6, 8, rng)
-        keys = Tensor(rng.normal(size=(5, 4)))
-        query = Tensor(rng.normal(size=6))
-        mask = np.array([True, False, True, True, False])
-        log_probs = attention.log_probs(keys, query, mask)
+        keys = attention.key_proj(Tensor(rng.normal(size=(1, 5, 4))))
+        query = Tensor(rng.normal(size=(1, 6)))
+        mask = np.array([[True, False, True, True, False]])
+        log_probs = attention.log_probs_batch(keys, query, mask)
         probs = np.exp(log_probs.data)
         assert np.isclose(probs[mask].sum(), 1.0)
         assert np.all(probs[~mask] < 1e-12)
 
     def test_all_masked_raises(self, rng):
         attention = AdditivePointerAttention(4, 6, 8, rng)
+        keys = attention.key_proj(Tensor(np.zeros((2, 3, 4))))
+        mask = np.array([[True, False, False], [False, False, False]])
         with pytest.raises(ValueError):
-            attention.log_probs(Tensor(np.zeros((3, 4))), Tensor(np.zeros(6)),
-                                np.zeros(3, dtype=bool))
+            attention.log_probs_batch(keys, Tensor(np.zeros((2, 6))), mask)
 
     def test_gradcheck(self, rng):
         attention = AdditivePointerAttention(3, 4, 5, rng)
-        keys = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        query = Tensor(rng.normal(size=4), requires_grad=True)
-        mask = np.array([True, True, False, True])
+        keys = Tensor(rng.normal(size=(1, 4, 3)), requires_grad=True)
+        query = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
+        mask = np.array([[True, True, False, True]])
 
         def fn():
-            return -attention.log_probs(keys, query, mask)[0]
+            return -attention.log_probs_batch(attention.key_proj(keys),
+                                              query, mask)[0, 0]
 
         check_gradients(fn, [keys, query] + attention.parameters())
 

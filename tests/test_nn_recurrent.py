@@ -1,5 +1,7 @@
 """Tests for LSTMCell, LSTM and BiLSTM."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -73,25 +75,45 @@ class TestLSTM:
 
 
 class TestBiLSTM:
+    """The BiLSTM runs inside ``SequenceEncoder.forward_batch`` (the
+    "w/o graph" ablation), its one forward pass."""
+
+    @staticmethod
+    def encode(rng, continuous):
+        from repro.core.encoder import EncoderConfig, SequenceEncoder
+        config = EncoderConfig(hidden_dim=6, continuous_embed_dim=4,
+                               discrete_embed_dim=2)
+        encoder = SequenceEncoder(continuous.shape[-1], config,
+                                  global_dim=3, rng=rng)
+        n = continuous.shape[1]
+        level = SimpleNamespace(
+            continuous=continuous, discrete=np.zeros((1, n, 2), dtype=int),
+            mask=np.ones((1, n), dtype=bool), lengths=np.array([n]))
+        return encoder, lambda level=level: encoder.forward_batch(
+            level, Tensor(np.zeros((1, 3))))
+
     def test_output_dim_doubled(self, rng):
         bilstm = BiLSTM(4, 6, rng)
         assert bilstm.output_dim == 12
-        out = bilstm(Tensor(np.zeros((5, 4))))
-        assert out.shape == (5, 12)
+        encoder, run = self.encode(rng, np.zeros((1, 5, 6)))
+        assert encoder.bilstm.output_dim == encoder.out_proj.weight.shape[0]
+        assert run().shape == (1, 5, 6)
 
     def test_every_position_sees_whole_sequence(self, rng):
-        # Perturbing the last element must change the first output
-        # (through the backward pass).
-        bilstm = BiLSTM(3, 4, rng)
-        x = rng.normal(size=(5, 3))
-        base = bilstm(Tensor(x)).data.copy()
-        x2 = x.copy()
-        x2[-1] += 1.0
-        shifted = bilstm(Tensor(x2)).data
-        assert not np.allclose(base[0], shifted[0])
+        # Perturbing the farthest node (last in the nearest-first order)
+        # must change the nearest node's output (through the backward
+        # direction).
+        x = rng.normal(size=(1, 5, 6))
+        x[0, :, 2] = np.arange(5.0)          # distance column: 0 nearest
+        encoder, run = self.encode(rng, x)
+        base = run().data.copy()
+        x[0, 4, 0] += 1.0
+        shifted = run().data
+        assert not np.allclose(base[0, 0], shifted[0, 0])
 
     def test_gradients_flow(self, rng):
-        bilstm = BiLSTM(3, 4, rng)
-        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        (bilstm(x) ** 2).sum().backward()
-        assert x.grad is not None and np.any(x.grad != 0)
+        encoder, run = self.encode(rng, rng.normal(size=(1, 4, 6)))
+        (run() ** 2).sum().backward()
+        for lstm in (encoder.bilstm.forward_lstm, encoder.bilstm.backward_lstm):
+            assert lstm.cell.weight_x.grad is not None
+            assert np.any(lstm.cell.weight_x.grad != 0)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.autodiff import SGD, Adam
-from repro.core import M2G4RTP, M2G4RTPConfig, RTPTargets, make_variant
+from repro.core import (GraphBatch, M2G4RTP, M2G4RTPConfig, RTPTargets,
+                        make_variant)
 from repro.training import (
     CheckpointError,
     Trainer,
@@ -113,7 +114,7 @@ def _train_steps(model, optimizer, data, steps):
     for step in range(steps):
         graph, target = data[step % len(data)]
         optimizer.zero_grad()
-        output = model(graph, target)
+        output = model(GraphBatch.from_graphs([graph]), [target])
         output.total_loss.backward()
         optimizer.step()
 
