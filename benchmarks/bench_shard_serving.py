@@ -7,9 +7,11 @@ shard counts and reports goodput, open-loop p99, shed counts and the
 per-shard breakdown.  A separate segment kills a shard mid-soak and
 reports the respawn + recovery tail.
 
-Service time is modeled: every worker wraps its engine in a
-:class:`~repro.serving_shard.SleepLatencyService` (seeded lognormal
-*sleep* around the real forward), because real serving cost is
+Service time is modeled: ``ShardConfig.sleep_latency_ms`` makes every
+worker wrap its engine in a :class:`~repro.deploy.ModeledLatencyService`
+whose sleeper is ``time.sleep`` (a seeded lognormal *sleep* around the
+real forward — the same latency model the virtual-clock scenarios
+charge to their timeline), because real serving cost is
 dominated by I/O-shaped time that overlaps across processes — which is
 exactly the concurrency win this tier exists for.  On a small CI host
 the tiny model's CPU-bound forward alone would never scale across

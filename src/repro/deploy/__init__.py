@@ -14,7 +14,9 @@ deployment:
   :class:`~repro.core.FallbackPredictor`;
 * :mod:`~repro.deploy.faults` — deterministic fault injection (latency
   spikes, transient errors, checkpoint corruption) so all of the above
-  is testable.
+  is testable, and the one seeded modeled-latency shim
+  (:class:`ModeledLatencyService`) that charges a service cost to a
+  virtual clock or to the wall.
 """
 
 from .registry import (
@@ -40,6 +42,7 @@ from .faults import (
     FaultInjector,
     FaultPlan,
     FaultyService,
+    ModeledLatencyService,
     TransientServiceError,
     corrupt_checkpoint,
 )
@@ -51,6 +54,6 @@ __all__ = [
     "BREAKER_STATE_VALUES",
     "DeploymentController", "RolloutPolicy", "RolloutDecision",
     "ShadowStats",
-    "FaultInjector", "FaultPlan", "FaultyService",
+    "FaultInjector", "FaultPlan", "FaultyService", "ModeledLatencyService",
     "TransientServiceError", "corrupt_checkpoint",
 ]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -35,6 +35,11 @@ from .resilience import ResilienceConfig, ResilientRTPService
 
 #: Degradation reasons counted against a canary candidate.
 DEGRADED_REASONS = ("breaker_open", "deadline", "shed", "error")
+
+#: Newest rollout verdicts kept in :attr:`DeploymentController.decisions`
+#: — far above any scenario's count, so a controller that runs forever
+#: holds bounded memory while every run's artifact keeps all of them.
+MAX_DECISIONS = 1024
 
 
 @dataclasses.dataclass
@@ -140,8 +145,7 @@ class DeploymentController:
                  seed: int = 0,
                  clock: Callable[[], float] = time.perf_counter,
                  batcher=None,
-                 service_wrapper: Optional[Callable] = None,
-                 regime_of: Optional[Callable[[RTPRequest], str]] = None):
+                 service_wrapper: Optional[Callable] = None):
         self.registry = registry
         self.resilience = resilience or ResilienceConfig()
         self.policy = policy or RolloutPolicy()
@@ -166,10 +170,6 @@ class DeploymentController:
         self.shadow_stats = ShadowStats()
         self._canary_requests_base = 0.0
         self._canary_degraded_base = 0.0
-        if regime_of is None:
-            from ..online.zoo import regime_of_request as regime_of
-        self.regime_of = regime_of
-        self.regime_routes: Dict[str, ResilientRTPService] = {}
 
     # ------------------------------------------------------------------
     def _make_service(self, version: str,
@@ -194,7 +194,10 @@ class DeploymentController:
 
         ``fault_injector`` (tests/benchmarks) wraps the candidate's
         inner service so injected faults hit only the candidate path.
+        Refused while a candidate is in flight: the running rollout
+        must end in a recorded promote or rollback first.
         """
+        self._refuse_overlap()
         if fraction is not None:
             self.policy = dataclasses.replace(
                 self.policy, canary_fraction=fraction)
@@ -212,11 +215,18 @@ class DeploymentController:
     def start_shadow(self, ref: str,
                      fault_injector: Optional[FaultInjector] = None) -> str:
         """Load ``ref`` as a shadow candidate; returns its version."""
+        self._refuse_overlap()
         version = self._resolve_candidate(ref)
         self.candidate = self._make_service(version, fault_injector)
         self.mode = "shadow"
         self.shadow_stats = ShadowStats()
         return version
+
+    def _refuse_overlap(self) -> None:
+        if self.candidate is not None:
+            raise RuntimeError(
+                f"a {self.mode} rollout of {self.candidate.version} is "
+                "already in flight; promote or roll it back first")
 
     def _resolve_candidate(self, ref: str) -> str:
         version = self.registry.resolve(ref)
@@ -246,28 +256,6 @@ class DeploymentController:
         self.primary = self._make_service(version)
         self.registry.activate(version)
         return version
-
-    # ------------------------------------------------------------------
-    # Regime-matched routing (model zoo)
-    # ------------------------------------------------------------------
-    def set_regime_route(self, regime: str, ref: str,
-                         fault_injector: Optional[FaultInjector] = None,
-                         ) -> str:
-        """Serve requests in ``regime`` from ``ref`` instead of ACTIVE.
-
-        Fallback stays the primary: requests whose regime has no route
-        (or whose routed version *is* the primary) are untouched, and
-        canary/shadow rollouts take precedence so a live experiment is
-        never starved of its traffic split.
-        """
-        version = self.registry.resolve(ref)
-        self.regime_routes[regime] = self._make_service(
-            version, fault_injector)
-        return version
-
-    def clear_regime_route(self, regime: str) -> bool:
-        """Drop one regime route; ``False`` if it wasn't set."""
-        return self.regime_routes.pop(regime, None) is not None
 
     def promote(self, reason: str = "manual") -> RolloutDecision:
         """Make the candidate the primary and persist it as ACTIVE."""
@@ -326,6 +314,7 @@ class DeploymentController:
             primary_latency_ms=self.primary.model_latency_mean_ms(),
         )
         self.decisions.append(decision)
+        del self.decisions[:-MAX_DECISIONS]
         self._decision_counter.labels(action=action).inc()
         return decision
 
@@ -354,10 +343,6 @@ class DeploymentController:
             response = primary.handle(request)
             self._shadow(candidate, request, response)
             return response
-        if self.regime_routes:
-            service = self.regime_routes.get(self.regime_of(request))
-            if service is not None and service.version != primary.version:
-                return service.handle(request)
         return primary.handle(request)
 
     def _shadow(self, candidate: ResilientRTPService, request: RTPRequest,

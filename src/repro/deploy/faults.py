@@ -170,6 +170,74 @@ class FaultyService:
         return getattr(self.service, name)
 
 
+class ModeledLatencyService:
+    """Service shim that charges a seeded, modeled service time per call.
+
+    Each ``handle``/``handle_batch`` call draws one lognormal-shaped
+    cost (``base_ms`` scaled by ``exp(sigma * N(0, 1))``) from a seeded
+    RNG, hands it in seconds to ``sleeper``, then delegates to the
+    wrapped service.  The real forward still runs — predictions are
+    the model's — and the sleeper picks the clock the cost lands on:
+
+    * ``VirtualClock.advance`` (the load scenarios): the forward costs
+      zero *virtual* time, so the modeled cost is what makes deadline,
+      shedding and breaker dynamics emerge, deterministically;
+    * ``time.sleep`` (process-mode shard workers): real serving cost is
+      dominated by I/O-shaped time (feature fetches, map services), and
+      a sleep overlaps across processes, so the wall-clock soak bench
+      measures the sharded tier's actual concurrency win.
+
+    ``weather_factors`` optionally couples the cost to the request's
+    ``weather`` feature (see
+    :data:`~repro.load.clock.WEATHER_SERVICE_SLOWDOWN`).  The
+    multiplier is applied *after* the lognormal draw, so enabling the
+    coupling never perturbs the RNG stream — clear-weather requests
+    cost exactly what they cost without it.
+    """
+
+    def __init__(self, service, sleeper: Callable[[float], None],
+                 base_ms: float, sigma: float = 0.2, seed: int = 0,
+                 weather_factors=None):
+        if base_ms < 0:
+            raise ValueError("base_ms must be non-negative")
+        if sigma < 0:
+            raise ValueError("sigma must be non-negative")
+        self.service = service
+        self.sleeper = sleeper
+        self.base_ms = base_ms
+        self.sigma = sigma
+        self.weather_factors = (dict(weather_factors)
+                                if weather_factors is not None else None)
+        self._rng = np.random.default_rng(seed)
+
+    def _weather_factor(self, weather) -> float:
+        if self.weather_factors is None or weather is None:
+            return 1.0
+        return float(self.weather_factors.get(int(weather), 1.0))
+
+    def _charge(self, weather=None) -> None:
+        cost_ms = self.base_ms * float(np.exp(
+            self.sigma * self._rng.standard_normal()))
+        cost_ms *= self._weather_factor(weather)
+        self.sleeper(cost_ms / 1000.0)
+
+    def handle(self, request):
+        self._charge(getattr(request, "weather", None))
+        return self.service.handle(request)
+
+    def handle_batch(self, requests: Sequence) -> List:
+        # One charge per batch; the worst weather in the batch gates
+        # the whole batch, like the slowest item in a fused forward.
+        weathers = [getattr(r, "weather", None) for r in requests]
+        weathers = [w for w in weathers if w is not None]
+        self._charge(max(weathers) if weathers else None)
+        return self.service.handle_batch(requests)
+
+    def __getattr__(self, name):
+        # Forward cache/queries_served/... to the wrapped service.
+        return getattr(self.service, name)
+
+
 def corrupt_checkpoint(path: Union[str, Path], seed: int = 0,
                        num_bytes: int = 64) -> None:
     """Flip ``num_bytes`` random bytes of a checkpoint file in place.

@@ -7,9 +7,10 @@ stimuli.  The pieces:
   are scheduled by wall clock, never throttled by response latency, and
   latency is measured from the intended arrival so queueing collapse is
   visible (no coordinated omission);
-* :mod:`~repro.load.clock` — :class:`VirtualClock` +
-  :class:`ModeledLatencyService` give a deterministic simulated-time
-  fast path where breaker/deadline/shed dynamics are bit-reproducible;
+* :mod:`~repro.load.clock` — :class:`VirtualClock` (with
+  :class:`~repro.deploy.ModeledLatencyService` charging modeled service
+  time to it) gives a deterministic simulated-time fast path where
+  breaker/deadline/shed dynamics are bit-reproducible;
 * :mod:`~repro.load.stream` — seeded request replay with traffic
   mutators (GPS dropout, courier churn, storm weather);
 * :mod:`~repro.load.scenarios` — the composable scenario library
@@ -36,7 +37,7 @@ from .artifact import (
     validate_artifact,
     write_artifact,
 )
-from .clock import WEATHER_SERVICE_SLOWDOWN, ModeledLatencyService, VirtualClock
+from .clock import WEATHER_SERVICE_SLOWDOWN, VirtualClock
 from .driver import (
     DEGRADED_REASONS,
     LOAD_LATENCY_BUCKETS,
@@ -71,7 +72,7 @@ __all__ = [
     "ArtifactValidationError", "SLOPolicy", "build_artifact",
     "load_schema", "reconcile_shards", "reconcile_with_registry",
     "validate_artifact", "write_artifact",
-    "ModeledLatencyService", "VirtualClock", "WEATHER_SERVICE_SLOWDOWN",
+    "VirtualClock", "WEATHER_SERVICE_SLOWDOWN",
     "WEATHER_ETA_DELAY",
     "DEGRADED_REASONS", "LOAD_LATENCY_BUCKETS", "BacklogProbe",
     "LoadPhase", "OpenLoopDriver", "PhaseResult", "diurnal_rate",

@@ -8,19 +8,18 @@ and — because nothing depends on the host's scheduler — every latency,
 deadline breach, shed decision and breaker transition is bit-for-bit
 reproducible from the seed.
 
-:class:`ModeledLatencyService` is the missing piece between the two
-worlds: under a virtual clock the real model forward costs zero
-*virtual* time, so the wrapper advances the clock by a seeded modeled
-service duration per call.  Queueing collapse then emerges from
+Under a virtual clock the real model forward costs zero *virtual*
+time, so the scenarios wrap each service in a
+:class:`~repro.deploy.ModeledLatencyService` whose sleeper is
+:meth:`VirtualClock.advance`: every call charges a seeded modeled
+service duration to the timeline.  Queueing collapse then emerges from
 arithmetic (modeled service time > arrival interval) exactly as it
 does from wall-clock physics.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
-import numpy as np
+from typing import List
 
 
 class VirtualClock:
@@ -60,63 +59,3 @@ class VirtualClock:
 #: fulfilment path — couriers confirm late, map services degrade — so
 #: the modeled serving cost inflates with it.
 WEATHER_SERVICE_SLOWDOWN = {0: 1.0, 1: 1.05, 2: 1.35, 3: 2.0}
-
-
-class ModeledLatencyService:
-    """Service shim that charges a modeled duration to a virtual clock.
-
-    Each ``handle`` advances ``clock`` by a lognormal-shaped service
-    time (``base_ms`` scaled by ``exp(sigma * N(0, 1))``) drawn from a
-    seeded RNG, then delegates to the wrapped service.  The real
-    forward still runs — predictions are the model's — but *time* is
-    simulated, which is what makes deadline/shedding/breaker dynamics
-    deterministic.
-
-    ``weather_factors`` optionally couples the cost to the request's
-    ``weather`` feature (see :data:`WEATHER_SERVICE_SLOWDOWN`).  The
-    multiplier is applied *after* the lognormal draw, so enabling the
-    coupling never perturbs the RNG stream — clear-weather requests
-    cost exactly what they cost without it.
-    """
-
-    def __init__(self, service, clock: VirtualClock, base_ms: float,
-                 sigma: float = 0.2, seed: int = 0,
-                 weather_factors=None):
-        if base_ms < 0:
-            raise ValueError("base_ms must be non-negative")
-        if sigma < 0:
-            raise ValueError("sigma must be non-negative")
-        self.service = service
-        self.clock = clock
-        self.base_ms = base_ms
-        self.sigma = sigma
-        self.weather_factors = (dict(weather_factors)
-                                if weather_factors is not None else None)
-        self._rng = np.random.default_rng(seed)
-
-    def _weather_factor(self, weather) -> float:
-        if self.weather_factors is None or weather is None:
-            return 1.0
-        return float(self.weather_factors.get(int(weather), 1.0))
-
-    def _charge(self, weather=None) -> None:
-        cost_ms = self.base_ms * float(np.exp(
-            self.sigma * self._rng.standard_normal()))
-        cost_ms *= self._weather_factor(weather)
-        self.clock.advance(cost_ms / 1000.0)
-
-    def handle(self, request):
-        self._charge(getattr(request, "weather", None))
-        return self.service.handle(request)
-
-    def handle_batch(self, requests: Sequence):
-        # One charge per batch; the worst weather in the batch gates
-        # the whole batch, like the slowest item in a fused forward.
-        weathers = [getattr(r, "weather", None) for r in requests]
-        weathers = [w for w in weathers if w is not None]
-        self._charge(max(weathers) if weathers else None)
-        return self.service.handle_batch(requests)
-
-    def __getattr__(self, name):
-        # Forward cache/queries_served/... to the wrapped service.
-        return getattr(self.service, name)

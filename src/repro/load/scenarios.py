@@ -63,8 +63,8 @@ from ..core import M2G4RTP, M2G4RTPConfig
 from ..core.fallback import FallbackPredictor
 from ..data import GeneratorConfig, SyntheticWorld
 from ..deploy import (DeploymentController, FaultInjector, FaultPlan,
-                      ModelRegistry, ResilienceConfig, ResilientRTPService,
-                      RolloutPolicy, corrupt_checkpoint)
+                      ModeledLatencyService, ModelRegistry, ResilienceConfig,
+                      ResilientRTPService, RolloutPolicy, corrupt_checkpoint)
 from ..deploy.registry import CheckpointIntegrityError
 from ..obs.metrics import MetricsRegistry
 from ..obs.quality import (CompletedRoute, FlightRecorder,
@@ -77,8 +77,7 @@ from ..online import (AntiRegressionGate, ExperienceBuffer, OnlineLoop,
 from ..service.rtp_service import RTPService
 from ..serving_shard import ShardConfig, ShardRouter
 from .artifact import SLOPolicy, build_artifact
-from .clock import (WEATHER_SERVICE_SLOWDOWN, ModeledLatencyService,
-                    VirtualClock)
+from .clock import WEATHER_SERVICE_SLOWDOWN, VirtualClock
 from .driver import LoadPhase, OpenLoopDriver, PhaseResult, diurnal_rate
 from .stream import (RequestStream, build_instance_pool,
                      courier_churn_mutator, gps_noise_mutator,
@@ -265,7 +264,7 @@ def build_context(scenario: Scenario, config: LoadRunConfig,
         if virtual_clock is None:
             return inner
         return ModeledLatencyService(
-            inner, virtual_clock, base_ms=config.model_latency_ms,
+            inner, virtual_clock.advance, base_ms=config.model_latency_ms,
             seed=config.seed + 20,
             weather_factors=(WEATHER_SERVICE_SLOWDOWN
                              if scenario.weather_coupled else None))
@@ -354,7 +353,8 @@ def _attach_shards(context: ScenarioContext, scenario: Scenario,
     def shard_wrapper(shard_id: int) -> Callable:
         def wrap(inner):
             return ModeledLatencyService(
-                inner, virtual_clock, base_ms=config.model_latency_ms,
+                inner, virtual_clock.advance,
+                base_ms=config.model_latency_ms,
                 seed=config.seed + 20 + shard_id)
         return wrap
 

@@ -68,6 +68,11 @@ _SCHEMA_PATH = pathlib.Path(__file__).with_name("quality_schema.json")
 #: near-zero actual arrival cannot blow the percentage up to infinity.
 _MAPE_FLOOR_MINUTES = 1.0
 
+#: Newest drift alarms kept in :attr:`QualityMonitor.alarms` — far
+#: above any run's count, so a monitor that runs forever holds bounded
+#: memory while every run's artifact keeps all of them.
+MAX_ALARMS = 1024
+
 
 class QualityArtifactError(ValueError):
     """The quality artifact does not match the pinned schema."""
@@ -350,8 +355,9 @@ class QualityMonitor:
     The monitor computes the per-route KRC/LSD/ETA-MAE/ETA-MAPE,
     updates the windowed gauges for every configured label segment (and
     the ``all`` rollup), then pushes the route's ETA MAE into the drift
-    detectors.  Alarms are appended to :attr:`alarms` and delivered
-    synchronously to every callback registered via :meth:`on_alarm`.
+    detectors.  Alarms are appended to :attr:`alarms` (the newest
+    :data:`MAX_ALARMS` are kept) and delivered synchronously to every
+    callback registered via :meth:`on_alarm`.
     """
 
     def __init__(self, registry: MetricsRegistry, *, window: int = 64,
@@ -471,6 +477,7 @@ class QualityMonitor:
             reference_size=reference_size, window_size=window_size,
             detail=str(fired.get("detail", "")))
         self.alarms.append(alarm)
+        del self.alarms[:-MAX_ALARMS]
         self._alarms_total.labels(
             metric=alarm.metric, detector=alarm.detector,
             segment=alarm.segment, key=alarm.key).inc()

@@ -22,8 +22,7 @@ from .loop import OnlineLoop, OnlineLoopConfig, load_loop_state
 from .policy import (AntiRegressionGate, GateConfig, GateResult,
                      RetrainPolicy, RetrainPolicyConfig, RetrainTrigger)
 from .trainer import FineTuneResult, OnlineTrainer, OnlineTrainerConfig
-from .zoo import (ModelZoo, majority_regime, regime_of_request,
-                  weather_regime)
+from .zoo import ModelZoo, majority_regime, weather_regime
 
 __all__ = [
     "AntiRegressionGate",
@@ -43,6 +42,5 @@ __all__ = [
     "instance_from_feedback",
     "load_loop_state",
     "majority_regime",
-    "regime_of_request",
     "weather_regime",
 ]

@@ -16,11 +16,12 @@
    slice, and registers it in the
    :class:`~repro.deploy.ModelRegistry` with lineage metadata (parent
    version, window span, trigger) whether or not it passed;
-5. a gate-passing candidate is handed to the deployment controller
-   (:class:`~repro.deploy.DeploymentController` or
-   :class:`~repro.serving_shard.ShardDeploymentController`) as a
-   canary; the controller's own verdict — including the quality-gauge
-   comparison added for this loop — auto-promotes or auto-rolls-back.
+5. a gate-passing candidate is handed to the
+   :class:`~repro.deploy.DeploymentController` as a canary; the
+   controller's own verdict — including the quality-gauge comparison
+   added for this loop — auto-promotes or auto-rolls-back.  While that
+   candidate is in flight the loop neither retrains nor swaps: one
+   rollout at a time, each ending in a recorded verdict.
 
 Everything is deterministic under an injected clock: events carry
 counts and versions, never wall timestamps.
@@ -193,6 +194,8 @@ class OnlineLoop:
                 self._tag_baseline_regime()
         if self._maybe_reactivate() is not None:
             return None
+        if self.controller.candidate is not None:
+            return None   # one rollout at a time; ask again once it ends
         trigger = self.policy.should_retrain(
             self._now(), window_size=len(self.buffer),
             total_ingested=self.buffer.ingested)
@@ -219,11 +222,6 @@ class OnlineLoop:
         self.zoo.refresh()
         self._zoo_scanned = True
 
-    def _candidate_in_flight(self) -> bool:
-        return (getattr(self.controller, "candidate", None) is not None
-                or getattr(self.controller, "candidate_version", None)
-                is not None)
-
     def _maybe_reactivate(self) -> Optional[str]:
         """Serve a *returning* regime from the zoo instead of retraining.
 
@@ -242,9 +240,7 @@ class OnlineLoop:
             self._zoo_scanned = True
         if len(self.zoo) == 0:
             return None
-        if not hasattr(self.controller, "swap"):
-            return None
-        if self._candidate_in_flight():
+        if self.controller.candidate is not None:
             return None
         window = self.buffer.window()
         if len(window) < cfg.regime_window:

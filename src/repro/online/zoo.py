@@ -36,11 +36,6 @@ def weather_regime(weather: int) -> str:
             else "weather:calm")
 
 
-def regime_of_request(request) -> str:
-    """Regime key of one live request (for routing)."""
-    return weather_regime(getattr(request, "weather", 0))
-
-
 def majority_regime(experiences: Sequence) -> Optional[str]:
     """Strict-majority regime over experiences' weather labels.
 

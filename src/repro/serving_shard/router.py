@@ -81,8 +81,8 @@ class ShardConfig:
     max_respawns: int = 3          # per-shard respawn budget
     seed: int = 0                  # canary traffic-split RNG seed
     #: When > 0, every worker wraps its service in a
-    #: :class:`~repro.serving_shard.runtime.SleepLatencyService` with
-    #: this base cost — the spec-data (picklable) way to model
+    #: :class:`~repro.deploy.ModeledLatencyService` that sleeps this
+    #: base cost per call — the spec-data (picklable) way to model
     #: I/O-shaped serving time in process mode, used by the wall-clock
     #: soak bench.
     sleep_latency_ms: float = 0.0
@@ -186,8 +186,7 @@ class ShardRouter:
                  service_wrapper: Optional[Callable] = None,
                  backlog_probe=None,
                  on_respawn: Optional[Callable[[int], None]] = None,
-                 on_shed: Optional[Callable[[int], None]] = None,
-                 regime_of: Optional[Callable] = None):
+                 on_shed: Optional[Callable[[int], None]] = None):
         self.config = config or ShardConfig()
         self.resilience = resilience or ResilienceConfig()
         self.inline = inline
@@ -201,12 +200,6 @@ class ShardRouter:
         self.state = model.state_dict()
         self._candidate: Optional[Dict[str, object]] = None  # canary spec
         self._canary_fraction = 0.0
-        #: Regime key -> serialized model spec (model-zoo routing);
-        #: replayed onto respawned shards like the canary spec.
-        self._regimes: Dict[str, Dict[str, object]] = {}
-        if regime_of is None:
-            from ..online.zoo import regime_of_request as regime_of
-        self.regime_of = regime_of
         self._feedback = None
         self._rng = np.random.default_rng(self.config.seed)
         self._req_counter = 0
@@ -288,9 +281,6 @@ class ShardRouter:
             runtime.process(("canary_start", self._candidate["version"],
                              self._candidate["model_config"],
                              self._candidate["state"]))
-        for regime, spec in self._regimes.items():
-            runtime.process(("regime_install", regime, spec["version"],
-                             spec["model_config"], spec["state"]))
         return runtime
 
     def _spec(self) -> Dict[str, object]:
@@ -318,10 +308,6 @@ class ShardRouter:
             handle.task_queue.put(
                 ("canary_start", self._candidate["version"],
                  self._candidate["model_config"], self._candidate["state"]))
-        for regime, spec in self._regimes.items():
-            handle.task_queue.put(
-                ("regime_install", regime, spec["version"],
-                 spec["model_config"], spec["state"]))
 
     # ------------------------------------------------------------------
     # Placement and admission
@@ -343,17 +329,12 @@ class ShardRouter:
             depth += int(self.backlog_probe.pending)
         return depth
 
-    def _pick_lane(self, request) -> str:
-        """Canary split first (a live experiment owns its traffic
-        share), then regime-matched routing, then the primary."""
+    def _pick_lane(self) -> str:
+        """The canary's traffic share goes to the candidate lane,
+        everything else to the primary."""
         if (self._candidate is not None
                 and float(self._rng.random()) < self._canary_fraction):
             return "candidate"
-        if self._regimes:
-            regime = self.regime_of(request)
-            spec = self._regimes.get(regime)
-            if spec is not None and spec["version"] != self.version:
-                return f"regime:{regime}"
         return "primary"
 
     def _note_depth(self, shard: int, depth: int) -> None:
@@ -395,7 +376,7 @@ class ShardRouter:
             self._note_depth(shard, depth)
             if depth >= self.config.max_queue_depth:
                 return self._shed(shard, request)
-            lane = self._pick_lane(request)
+            lane = self._pick_lane()
             if self.inline:
                 return self._dispatch_inline(shard, request, lane,
                                              route_span)
@@ -439,7 +420,7 @@ class ShardRouter:
             ticket.done_at = self.clock()
             ticket.event.set()
             return ticket
-        return self._submit(shard, request, self._pick_lane(request))
+        return self._submit(shard, request, self._pick_lane())
 
     # -- inline ---------------------------------------------------------
     def _dispatch_inline(self, shard: int, request, lane: str, route_span):
@@ -572,7 +553,7 @@ class ShardRouter:
                 if event is not None:
                     event.set()
             elif kind in ("swapped", "canary_ready", "canary_stopped",
-                          "regime_ready", "regime_cleared", "stopped"):
+                          "stopped"):
                 shard = message[1]
                 self._handles[shard].last_seen = time.monotonic()
                 event = self._control_events.get((kind, shard))
@@ -671,51 +652,6 @@ class ShardRouter:
     def canary_active(self) -> bool:
         return self._candidate is not None
 
-    # ------------------------------------------------------------------
-    # Regime-matched routing (model zoo)
-    # ------------------------------------------------------------------
-    def install_regime(self, regime: str, version: str, model) -> None:
-        """Install ``model`` as the dedicated lane for one regime.
-
-        Requests whose :attr:`regime_of` key matches serve from this
-        lane on every shard; everything else (and the regime itself, if
-        its version later becomes the primary) falls back to the
-        primary.  Respawned shards re-install the lane from the spec,
-        exactly like the canary."""
-        spec = {
-            "version": version,
-            "model_config": dataclasses.asdict(model.config),
-            "state": model.state_dict(),
-        }
-        message = ("regime_install", regime, version,
-                   spec["model_config"], spec["state"])
-        if self.inline:
-            for runtime in self.runtimes:
-                if runtime.alive:
-                    runtime.process(message)
-        else:
-            self._broadcast(message, "regime_ready")
-        self._regimes[regime] = spec   # route only after all acks
-
-    def clear_regime(self, regime: str) -> bool:
-        """Drop one regime lane everywhere; ``False`` if not installed."""
-        if regime not in self._regimes:
-            return False
-        self._regimes.pop(regime, None)  # stop routing before draining
-        message = ("regime_clear", regime)
-        if self.inline:
-            for runtime in self.runtimes:
-                if runtime.alive:
-                    runtime.process(message)
-        else:
-            self._broadcast(message, "regime_cleared")
-        return True
-
-    def regime_versions(self) -> Dict[str, str]:
-        """Installed regime → version mapping (introspection)."""
-        return {regime: str(spec["version"])
-                for regime, spec in self._regimes.items()}
-
     def kill_shard(self, shard: int) -> None:
         """Kill one shard (tests / kill scenarios); respawn is lazy."""
         if self.inline:
@@ -764,8 +700,6 @@ class ShardRouter:
             found.append(runtime.primary.resilient.breaker)
             if runtime.candidate is not None:
                 found.append(runtime.candidate.resilient.breaker)
-            for lane in runtime.regimes.values():
-                found.append(lane.resilient.breaker)
         return found
 
     def shard_stats(self) -> List[Dict[str, object]]:

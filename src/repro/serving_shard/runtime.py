@@ -37,6 +37,7 @@ import numpy as np
 
 from ..core import M2G4RTP, M2G4RTPConfig
 from ..core.fallback import FallbackPredictor
+from ..deploy.faults import ModeledLatencyService
 from ..deploy.resilience import ResilienceConfig, ResilientRTPService
 from ..obs import tracing
 from ..obs.propagate import worker_span_session
@@ -86,46 +87,6 @@ class _BatcherFrontend:
         return [ticket.result() for ticket in tickets]
 
 
-class SleepLatencyService:
-    """Wall-clock modeled-latency shim around an inner service.
-
-    The real tiny model's forward is a few CPU-bound milliseconds, so
-    on a small host N worker processes cannot beat one process on
-    compute alone.  Real serving cost is dominated by I/O-shaped time
-    (feature fetches, map services); this shim models it as a seeded
-    lognormal *sleep*, which overlaps across processes — the wall-mode
-    soak bench measures the sharded tier's actual concurrency win.
-    One cost is charged per call (batched or not), mirroring
-    :class:`~repro.load.clock.ModeledLatencyService`; unlike that
-    class this one is built *inside* the worker from plain spec data
-    (``sleep_latency_ms``), so it crosses the fork as numbers, not
-    closures.
-    """
-
-    def __init__(self, inner, base_ms: float, seed: int = 0,
-                 sigma: float = 0.25, sleeper=time.sleep):
-        self.inner = inner
-        self.base_ms = float(base_ms)
-        self.sigma = float(sigma)
-        self.sleeper = sleeper
-        self.rng = np.random.default_rng(seed)
-
-    def _charge(self) -> None:
-        jitter = float(self.rng.lognormal(mean=0.0, sigma=self.sigma))
-        self.sleeper(self.base_ms * jitter / 1000.0)
-
-    def handle(self, request):
-        self._charge()
-        return self.inner.handle(request)
-
-    def handle_batch(self, requests: Sequence) -> List:
-        self._charge()
-        return self.inner.handle_batch(list(requests))
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-
 class _Lane:
     """One installed model version: service + batcher + resilient wrap."""
 
@@ -173,10 +134,12 @@ class ShardRuntime:
         self.resilience = resilience or ResilienceConfig()
         if service_wrapper is None and sleep_latency_ms > 0.0:
             # Spec-data path for process workers: the shim is built here,
-            # post-fork, from plain numbers (see SleepLatencyService).
+            # post-fork, from plain numbers, so no closure crosses the
+            # fork; it charges its modeled cost to the wall clock.
             service_wrapper = (
-                lambda inner: SleepLatencyService(
-                    inner, sleep_latency_ms, seed=1000 + self.shard_id))
+                lambda inner: ModeledLatencyService(
+                    inner, time.sleep, sleep_latency_ms, sigma=0.25,
+                    seed=1000 + self.shard_id))
         self.service_wrapper = service_wrapper
         self.fallback = FallbackPredictor()
         self.alive = True
@@ -184,10 +147,6 @@ class ShardRuntime:
         self.swaps = 0
         self.primary = self._make_lane(model_config, state, version)
         self.candidate: Optional[_Lane] = None
-        #: Regime key -> specialist lane (model-zoo routing).  Requests
-        #: tagged ``regime:<key>`` serve from the matching lane with
-        #: fallback to primary when the key is uninstalled.
-        self.regimes: Dict[str, _Lane] = {}
 
     # ------------------------------------------------------------------
     def _make_lane(self, model_config: Dict[str, object],
@@ -199,23 +158,12 @@ class ShardRuntime:
                      clock=self.clock,
                      service_wrapper=self.service_wrapper)
 
-    def _lane(self, name: str) -> _Lane:
-        if name == "candidate" and self.candidate is not None:
-            return self.candidate
-        if name.startswith("regime:"):
-            lane = self.regimes.get(name[len("regime:"):])
-            if lane is not None:
-                return lane
-        return self.primary
-
-    def _resolve_lane(self, requested: str) -> str:
-        """Canonical lane name a request message actually serves from."""
+    def _lane(self, requested: str) -> _Lane:
+        """The lane a request message serves from: the candidate when
+        one is installed and asked for, else the primary."""
         if requested == "candidate" and self.candidate is not None:
-            return "candidate"
-        if (requested.startswith("regime:")
-                and requested[len("regime:"):] in self.regimes):
-            return requested
-        return "primary"
+            return self.candidate
+        return self.primary
 
     # ------------------------------------------------------------------
     # Message protocol (plain picklable tuples, repro.parallel style)
@@ -243,15 +191,6 @@ class ShardRuntime:
             self.candidate = None
             return [("canary_stopped", self.shard_id, stopped,
                      self.primary.version)]
-        if kind == "regime_install":
-            _, regime, version, model_config, state = message
-            self.regimes[regime] = self._make_lane(
-                model_config, state, version)
-            return [("regime_ready", self.shard_id, regime, version)]
-        if kind == "regime_clear":
-            _, regime = message
-            self.regimes.pop(regime, None)
-            return [("regime_cleared", self.shard_id, regime)]
         if kind == "ping":
             return [("pong", self.shard_id, message[1], self.stats())]
         if kind == "crash":  # fault injection for respawn tests
@@ -277,14 +216,12 @@ class ShardRuntime:
             with tracing.span("shard.serve", shard=self.shard_id,
                               batch=len(messages)):
                 responses: Dict[int, object] = {}
-                groups: Dict[str, List[int]] = {}
+                groups: Dict[_Lane, List[int]] = {}
                 for index, message in enumerate(messages):
-                    lane = self._resolve_lane(message[3])
-                    groups.setdefault(lane, []).append(index)
-                for lane_name, indices in groups.items():
-                    if not indices:
-                        continue
-                    answers = self._lane(lane_name).resilient.handle_batch(
+                    groups.setdefault(self._lane(message[3]),
+                                      []).append(index)
+                for lane, indices in groups.items():
+                    answers = lane.resilient.handle_batch(
                         [messages[i][2] for i in indices])
                     for index, answer in zip(indices, answers):
                         responses[index] = answer
@@ -307,8 +244,6 @@ class ShardRuntime:
             "version": self.primary.version,
             "candidate": (self.candidate.version
                           if self.candidate is not None else None),
-            "regimes": {regime: lane.version
-                        for regime, lane in sorted(self.regimes.items())},
             "requests": self.requests,
             "swaps": self.swaps,
             "batches_flushed": self.primary.batcher.batches_flushed,

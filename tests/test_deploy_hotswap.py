@@ -10,8 +10,9 @@ version.  Covered in both deployment shapes:
 * single-process :class:`~repro.deploy.DeploymentController` hammered
   from serving threads while the main thread flips canary → promote /
   rollback;
-* the sharded tier (:class:`~repro.serving_shard.ShardDeploymentController`)
-  where the same lifecycle is a broadcast drain over worker queues.
+* the sharded tier, where :class:`~repro.serving_shard.ShardRouter`'s
+  ``start_canary`` / ``stop_canary`` make the same lifecycle a
+  broadcast drain over worker queues.
 """
 
 import threading
@@ -23,8 +24,7 @@ from repro.core import M2G4RTP, M2G4RTPConfig
 from repro.deploy import (DeploymentController, ModelRegistry,
                           ResilienceConfig, RolloutPolicy)
 from repro.service import RTPRequest
-from repro.serving_shard import (ShardConfig, ShardDeploymentController,
-                                 ShardRouter)
+from repro.serving_shard import ShardConfig, ShardRouter
 
 
 def tiny_model(seed: int) -> M2G4RTP:
@@ -143,11 +143,11 @@ class TestSingleProcessHotSwap:
 class TestShardedHotSwap:
     def test_inline_promote_rollback_lifecycle(self, registry, requests):
         model, _ = registry.load("v001")
+        candidate, _ = registry.load("v002")
         router = ShardRouter(model, version="v001",
                              config=ShardConfig(num_shards=2, seed=4),
                              inline=True)
-        controller = ShardDeploymentController(registry, router)
-        controller.start_canary("v002", fraction=0.5)
+        router.start_canary("v002", candidate, fraction=0.5)
         versions = set()
         for request in requests:
             response = router.handle(request)
@@ -155,46 +155,42 @@ class TestShardedHotSwap:
             versions.add(response.model_version)
         assert versions == {"v001", "v002"}
 
-        controller.rollback(reason="test")
-        assert controller.active_version == "v001"
+        router.stop_canary(promote=False)
+        assert router.version == "v001"
         assert all(router.handle(r).model_version == "v001"
                    for r in requests[:4])
 
-        controller.start_canary("v002", fraction=0.5)
-        controller.promote(reason="test")
-        assert controller.active_version == "v002"
-        assert registry.active() == "v002"
+        router.start_canary("v002", candidate, fraction=0.5)
+        router.stop_canary(promote=True)
+        assert router.version == "v002"
         assert all(router.handle(r).model_version == "v002"
                    for r in requests[:4])
-        assert [d.action for d in controller.decisions] == [
-            "rollback", "promote"]
 
     def test_process_mode_promote_drains_in_flight(self, registry,
                                                    requests):
         """Pipelined submissions across a promote: versions coherent,
         FIFO-monotonic per shard, and nothing dropped."""
         model, _ = registry.load("v001")
+        candidate, _ = registry.load("v002")
         router = ShardRouter(model, version="v001",
                              config=ShardConfig(num_shards=2, seed=4),
                              inline=False)
         try:
-            controller = ShardDeploymentController(registry, router)
-            controller.start_canary("v002", fraction=0.5)
+            router.start_canary("v002", candidate, fraction=0.5)
             promote_at = len(requests) // 2
             tickets = []
             for i, request in enumerate(requests):
                 if i == promote_at:
-                    controller.promote(reason="test")
+                    router.stop_canary(promote=True)
                 tickets.append(router.submit(request))
             responses = router.wait_all(tickets)
             assert len(responses) == len(requests)
             for i, response in enumerate(responses):
                 assert response.model_version in ("v001", "v002")
                 if i >= promote_at:
-                    # promote() returns only after every shard acked the
-                    # drain, so everything submitted after it is new.
+                    # stop_canary() returns only after every shard acked
+                    # the drain, so everything submitted after it is new.
                     assert response.model_version == "v002"
-            assert registry.active() == "v002"
-            assert controller.active_version == "v002"
+            assert router.version == "v002"
         finally:
             router.shutdown()

@@ -25,6 +25,7 @@ from repro.deploy import (
     ResilienceConfig,
     RolloutPolicy,
 )
+from repro.deploy import controller as controller_module
 from repro.service import RTPRequest
 
 
@@ -152,6 +153,39 @@ class TestCanaryRollout:
         with pytest.raises(ValueError, match="already the serving primary"):
             controller.start_shadow("v001")
         assert controller.mode is None
+
+    @pytest.mark.parametrize("first", ["canary", "shadow"])
+    def test_second_rollout_refused_while_candidate_in_flight(
+            self, registry, first):
+        # Overwriting an in-flight candidate would make its rollout
+        # vanish with no verdict; the running one must end first.
+        registry.register(tiny_model(seed=41), created_at="t3",
+                          data_seed=123)
+        controller = make_controller(registry, min_requests=10_000)
+        getattr(controller, f"start_{first}")("v002")
+        with pytest.raises(RuntimeError, match="in flight"):
+            controller.start_canary("v003")
+        with pytest.raises(RuntimeError, match="in flight"):
+            controller.start_shadow("v003")
+        assert controller.candidate.version == "v002"
+        assert controller.mode == first
+        controller.rollback(reason="test")
+        assert [(d.action, d.version) for d in controller.decisions] == [
+            ("rollback", "v002")]
+        assert controller.start_canary("v003") == "v003"
+
+    def test_decisions_keep_the_newest_verdicts(self, registry,
+                                                monkeypatch):
+        monkeypatch.setattr(controller_module, "MAX_DECISIONS", 3)
+        controller = make_controller(registry, min_requests=10_000)
+        for index in range(5):
+            controller.start_canary("v002")
+            controller.rollback(reason=f"r{index}")
+        assert isinstance(controller.decisions, list)
+        assert [d.reason for d in controller.decisions] == [
+            "r2", "r3", "r4"]
+        assert ('rtp_rollout_decisions_total{action="rollback"} 5'
+                in controller.render_metrics())
 
     def test_canary_split_roughly_matches_fraction(self, registry, trace):
         controller = make_controller(registry, min_requests=10_000)

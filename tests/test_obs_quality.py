@@ -25,6 +25,7 @@ from repro.obs import (
     validate_quality_artifact,
     write_quality_artifact,
 )
+from repro.obs import quality as quality_module
 from repro.obs.metrics import OVERFLOW_LABEL_VALUE
 from repro.obs.quality import QualityArtifactError
 
@@ -217,6 +218,21 @@ class TestQualityMonitor:
             "rtp_quality_drift_alarms_total").labels(
                 metric=alarm.metric, detector=alarm.detector,
                 segment="all", key="all").value >= 1
+
+    def test_alarm_list_keeps_the_newest(self, monkeypatch):
+        monkeypatch.setattr(quality_module, "MAX_ALARMS", 3)
+        registry = MetricsRegistry()
+        monitor = self.make_monitor(registry)
+        seen = []
+        monitor.on_alarm(seen.append)
+        for _ in range(4):   # a flapping stream: every shift re-alarms
+            for _ in range(12):
+                monitor.record(completed(eta_error=2.0))
+            for _ in range(8):
+                monitor.record(completed(eta_error=120.0))
+        assert len(seen) > 3
+        assert isinstance(monitor.alarms, list)
+        assert monitor.alarms == seen[-3:]
 
     def test_clock_stamps_alarms(self):
         registry = MetricsRegistry()

@@ -32,9 +32,10 @@ import numpy as np
 import pytest
 
 from repro.data import GeneratorConfig, SyntheticWorld
-from repro.deploy import DeploymentController, ModelRegistry, RolloutPolicy
-from repro.load import (LoadRunConfig, ModeledLatencyService, VirtualClock,
-                        run_scenario, validate_artifact)
+from repro.deploy import (DeploymentController, ModeledLatencyService,
+                          ModelRegistry, RolloutPolicy)
+from repro.load import (LoadRunConfig, VirtualClock, run_scenario,
+                        validate_artifact)
 from repro.load.clock import WEATHER_SERVICE_SLOWDOWN
 from repro.load.scenarios import small_model
 from repro.load.stream import RequestStream, build_instance_pool
@@ -292,6 +293,62 @@ class TestPoisonedFineTuneBlocked:
         assert harness.controller.active_version == harness.parent_version
 
 
+class TestOneRolloutAtATime:
+    def test_trigger_mid_canary_waits_for_the_verdict(self, tmp_path):
+        """A retrain trigger that lands while a canary is in flight
+        starts no second canary; it fires once the canary resolves."""
+        registry = ModelRegistry(tmp_path / "reg")
+        parent = registry.register(small_model(17, 16), created_at="t0")
+        registry.activate(parent.version)
+        controller = DeploymentController(
+            registry, initial=parent.version, seed=5,
+            policy=RolloutPolicy(min_requests=10_000))
+        events = []
+        loop = OnlineLoop(
+            registry, controller,
+            ExperienceBuffer(capacity=16, reservoir=4, max_pending=64,
+                             seed=3),
+            OnlineTrainer(registry, tmp_path / "jobs",
+                          OnlineTrainerConfig(epochs=1)),
+            # No cooldown and a low watermark: the policy would fire
+            # again on the very next tick after a retrain.
+            RetrainPolicy(RetrainPolicyConfig(
+                min_window=4, cooldown_s=0.0, min_new_samples=1,
+                sample_watermark=4)),
+            AntiRegressionGate(GateConfig(max_mae_ratio=1e9)),
+            OnlineLoopConfig(train_window=8, holdout_every=4,
+                             frozen_holdout_size=0, regime_window=0),
+            on_event=lambda event, detail: events.append(event))
+        stream = RequestStream(_world_pool(), seed=9)
+
+        def feed(count):
+            for _ in range(count):
+                request = stream.next()
+                instance = stream.last_instance
+                loop.buffer.offer(request, list(instance.route),
+                                  list(instance.arrival_times))
+
+        feed(8)
+        first = loop.tick()
+        assert first["canaried"] and loop.retrains == 1
+        assert controller.candidate.version == first["version"]
+
+        feed(8)   # the watermark is crossed again mid-canary
+        assert loop.tick() is None
+        assert loop.retrains == 1
+        assert controller.candidate.version == first["version"]
+        assert events.count("online_canary_started") == 1
+
+        controller.rollback(reason="test")
+        second = loop.tick()
+        assert second["canaried"] and loop.retrains == 2
+        assert controller.candidate.version == second["version"]
+        assert second["version"] != first["version"]
+        assert [(d.action, d.version) for d in controller.decisions] == [
+            ("rollback", first["version"])]
+        assert events.count("online_canary_started") == 2
+
+
 class TestOnlineTrainerResume:
     def _setup(self, tmp_path, subdir):
         registry = ModelRegistry(tmp_path / subdir / "reg")
@@ -532,7 +589,7 @@ class TestWeatherCoupledSlowdown:
     def test_storm_costs_more_virtual_time(self):
         clock = VirtualClock()
         service = ModeledLatencyService(
-            _EchoService(), clock, base_ms=15.0, seed=0,
+            _EchoService(), clock.advance, base_ms=15.0, seed=0,
             weather_factors=WEATHER_SERVICE_SLOWDOWN)
         before = clock.now()
         service.handle(_WeatherRequest(weather=0))
@@ -540,7 +597,7 @@ class TestWeatherCoupledSlowdown:
 
         clock2 = VirtualClock()
         service2 = ModeledLatencyService(
-            _EchoService(), clock2, base_ms=15.0, seed=0,
+            _EchoService(), clock2.advance, base_ms=15.0, seed=0,
             weather_factors=WEATHER_SERVICE_SLOWDOWN)
         service2.handle(_WeatherRequest(weather=3))
         storm_cost = clock2.now()
@@ -553,7 +610,7 @@ class TestWeatherCoupledSlowdown:
         for factors in (None, WEATHER_SERVICE_SLOWDOWN):
             clock = VirtualClock()
             service = ModeledLatencyService(
-                _EchoService(), clock, base_ms=15.0, seed=42,
+                _EchoService(), clock.advance, base_ms=15.0, seed=42,
                 weather_factors=factors)
             stamps = []
             for _ in range(16):

@@ -17,7 +17,6 @@ The properties that make :mod:`repro.serving_shard` trustworthy:
   work resubmitted — the caller just sees answers.
 """
 
-import dataclasses
 import pickle
 import threading
 
@@ -25,11 +24,13 @@ import numpy as np
 import pytest
 
 from repro.core import M2G4RTP, M2G4RTPConfig
+from repro.deploy import ModeledLatencyService
+from repro.load import VirtualClock
 from repro.obs import disable_tracing, enable_tracing
 from repro.service import RTPRequest
 from repro.service.monitoring import PERCENTILE_WINDOW
 from repro.serving_shard import (ShardConfig, ShardRouter, ShardRuntime,
-                                 SleepLatencyService, build_model)
+                                 build_model)
 
 
 def tiny_model(seed: int = 3) -> M2G4RTP:
@@ -226,73 +227,6 @@ class TestInlineSwap:
 
 
 # ----------------------------------------------------------------------
-# Regime-matched routing (model-zoo lanes)
-# ----------------------------------------------------------------------
-def _with_weather(requests, weather):
-    return [dataclasses.replace(r, weather=weather) for r in requests]
-
-
-class TestRegimeLanes:
-    def test_regime_requests_serve_from_their_lane(self, requests):
-        router = make_router(num_shards=2)
-        router.install_regime("weather:storm", "v-storm",
-                              tiny_model(seed=7))
-        assert router.regime_versions() == {"weather:storm": "v-storm"}
-        for request in _with_weather(requests[:6], weather=3):
-            response = router.handle(request)
-            assert_valid(response, request)
-            assert response.model_version == "v-storm"
-        for request in _with_weather(requests[6:12], weather=0):
-            assert router.handle(request).model_version == "v001"
-
-    def test_lane_matching_primary_version_defers_to_primary(self, requests):
-        """When the primary *is* the regime model, the lane stays dark;
-        once the primary moves on, the lane serves the old regime."""
-        router = make_router(num_shards=2)
-        router.install_regime("weather:storm", "v001", tiny_model(seed=7))
-        storm = _with_weather(requests[:4], weather=3)
-        assert {router.handle(r).model_version for r in storm} == {"v001"}
-        router.swap_to("v002", tiny_model(seed=9))
-        assert {router.handle(r).model_version for r in storm} == {"v001"}
-        assert {router.handle(r).model_version
-                for r in _with_weather(requests[4:8], 0)} == {"v002"}
-
-    def test_clear_regime_restores_primary_routing(self, requests):
-        router = make_router(num_shards=2)
-        router.install_regime("weather:storm", "v-storm",
-                              tiny_model(seed=7))
-        storm = _with_weather(requests[:4], weather=3)
-        assert router.handle(storm[0]).model_version == "v-storm"
-        assert router.clear_regime("weather:storm") is True
-        assert {router.handle(r).model_version for r in storm} == {"v001"}
-        assert router.clear_regime("weather:storm") is False
-        assert router.regime_versions() == {}
-
-    def test_canary_owns_its_split_before_regime_routing(self, requests):
-        router = make_router(num_shards=2)
-        router.install_regime("weather:storm", "v-storm",
-                              tiny_model(seed=7))
-        router.start_canary("v002", tiny_model(seed=9), fraction=1.0)
-        storm = _with_weather(requests[:4], weather=3)
-        assert {router.handle(r).model_version for r in storm} == {"v002"}
-        router.stop_canary(promote=False)
-        assert {router.handle(r).model_version for r in storm} == {"v-storm"}
-
-    def test_respawn_reinstalls_regime_lane(self, requests):
-        router = make_router(num_shards=2)
-        router.install_regime("weather:storm", "v-storm",
-                              tiny_model(seed=7))
-        storm = _with_weather(requests, weather=3)
-        victim = router.place(storm[0])
-        router.kill_shard(victim)
-        response = router.handle(storm[0])
-        assert_valid(response, storm[0])
-        assert response.model_version == "v-storm", (
-            "respawn must replay the regime spec, like the canary")
-        assert router.shard_stats()[victim]["respawns"] == 1
-
-
-# ----------------------------------------------------------------------
 # Span stitching
 # ----------------------------------------------------------------------
 class TestSpanStitching:
@@ -377,23 +311,23 @@ class TestProcessMode:
 
 
 # ----------------------------------------------------------------------
-# SleepLatencyService unit behaviour
+# ModeledLatencyService: the one latency model, on either clock
 # ----------------------------------------------------------------------
-class TestSleepLatencyService:
+class _Inner:
+    def handle(self, request):
+        return ("one", request)
+
+    def handle_batch(self, batch):
+        return [("many", r) for r in batch]
+
+    extra = "passthrough"
+
+
+class TestModeledLatencyService:
     def test_one_charge_per_batch_and_delegation(self):
         sleeps = []
-
-        class Inner:
-            def handle(self, request):
-                return ("one", request)
-
-            def handle_batch(self, batch):
-                return [("many", r) for r in batch]
-
-            extra = "passthrough"
-
-        service = SleepLatencyService(Inner(), base_ms=10.0, seed=1,
-                                      sleeper=sleeps.append)
+        service = ModeledLatencyService(_Inner(), sleeps.append,
+                                        base_ms=10.0, sigma=0.25, seed=1)
         assert service.handle("a") == ("one", "a")
         assert service.handle_batch(["b", "c"]) == [("many", "b"),
                                                     ("many", "c")]
@@ -404,19 +338,40 @@ class TestSleepLatencyService:
     def test_seeded_costs_reproducible(self):
         def costs(seed):
             sleeps = []
-
-            class Inner:
-                def handle(self, request):
-                    return request
-
-            service = SleepLatencyService(Inner(), base_ms=10.0, seed=seed,
-                                          sleeper=sleeps.append)
+            service = ModeledLatencyService(_Inner(), sleeps.append,
+                                            base_ms=10.0, sigma=0.25,
+                                            seed=seed)
             for _ in range(5):
                 service.handle(None)
             return sleeps
 
         assert costs(3) == costs(3)
         assert costs(3) != costs(4)
+
+    @pytest.mark.parametrize("sigma", [0.2, 0.25])
+    def test_virtual_clock_and_wall_sleeper_charge_identical_seconds(
+            self, sigma):
+        """The load scenarios charge the virtual clock, shard workers
+        sleep: same seed, sigma and base cost must charge the same
+        seconds, bitwise, through handle and handle_batch alike."""
+        clock = VirtualClock()
+        sleeps = []
+        virtual = ModeledLatencyService(_Inner(), clock.advance,
+                                        base_ms=15.0, sigma=sigma, seed=7)
+        wall = ModeledLatencyService(_Inner(), sleeps.append,
+                                     base_ms=15.0, sigma=sigma, seed=7)
+        expected_now = 0.0
+        for call in range(12):
+            if call % 3 == 2:
+                virtual.handle_batch(["x", "y"])
+                wall.handle_batch(["x", "y"])
+            else:
+                virtual.handle("x")
+                wall.handle("x")
+            assert len(sleeps) == call + 1
+            expected_now += sleeps[-1]
+            assert clock.now() == expected_now
+        assert clock.sleeps == [], "advance charges time, never a sleep"
 
 
 # ----------------------------------------------------------------------
