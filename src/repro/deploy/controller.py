@@ -124,7 +124,7 @@ class DeploymentController:
         version, else ``latest``.
     seed:
         Seeds the canary routing RNG (deterministic traffic split).
-    batcher:
+    backlog_probe:
         Optional queue-depth source (anything with a ``pending``
         attribute) handed to every resilient wrapper the controller
         builds, so admission control sheds on the shared backlog.  The
@@ -144,7 +144,7 @@ class DeploymentController:
                  initial: Optional[str] = None,
                  seed: int = 0,
                  clock: Callable[[], float] = time.perf_counter,
-                 batcher=None,
+                 backlog_probe=None,
                  service_wrapper: Optional[Callable] = None):
         self.registry = registry
         self.resilience = resilience or ResilienceConfig()
@@ -152,7 +152,7 @@ class DeploymentController:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.fallback = fallback or FallbackPredictor()
         self.clock = clock
-        self.batcher = batcher
+        self.backlog_probe = backlog_probe
         self.service_wrapper = service_wrapper
         self._rng = np.random.default_rng(seed)
         self._decision_counter = self.metrics.counter(
@@ -183,7 +183,7 @@ class DeploymentController:
         return ResilientRTPService(
             inner, fallback=self.fallback, config=self.resilience,
             registry=self.metrics, version=version, clock=self.clock,
-            batcher=self.batcher)
+            backlog_probe=self.backlog_probe)
 
     # ------------------------------------------------------------------
     # Rollout lifecycle

@@ -17,6 +17,8 @@ from typing import Callable, List, Sequence, Union
 
 import numpy as np
 
+from ..service.request import ServingStage
+
 
 class TransientServiceError(RuntimeError):
     """An injected transient failure (retry-able by design)."""
@@ -148,20 +150,17 @@ class FaultInjector:
         return FaultyService(service, self)
 
 
-class FaultyService:
-    """Service wrapper: every handle runs through the injector first."""
+class FaultyService(ServingStage):
+    """Service wrapper: every call runs through the injector first."""
 
     def __init__(self, service, injector: FaultInjector):
         self.service = service
         self.injector = injector
 
-    def handle(self, request):
-        """Delegate after (possibly) injecting a spike or an error."""
-        self.injector.before_call()
-        return self.service.handle(request)
-
     def handle_batch(self, requests: Sequence) -> List:
         """One injector decision per batch (a batch fails as a unit)."""
+        if not requests:
+            return []
         self.injector.before_call()
         return self.service.handle_batch(requests)
 
@@ -170,10 +169,10 @@ class FaultyService:
         return getattr(self.service, name)
 
 
-class ModeledLatencyService:
+class ModeledLatencyService(ServingStage):
     """Service shim that charges a seeded, modeled service time per call.
 
-    Each ``handle``/``handle_batch`` call draws one lognormal-shaped
+    Each non-empty ``handle_batch`` call draws one lognormal-shaped
     cost (``base_ms`` scaled by ``exp(sigma * N(0, 1))``) from a seeded
     RNG, hands it in seconds to ``sleeper``, then delegates to the
     wrapped service.  The real forward still runs — predictions are
@@ -221,13 +220,11 @@ class ModeledLatencyService:
         cost_ms *= self._weather_factor(weather)
         self.sleeper(cost_ms / 1000.0)
 
-    def handle(self, request):
-        self._charge(getattr(request, "weather", None))
-        return self.service.handle(request)
-
     def handle_batch(self, requests: Sequence) -> List:
         # One charge per batch; the worst weather in the batch gates
         # the whole batch, like the slowest item in a fused forward.
+        if not requests:
+            return []
         weathers = [getattr(r, "weather", None) for r in requests]
         weathers = [w for w in weathers if w is not None]
         self._charge(max(weathers) if weathers else None)

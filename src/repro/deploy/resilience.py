@@ -11,14 +11,20 @@ valid route + ETA vector:
   (flagged ``degraded=true``, reason ``deadline``);
 * **retry-once** — one transient model failure inside the budget is
   retried before degrading (reason ``error`` when the retry also
-  fails);
+  fails); a batch is retried as a unit;
 * **circuit breaker** — consecutive model failures open the breaker;
   while open, requests skip the model entirely (reason
   ``breaker_open``) until a recovery window lets one trial through;
-* **admission control** — when the attached
-  :class:`~repro.service.MicroBatcher` queue exceeds a bound, new
-  requests are shed straight to the fallback (reason ``shed``) instead
-  of growing the queue without bound.
+* **admission control** — when the attached backlog probe (anything
+  with a ``pending`` attribute, e.g. the open-loop driver's
+  :class:`~repro.load.driver.BacklogProbe`) reports a backlog at the
+  bound, new requests are shed straight to the fallback (reason
+  ``shed``) instead of growing the queue without bound.
+
+A batch of N ≥ 1 requests takes one path — admission → breaker →
+attempt → deadline → stamp — and every member shares the batch's fate:
+one padded forward answers them all, or each is degraded through the
+fallback.  A single request is a batch of one.
 
 The degraded answer comes from
 :class:`~repro.core.FallbackPredictor` — a distance-greedy route with
@@ -36,7 +42,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ..core.fallback import FallbackPredictor
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import span
-from ..service.request import RTPRequest
+from ..service.request import RTPRequest, ServingStage
 from ..service.rtp_service import RTPResponse
 
 #: Gauge encoding of breaker states.
@@ -132,10 +138,9 @@ class ResilienceConfig:
     """Knobs of :class:`ResilientRTPService`."""
 
     deadline_ms: float = 250.0          # per-request wall-clock budget
-    retry_transient: bool = True        # retry once on a model failure
     breaker_failure_threshold: int = 3
     breaker_recovery_seconds: float = 5.0
-    max_queue_depth: int = 64           # admission bound on the batcher
+    max_queue_depth: int = 64           # admission bound on the backlog
 
     def __post_init__(self) -> None:
         if self.deadline_ms <= 0:
@@ -144,20 +149,20 @@ class ResilienceConfig:
             raise ValueError("max_queue_depth must be >= 1")
 
 
-class ResilientRTPService:
+class ResilientRTPService(ServingStage):
     """Never-fail façade over a model service.
 
     Parameters
     ----------
     service:
-        Anything with ``handle(request) -> RTPResponse`` (an
+        A serving stage (``handle_batch(requests) -> responses``): an
         :class:`~repro.service.RTPService`, a monitor, or a
-        fault-injected wrapper).
+        fault-injected wrapper.
     fallback:
         The cheap predictor used for degraded answers.
-    batcher:
-        Optional :class:`~repro.service.MicroBatcher` whose queue depth
-        gates admission (``pending`` attribute is all that is read).
+    backlog_probe:
+        Optional queue-depth source whose ``pending`` attribute gates
+        admission.
     registry:
         Optional shared metrics registry; exports per-version
         ``rtp_model_*`` series, ``rtp_degraded_total`` by reason, the
@@ -170,14 +175,14 @@ class ResilientRTPService:
 
     def __init__(self, service, fallback: Optional[FallbackPredictor] = None,
                  config: Optional[ResilienceConfig] = None,
-                 batcher=None,
+                 backlog_probe=None,
                  registry: Optional[MetricsRegistry] = None,
                  version: str = "",
                  clock: Callable[[], float] = time.perf_counter):
         self.service = service
         self.fallback = fallback or FallbackPredictor()
         self.config = config or ResilienceConfig()
-        self.batcher = batcher
+        self.backlog_probe = backlog_probe
         self.version = version
         self.clock = clock
         self.breaker = CircuitBreaker(
@@ -198,7 +203,6 @@ class ResilientRTPService:
         self._counts_lock = threading.Lock()
         self._latency_sum_ms = 0.0
         self._latency_count = 0
-        self._feedback = None
         self._registry = registry
         if registry is not None:
             self._m_requests = registry.counter(
@@ -235,68 +239,56 @@ class ResilientRTPService:
             self._m_breaker.labels(version=self.version).set(
                 BREAKER_STATE_VALUES[self.breaker.state])
 
-    def _degraded_response(self, request: RTPRequest, reason: str,
-                           started: float) -> RTPResponse:
-        latency_ms = (self.clock() - started) * 1000.0
-        # "degraded" and its reason advance together under one lock
-        # hold, so the per-reason sum always reconciles with the total.
-        self._count("degraded", reason)
-        if self._registry is not None:
-            self._m_degraded.labels(version=self.version, reason=reason).inc()
-            self._m_degraded_responses.labels(version=self.version).inc()
-        self._publish_breaker()
-        return degraded_response(self.fallback, request, reason,
-                                 latency_ms=latency_ms, version=self.version)
-
-    def _stamp(self, response: RTPResponse) -> RTPResponse:
-        response.model_version = self.version
-        return response
+    def _degrade(self, requests: Sequence[RTPRequest], reason: str,
+                 started: float) -> List[RTPResponse]:
+        """Fallback answers for every member, each counted once."""
+        responses = []
+        for request in requests:
+            latency_ms = (self.clock() - started) * 1000.0
+            # "degraded" and its reason advance together under one lock
+            # hold, so the per-reason sum always reconciles with the
+            # total.
+            self._count("degraded", reason)
+            if self._registry is not None:
+                self._m_degraded.labels(
+                    version=self.version, reason=reason).inc()
+                self._m_degraded_responses.labels(
+                    version=self.version).inc()
+            self._publish_breaker()
+            responses.append(degraded_response(
+                self.fallback, request, reason, latency_ms=latency_ms,
+                version=self.version))
+        return responses
 
     # ------------------------------------------------------------------
-    # Ground-truth feedback (the online-learning data loop)
-    # ------------------------------------------------------------------
-    def attach_feedback(self, sink) -> None:
-        """Register a completed-route sink (e.g. ``OnlineLoop``).
+    def handle_batch(self, requests: Sequence[RTPRequest]) -> List[RTPResponse]:
+        """Answer every request, degrading instead of ever failing.
 
-        ``sink`` needs an ``offer(request, response, actual_route,
-        actual_arrival_minutes) -> bool`` method; it must be bounded
-        and non-blocking, because :meth:`complete_route` is called from
-        the serving path.
+        Admission, breaker state and the deadline are evaluated once
+        for the whole batch — every member waits for the same forward,
+        so they share one wall-clock fate — and a failed batch is
+        retried once within the budget before each member is degraded
+        through the fallback.
         """
-        self._feedback = sink
-
-    def complete_route(self, request: RTPRequest, response: RTPResponse,
-                       actual_route, actual_arrival_minutes) -> bool:
-        """Report a route's late ground truth to the feedback sink.
-
-        Returns ``True`` if a sink accepted the route (a bounded sink
-        may drop under backpressure; no sink attached means ``False``).
-        """
-        if self._feedback is None:
-            return False
-        return bool(self._feedback.offer(
-            request, response, actual_route, actual_arrival_minutes))
-
-    # ------------------------------------------------------------------
-    def handle(self, request: RTPRequest) -> RTPResponse:
-        """Answer one request, degrading instead of ever failing."""
+        if not requests:
+            return []
         started = self.clock()
-        self._count("requests")
+        with self._counts_lock:
+            self.counts["requests"] += len(requests)
         if self._registry is not None:
-            self._m_requests.labels(version=self.version).inc()
+            self._m_requests.labels(version=self.version).inc(len(requests))
         with span("rtp.resilient", version=self.version):
             # Admission control: shed before queueing more work.
-            if (self.batcher is not None
-                    and self.batcher.pending >= self.config.max_queue_depth):
-                return self._degraded_response(request, "shed", started)
+            if (self.backlog_probe is not None
+                    and self.backlog_probe.pending
+                    >= self.config.max_queue_depth):
+                return self._degrade(requests, "shed", started)
             if not self.breaker.allow():
-                return self._degraded_response(
-                    request, "breaker_open", started)
-
-            attempts = 2 if self.config.retry_transient else 1
-            for attempt in range(attempts):
+                return self._degrade(requests, "breaker_open", started)
+            for attempt in range(2):
                 try:
-                    response = self.service.handle(request)
+                    responses = self.service.handle_batch(requests)
+                    break
                 except Exception:
                     self._count("errors")
                     self.breaker.record_failure()
@@ -304,85 +296,31 @@ class ResilientRTPService:
                         self._m_errors.labels(version=self.version).inc()
                     budget_left = (self.config.deadline_ms
                                    - (self.clock() - started) * 1000.0)
-                    if (attempt + 1 < attempts and budget_left > 0
+                    if (attempt == 0 and budget_left > 0
                             and self.breaker.allow()):
                         self._count("retries")
                         continue
-                    return self._degraded_response(request, "error", started)
-                elapsed_ms = (self.clock() - started) * 1000.0
-                if elapsed_ms > self.config.deadline_ms:
-                    # The model answered too late to be useful; serve
-                    # the cheap answer and count the slowness against
-                    # the breaker (slow is a failure mode).
-                    self.breaker.record_failure()
-                    return self._degraded_response(
-                        request, "deadline", started)
-                self.breaker.record_success()
-                with self._counts_lock:
-                    self.counts["model"] += 1
-                    self._latency_sum_ms += elapsed_ms
-                    self._latency_count += 1
-                if self._registry is not None:
-                    self._m_latency.labels(
-                        version=self.version).observe(elapsed_ms)
-                self._publish_breaker()
-                return self._stamp(response)
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def handle_batch(self, requests: Sequence[RTPRequest]) -> List[RTPResponse]:
-        """Batched variant: one failed batch degrades its members.
-
-        Batches of two or more take a true batched fast path (one
-        ``service.handle_batch`` call, so a padded multi-request
-        forward stays a single forward).  Admission, breaker state and
-        the deadline are evaluated once for the whole flush — every
-        member waited for the same batch, so they share one wall-clock
-        fate — and a failed batch degrades each member individually
-        through the fallback.  The batched path does not retry;
-        retry-once remains a single-request affordance.
-        """
-        if len(requests) <= 1 or not hasattr(self.service, "handle_batch"):
-            return [self.handle(request) for request in requests]
-        started = self.clock()
-        with self._counts_lock:
-            self.counts["requests"] += len(requests)
-        if self._registry is not None:
-            self._m_requests.labels(version=self.version).inc(len(requests))
-        with span("rtp.resilient.batch", version=self.version,
-                  batch=len(requests)):
-            if (self.batcher is not None
-                    and self.batcher.pending >= self.config.max_queue_depth):
-                return [self._degraded_response(request, "shed", started)
-                        for request in requests]
-            if not self.breaker.allow():
-                return [self._degraded_response(
-                    request, "breaker_open", started)
-                    for request in requests]
-            try:
-                responses = self.service.handle_batch(list(requests))
-            except Exception:
-                self._count("errors")
-                self.breaker.record_failure()
-                if self._registry is not None:
-                    self._m_errors.labels(version=self.version).inc()
-                return [self._degraded_response(request, "error", started)
-                        for request in requests]
+                    return self._degrade(requests, "error", started)
             elapsed_ms = (self.clock() - started) * 1000.0
             if elapsed_ms > self.config.deadline_ms:
+                # The model answered too late to be useful; serve the
+                # cheap answer and count the slowness against the
+                # breaker (slow is a failure mode).
                 self.breaker.record_failure()
-                return [self._degraded_response(request, "deadline", started)
-                        for request in requests]
+                return self._degrade(requests, "deadline", started)
             self.breaker.record_success()
             with self._counts_lock:
                 self.counts["model"] += len(requests)
                 self._latency_sum_ms += elapsed_ms * len(requests)
                 self._latency_count += len(requests)
             if self._registry is not None:
+                latency = self._m_latency.labels(version=self.version)
                 for _ in requests:
-                    self._m_latency.labels(
-                        version=self.version).observe(elapsed_ms)
+                    latency.observe(elapsed_ms)
             self._publish_breaker()
-            return [self._stamp(response) for response in responses]
+            for response in responses:
+                response.model_version = self.version
+            return responses
 
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, int]:

@@ -11,9 +11,11 @@ growing backlog shows up as monotonically climbing latencies instead
 of disappearing into an idle generator.
 
 The driver exposes its current backlog (arrivals already due but not
-yet issued) through :class:`BacklogProbe`, which duck-types the
-``pending`` attribute of :class:`~repro.service.MicroBatcher`; handing
-the probe to :class:`~repro.deploy.ResilientRTPService` makes
+yet issued) through :class:`BacklogProbe`, whose ``pending`` attribute
+is the admission signal; handing the probe to
+:class:`~repro.deploy.ResilientRTPService`, the
+:class:`~repro.deploy.DeploymentController` or the
+:class:`~repro.serving_shard.ShardRouter` as ``backlog_probe`` makes
 admission-control shedding respond to real open-loop queue pressure.
 
 Per-phase latency histograms and degraded/shed counters are emitted
@@ -192,7 +194,8 @@ class PhaseResult:
 
 
 class BacklogProbe:
-    """Duck-typed ``MicroBatcher.pending`` view of the driver backlog."""
+    """The driver backlog as a ``pending`` count (the ``backlog_probe``
+    admission signal)."""
 
     def __init__(self, driver: "OpenLoopDriver"):
         self._driver = driver

@@ -142,7 +142,6 @@ class ScenarioContext:
     injector: FaultInjector
     driver: OpenLoopDriver
     handler: Callable
-    primary: Optional[ResilientRTPService] = None
     controller: Optional[DeploymentController] = None
     registry: Optional[ModelRegistry] = None
     router: Optional[ShardRouter] = None
@@ -300,10 +299,9 @@ def build_context(scenario: Scenario, config: LoadRunConfig,
                 canary_fraction=config.canary_fraction,
                 min_requests=config.canary_min_requests),
             metrics=metrics, fallback=fallback, initial="v001",
-            seed=config.seed + 4, clock=clock, batcher=driver.probe,
+            seed=config.seed + 4, clock=clock, backlog_probe=driver.probe,
             service_wrapper=lambda inner: modeled(injector.wrap(inner)))
         context.controller = controller
-        context.primary = controller.primary
         context.handler = controller.handle
         context.breaker_watch.append(controller.primary.breaker)
     else:
@@ -316,9 +314,8 @@ def build_context(scenario: Scenario, config: LoadRunConfig,
         service = RTPService(serving_model, cache_size=config.cache_size)
         resilient = ResilientRTPService(
             modeled(injector.wrap(service)), fallback=fallback,
-            config=resilience, batcher=driver.probe, registry=metrics,
-            version="v001", clock=clock)
-        context.primary = resilient
+            config=resilience, backlog_probe=driver.probe,
+            registry=metrics, version="v001", clock=clock)
         context.handler = resilient.handle
         context.breaker_watch.append(resilient.breaker)
 
@@ -474,12 +471,11 @@ def _attach_quality(context: ScenarioContext) -> None:
                         getattr(response, "model_version", "") or ""),
                 },
                 trace_id=current_trace_id()))
-            if context.online is not None and context.primary is not None:
-                # The serving façade feeds the completed route to the
-                # experience buffer; each request then gives the loop
-                # one chance to drain/retrain (synchronous, zero
-                # virtual time).
-                context.primary.complete_route(
+            if context.online is not None:
+                # The completed route feeds the experience buffer; each
+                # request then gives the loop one chance to
+                # drain/retrain (synchronous, zero virtual time).
+                context.online.offer(
                     request, response, instance.route, actual)
                 context.online.tick()
         return response
@@ -533,7 +529,6 @@ def _attach_online(context: ScenarioContext) -> None:
     if context.quality is not None:
         loop.attach(context.quality)
     context.online = loop
-    context.primary.attach_feedback(loop)
     context.controller.policy = dataclasses.replace(
         context.controller.policy,
         max_quality_mae_ratio=0.95, min_quality_routes=8)

@@ -1,8 +1,8 @@
 """Trace-context propagation across process and thread boundaries.
 
 A trace that crosses a queue — the coordinator dispatching a gradient
-shard to a worker process, a request ticket waiting for the
-micro-batcher's flush thread — would otherwise fall apart into
+shard to a worker process, the shard router dispatching a request to
+a serving worker — would otherwise fall apart into
 disconnected process-local fragments (or, worse, the worker-side spans
 would land in the worker's own collector and be silently dropped when
 the process exits).  This module is the wire protocol that keeps the

@@ -1,6 +1,6 @@
 """Deployment-style inference service and applications (Section VI)."""
 
-from .request import RTPRequest
+from .request import RTPRequest, ServingStage
 from .rtp_service import (
     ETAEntry,
     ETAService,
@@ -9,19 +9,14 @@ from .rtp_service import (
     RTPService,
     SortedOrder,
 )
-from .batching import (
-    BatchTicket,
-    GraphCache,
-    MicroBatcher,
-    request_fingerprint,
-)
+from .batching import GraphCache, request_fingerprint
 from .monitoring import ServiceMonitor, ServiceStats, DEFAULT_BUCKETS
 
 __all__ = [
-    "RTPRequest",
+    "RTPRequest", "ServingStage",
     "RTPService", "RTPResponse",
     "OrderSortingService", "SortedOrder",
     "ETAService", "ETAEntry",
-    "BatchTicket", "GraphCache", "MicroBatcher", "request_fingerprint",
+    "GraphCache", "request_fingerprint",
     "ServiceMonitor", "ServiceStats", "DEFAULT_BUCKETS",
 ]

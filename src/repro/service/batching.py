@@ -1,17 +1,16 @@
-"""Serving-side batching utilities: graph cache and micro-batching queue.
+"""Serving-side graph cache keyed by a request fingerprint.
 
-Two throughput levers for the deployed service (paper Section VI,
-"hundreds of thousands of queries per day"):
+A throughput lever for the deployed service (paper Section VI,
+"hundreds of thousands of queries per day"): :class:`GraphCache` is an
+LRU cache of built :class:`~repro.graphs.MultiLevelGraph` features
+keyed by :func:`request_fingerprint`.  Couriers poll the service while
+standing still, so the exact same query recurs within seconds; caching
+skips the feature extraction layer entirely.
 
-* :class:`GraphCache` — an LRU cache of built
-  :class:`~repro.graphs.MultiLevelGraph` features keyed by a request
-  fingerprint.  Couriers poll the service while standing still, so the
-  exact same query recurs within seconds; caching skips the feature
-  extraction layer entirely.
-* :class:`MicroBatcher` — collects incoming requests into a queue and
-  flushes them through :meth:`RTPService.handle_batch` when either
-  ``max_batch_size`` requests are waiting or the oldest one has waited
-  ``max_wait_ms``.  The clock is injectable so tests control time.
+Batching itself needs no queue here: every serving stage takes a batch
+(:class:`~repro.service.request.ServingStage`), and a shard worker
+drains up to ``max_batch_size`` request messages into one
+``handle_batch`` call.
 """
 
 from __future__ import annotations
@@ -19,11 +18,8 @@ from __future__ import annotations
 import collections
 import hashlib
 import struct
-import time
-from typing import Callable, List, Optional, Tuple
+from typing import List
 
-from ..obs import tracing
-from ..obs.propagate import current_context
 from .request import RTPRequest
 
 
@@ -138,124 +134,3 @@ class GraphCache:
         self.evictions = 0
         if self._metric_size is not None:
             self._metric_size.set(0)
-
-
-class BatchTicket:
-    """Handle for one queued request; resolved when its batch flushes.
-
-    ``trace_ctx`` snapshots the submitter's span context (when tracing
-    is on): the flush may run on another thread or much later, so the
-    batching hop is stitched back under the submitting trace from this
-    captured identity, not from whatever span is active at flush time.
-    """
-
-    __slots__ = ("request", "enqueued_at", "trace_ctx", "_response")
-
-    def __init__(self, request: RTPRequest, enqueued_at: float):
-        self.request = request
-        self.enqueued_at = enqueued_at
-        self.trace_ctx = current_context()
-        self._response = None
-
-    @property
-    def done(self) -> bool:
-        return self._response is not None
-
-    def result(self):
-        if self._response is None:
-            raise RuntimeError("batch has not been flushed yet")
-        return self._response
-
-
-class MicroBatcher:
-    """Synchronous micro-batching front of an :class:`RTPService`.
-
-    ``submit`` enqueues a request and flushes immediately once
-    ``max_batch_size`` requests are waiting.  ``poll`` flushes when the
-    oldest queued request has waited at least ``max_wait_ms`` (the
-    latency bound); on an empty queue it is a no-op.  ``clock`` returns
-    seconds and defaults to ``time.monotonic``.
-    """
-
-    def __init__(self, service, max_batch_size: int = 8,
-                 max_wait_ms: float = 10.0,
-                 clock: Callable[[], float] = time.monotonic):
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be non-negative")
-        self.service = service
-        self.max_batch_size = max_batch_size
-        self.max_wait_ms = max_wait_ms
-        self.clock = clock
-        self._queue: List[BatchTicket] = []
-        self.batches_flushed = 0
-        self.requests_flushed = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def pending(self) -> int:
-        return len(self._queue)
-
-    def submit(self, request: RTPRequest) -> BatchTicket:
-        """Queue one request; flush if the batch is now full."""
-        ticket = BatchTicket(request, self.clock())
-        self._queue.append(ticket)
-        if len(self._queue) >= self.max_batch_size:
-            self.flush()
-        return ticket
-
-    def poll(self) -> int:
-        """Flush if the oldest request has aged out; returns #flushed."""
-        if not self._queue:
-            return 0
-        waited_ms = (self.clock() - self._queue[0].enqueued_at) * 1000.0
-        if waited_ms >= self.max_wait_ms:
-            return self.flush()
-        return 0
-
-    def flush(self) -> int:
-        """Run every queued request through one batched call."""
-        if not self._queue:
-            return 0
-        tickets, self._queue = self._queue, []
-        flushed_at = self.clock()
-        with tracing.span("rtp.batch.flush", batch=len(tickets)) \
-                as flush_span:
-            responses = self.service.handle_batch(
-                [t.request for t in tickets])
-        for ticket, response in zip(tickets, responses):
-            ticket._response = response
-        self._stitch_hops(tickets, flush_span, flushed_at)
-        self.batches_flushed += 1
-        self.requests_flushed += len(tickets)
-        return len(tickets)
-
-    def _stitch_hops(self, tickets, flush_span, flushed_at: float) -> None:
-        """Graft a ``service.batch.hop`` span into each submitter's trace.
-
-        The flush serves requests from many traces at once, so one
-        span cannot be a child of all of them; instead every submitting
-        trace receives a frozen hop span (duration = its queue wait)
-        that points at the shared flush span, and the flush span lists
-        the traces it served.
-        """
-        if flush_span.trace_id is None:
-            return
-        collector = tracing.get_collector()
-        if collector is None:
-            return
-        linked = []
-        for ticket in tickets:
-            if ticket.trace_ctx is None:
-                continue
-            wait_ms = max(flushed_at - ticket.enqueued_at, 0.0) * 1000.0
-            hop = tracing.Span("service.batch.hop", {
-                "wait_ms": round(wait_ms, 3),
-                "flush_span": flush_span.span_id,
-            })
-            hop.freeze(wait_ms)
-            collector.attach(hop, parent_id=ticket.trace_ctx.span_id)
-            linked.append(ticket.trace_ctx.trace_id)
-        if linked:
-            flush_span.attrs["linked_traces"] = linked

@@ -9,8 +9,9 @@ autodiff op profiler — rendered in Prometheus exposition format by
 :meth:`ServiceMonitor.render_metrics`.
 
 Exposed series: request/error totals, a latency histogram, build/infer
-summaries, a per-flush batch-size histogram, a route-length summary and
-the service's graph-cache counters.
+summaries, a per-call batch-size histogram (a single request is a
+batch of one), a route-length summary and the service's graph-cache
+counters.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry
-from .request import RTPRequest
+from .request import ServingStage
 from .rtp_service import RTPResponse, RTPService
 
 #: Latency histogram bucket upper bounds (milliseconds).
@@ -58,8 +59,8 @@ class ServiceStats:
     cache_misses: int = 0
 
 
-class ServiceMonitor:
-    """Wraps a service; every ``handle`` is timed and counted.
+class ServiceMonitor(ServingStage):
+    """Wraps a service; every request it answers is timed and counted.
 
     Parameters
     ----------
@@ -95,7 +96,7 @@ class ServiceMonitor:
         self._route_length = self.registry.summary(
             "rtp_route_length", "Locations per predicted route")
         self._batch_size = self.registry.histogram(
-            "rtp_batch_size", "Requests per handle_batch flush",
+            "rtp_batch_size", "Requests per handle_batch call",
             buckets=BATCH_SIZE_BUCKETS)
         self._cache_hits = self.registry.gauge(
             "rtp_cache_hits_total", "Graph-cache hits")
@@ -125,31 +126,22 @@ class ServiceMonitor:
         self._recent_latencies: deque = deque(maxlen=PERCENTILE_WINDOW)
 
     # ------------------------------------------------------------------
-    def handle(self, request: RTPRequest) -> RTPResponse:
-        start = time.perf_counter()
-        try:
-            response = self.service.handle(request)
-        except Exception:
-            self._errors.inc()
-            raise
-        latency = (time.perf_counter() - start) * 1000.0
-        self._observe(latency, len(response.route), response)
-        return response
-
     def handle_batch(self, requests) -> List[RTPResponse]:
-        """Timed batched handling; every member is counted individually.
+        """Timed handling; every member is counted individually.
 
         A failed batch fails every request in it, so the error counter
         advances by the number of enqueued requests, not by one.
         """
+        if not requests:
+            return []
         start = time.perf_counter()
         try:
             responses = self.service.handle_batch(requests)
         except Exception:
             self._errors.inc(len(requests))
             raise
-        elapsed = (time.perf_counter() - start) * 1000.0
-        per_request = elapsed / len(responses) if responses else 0.0
+        per_request = ((time.perf_counter() - start) * 1000.0
+                       / len(requests))
         self._batch_size.observe(len(requests))
         for response in responses:
             self._observe(per_request, len(response.route), response)

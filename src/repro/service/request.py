@@ -5,6 +5,11 @@ their position, the unvisited locations/AOIs and global context — no
 labels.  It is duck-type compatible with the attributes
 :class:`~repro.graphs.GraphBuilder` reads, so the same feature pipeline
 serves both offline training and online inference.
+
+:class:`ServingStage` is the contract every stage of the serving
+pipeline implements: ``handle_batch(requests) -> responses``, with one
+response per request in order.  A single request is a batch of one,
+defined here once.
 """
 
 from __future__ import annotations
@@ -72,3 +77,16 @@ class RTPRequest:
             weather=instance.weather,
             weekday=instance.weekday,
         )
+
+
+class ServingStage:
+    """One stage of the serving pipeline (service, monitor, resilience,
+    fault injection, modeled latency).
+
+    Subclasses implement only ``handle_batch(requests)``, returning one
+    response per request in order, and an empty batch is a no-op.
+    """
+
+    def handle(self, request: RTPRequest):
+        """Answer one request as a batch of one."""
+        return self.handle_batch([request])[0]

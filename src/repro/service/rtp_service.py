@@ -23,7 +23,7 @@ from ..core.model import M2G4RTP, M2G4RTPOutput
 from ..graphs import GraphBuilder, MultiLevelGraph
 from ..obs.tracing import span
 from .batching import GraphCache, request_fingerprint
-from .request import RTPRequest
+from .request import RTPRequest, ServingStage
 
 
 @dataclasses.dataclass
@@ -59,16 +59,15 @@ class RTPResponse:
     model_version: str = ""
 
 
-class RTPService:
+class RTPService(ServingStage):
     """Wraps a trained model behind the online request shape.
 
-    Both :meth:`handle` (one request) and :meth:`handle_batch` answer
-    through the padded :class:`~repro.core.batching.BatchedM2G4RTP`
-    engine, i.e. the no-grad kernels of :mod:`repro.kernels`; a single
-    request is a batch of one.  :meth:`M2G4RTP.predict` — the same
-    padded forward with gradients on, i.e. the Tensor code — is the
-    specification both are tested against (routes identical, ETAs
-    within 1e-6).
+    :meth:`handle_batch` answers through the padded
+    :class:`~repro.core.batching.BatchedM2G4RTP` engine, i.e. the
+    no-grad kernels of :mod:`repro.kernels`; ``handle`` is a batch of
+    one.  :meth:`M2G4RTP.predict` — the same padded forward with
+    gradients on, i.e. the Tensor code — is the specification it is
+    tested against (routes identical, ETAs within 1e-6).
 
     Parameters
     ----------
@@ -117,28 +116,8 @@ class RTPService:
         )
 
     # ------------------------------------------------------------------
-    def handle(self, request: RTPRequest) -> RTPResponse:
-        with span("rtp.request") as request_span:
-            start = time.perf_counter()
-            with span("graph_build"):
-                graph, cache_hit = self._build_graph(request)
-            built = time.perf_counter()
-            with span("infer"):
-                output = self.engine.predict([graph])[0]
-            done = time.perf_counter()
-            request_span.set_attr("num_locations", request.num_locations)
-            request_span.set_attr("cache_hit", cache_hit)
-        self._queries_served += 1
-        return self._response(
-            output,
-            build_ms=(built - start) * 1000.0,
-            infer_ms=(done - built) * 1000.0,
-            cache_hit=cache_hit,
-            batch_size=1,
-        )
-
     def handle_batch(self, requests: Sequence[RTPRequest]) -> List[RTPResponse]:
-        """Answer many requests with one padded batched forward pass.
+        """Answer requests with one padded batched forward pass.
 
         Per-request ``infer_ms`` is the batch inference time divided by
         the batch size (the throughput-relevant amortised cost);
@@ -149,11 +128,13 @@ class RTPService:
         build_times: List[float] = []
         cache_hits: List[bool] = []
         graphs: List[MultiLevelGraph] = []
-        with span("rtp.batch", batch_size=len(requests)):
+        with span("rtp.request", batch_size=len(requests)):
             for request in requests:
                 start = time.perf_counter()
-                with span("graph_build"):
+                with span("graph_build",
+                          num_locations=request.num_locations) as build_span:
                     graph, cache_hit = self._build_graph(request)
+                    build_span.set_attr("cache_hit", cache_hit)
                 build_times.append((time.perf_counter() - start) * 1000.0)
                 cache_hits.append(cache_hit)
                 graphs.append(graph)

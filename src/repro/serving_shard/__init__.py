@@ -2,11 +2,12 @@
 
 A request router (:class:`ShardRouter`) fans traffic over N serving
 shards — worker processes (or inline runtimes under a virtual clock),
-each running the full batched engine with its own micro-batcher and
-graph cache.  Placement is consistent by courier identity, admission
-is bounded per shard with load shedding to the degraded fallback path,
-dead shards respawn from current weights, and each shard serves two
-lanes: the primary and, during a canary, the candidate.  Hot model
+each running the full batched engine with its own graph cache; a
+worker drains queued requests into one padded batch per lane.
+Placement is consistent by courier identity, admission is bounded per
+shard with load shedding to the degraded fallback path, dead shards
+respawn from current weights, and each shard serves two lanes: the
+primary and, during a canary, the candidate.  Hot model
 swap and canary start/stop broadcast serialized state dicts that drain
 behind in-flight work.
 """

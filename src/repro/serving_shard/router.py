@@ -74,7 +74,7 @@ class ShardConfig:
 
     num_shards: int = 2
     max_queue_depth: int = 32      # per-shard admission bound
-    max_batch_size: int = 8        # worker-side micro-batch bound
+    max_batch_size: int = 8        # request messages per worker batch
     cache_size: int = 32           # per-shard graph-cache entries
     heartbeat_s: float = 0.25      # worker idle-heartbeat period
     health_timeout_s: float = 10.0  # control-ack / liveness budget
@@ -200,7 +200,6 @@ class ShardRouter:
         self.state = model.state_dict()
         self._candidate: Optional[Dict[str, object]] = None  # canary spec
         self._canary_fraction = 0.0
-        self._feedback = None
         self._rng = np.random.default_rng(self.config.seed)
         self._req_counter = 0
         self._lock = threading.Lock()
@@ -382,23 +381,6 @@ class ShardRouter:
                                              route_span)
             ticket = self._submit(shard, request, lane)
             return self._wait(ticket)
-
-    def attach_feedback(self, sink) -> None:
-        """Register a completed-route sink (e.g. ``OnlineLoop``).
-
-        Same contract as
-        :meth:`~repro.deploy.ResilientRTPService.attach_feedback`:
-        ``sink.offer(...)`` must be bounded and non-blocking.
-        """
-        self._feedback = sink
-
-    def complete_route(self, request, response, actual_route,
-                       actual_arrival_minutes) -> bool:
-        """Report a route's late ground truth to the feedback sink."""
-        if self._feedback is None:
-            return False
-        return bool(self._feedback.offer(
-            request, response, actual_route, actual_arrival_minutes))
 
     def submit(self, request) -> ShardTicket:
         """Pipelined submission (process mode): returns a ticket.
@@ -697,9 +679,9 @@ class ShardRouter:
             return []
         found = []
         for runtime in self.runtimes:
-            found.append(runtime.primary.resilient.breaker)
+            found.append(runtime.primary.breaker)
             if runtime.candidate is not None:
-                found.append(runtime.candidate.resilient.breaker)
+                found.append(runtime.candidate.breaker)
         return found
 
     def shard_stats(self) -> List[Dict[str, object]]:

@@ -14,12 +14,14 @@ class backs both deployment modes of the
   kernels keep no scratch between calls, so shards that share a
   thread share no buffers either.
 
-Per shard, the stack is the full single-process serving story:
+Per shard, each installed version is one lane, the full
+single-process serving story:
 :class:`~repro.service.RTPService` (own :class:`~repro.service.GraphCache`)
-under a :class:`~repro.service.MicroBatcher` (drained request messages
-flush as one padded batched forward), wrapped by
-:class:`~repro.deploy.ResilientRTPService` (deadline/breaker/fallback,
-fixed ``model_version`` stamp per installed version).  Hot model swap
+wrapped by :class:`~repro.deploy.ResilientRTPService`
+(deadline/breaker/fallback, fixed ``model_version`` stamp per
+installed version).  The worker loop drains up to ``max_batch_size``
+request messages per wake-up, and each lane's share of them is one
+``handle_batch`` call — one padded batched forward.  Hot model swap
 and canary install/stop arrive as queue messages; FIFO ordering is
 what makes a swap *drain* — every request enqueued before the swap
 message is answered by the old version, every one after by the new,
@@ -41,7 +43,7 @@ from ..deploy.faults import ModeledLatencyService
 from ..deploy.resilience import ResilienceConfig, ResilientRTPService
 from ..obs import tracing
 from ..obs.propagate import worker_span_session
-from ..service import MicroBatcher, RTPService
+from ..service import RTPService
 
 #: Exit code a worker uses for injected crashes (mirrors repro.parallel).
 CRASH_EXIT_CODE = 23
@@ -63,49 +65,6 @@ def build_model(model_config: Dict[str, object],
     model.load_state_dict(state)
     model.eval()
     return model
-
-
-class _BatcherFrontend:
-    """Service facade routing every call through a :class:`MicroBatcher`.
-
-    ``handle_batch`` submits all members then flushes once, so a
-    drained multi-request message batch becomes a single padded
-    forward through :meth:`RTPService.handle_batch`.
-    """
-
-    def __init__(self, batcher: MicroBatcher):
-        self.batcher = batcher
-
-    def handle(self, request):
-        ticket = self.batcher.submit(request)
-        self.batcher.flush()
-        return ticket.result()
-
-    def handle_batch(self, requests: Sequence) -> List:
-        tickets = [self.batcher.submit(request) for request in requests]
-        self.batcher.flush()
-        return [ticket.result() for ticket in tickets]
-
-
-class _Lane:
-    """One installed model version: service + batcher + resilient wrap."""
-
-    def __init__(self, version: str, model: M2G4RTP, *,
-                 cache_size: int, max_batch_size: int,
-                 resilience: ResilienceConfig,
-                 fallback: FallbackPredictor,
-                 clock: Callable[[], float],
-                 service_wrapper: Optional[Callable] = None):
-        self.version = version
-        self.service = RTPService(model, cache_size=cache_size)
-        inner = (service_wrapper(self.service) if service_wrapper is not None
-                 else self.service)
-        self.batcher = MicroBatcher(inner, max_batch_size=max_batch_size,
-                                    max_wait_ms=0.0, clock=clock)
-        self.resilient = ResilientRTPService(
-            _BatcherFrontend(self.batcher), fallback=fallback,
-            config=resilience, batcher=self.batcher, version=version,
-            clock=clock)
 
 
 class ShardRuntime:
@@ -145,20 +104,27 @@ class ShardRuntime:
         self.alive = True
         self.requests = 0
         self.swaps = 0
+        # Lane groups served and their requests, over every lane ever
+        # installed, so swaps and promotions never reset them.
+        self.batches_flushed = 0
+        self.requests_flushed = 0
         self.primary = self._make_lane(model_config, state, version)
-        self.candidate: Optional[_Lane] = None
+        self.candidate: Optional[ResilientRTPService] = None
 
     # ------------------------------------------------------------------
     def _make_lane(self, model_config: Dict[str, object],
-                   state: Dict[str, np.ndarray], version: str) -> _Lane:
-        return _Lane(version, build_model(model_config, state),
-                     cache_size=self.cache_size,
-                     max_batch_size=self.max_batch_size,
-                     resilience=self.resilience, fallback=self.fallback,
-                     clock=self.clock,
-                     service_wrapper=self.service_wrapper)
+                   state: Dict[str, np.ndarray],
+                   version: str) -> ResilientRTPService:
+        """One installed version: resilient wrap over its own service."""
+        service = RTPService(build_model(model_config, state),
+                             cache_size=self.cache_size)
+        if self.service_wrapper is not None:
+            service = self.service_wrapper(service)
+        return ResilientRTPService(
+            service, fallback=self.fallback, config=self.resilience,
+            version=version, clock=self.clock)
 
-    def _lane(self, requested: str) -> _Lane:
+    def _lane(self, requested: str) -> ResilientRTPService:
         """The lane a request message serves from: the candidate when
         one is installed and asked for, else the primary."""
         if requested == "candidate" and self.candidate is not None:
@@ -202,7 +168,7 @@ class ShardRuntime:
         """Serve a drained batch of request messages.
 
         Messages are grouped by lane (primary vs canary candidate) and
-        each group flushes as one micro-batch; reply order matches
+        each group is one ``handle_batch`` call; reply order matches
         message order.  Worker-side spans are captured under a session
         keyed by the first message that shipped a trace context and
         returned with that message's reply (one flush serves many
@@ -216,15 +182,17 @@ class ShardRuntime:
             with tracing.span("shard.serve", shard=self.shard_id,
                               batch=len(messages)):
                 responses: Dict[int, object] = {}
-                groups: Dict[_Lane, List[int]] = {}
+                groups: Dict[ResilientRTPService, List[int]] = {}
                 for index, message in enumerate(messages):
                     groups.setdefault(self._lane(message[3]),
                                       []).append(index)
                 for lane, indices in groups.items():
-                    answers = lane.resilient.handle_batch(
+                    answers = lane.handle_batch(
                         [messages[i][2] for i in indices])
                     for index, answer in zip(indices, answers):
                         responses[index] = answer
+                    self.batches_flushed += 1
+                    self.requests_flushed += len(indices)
             spans = session.export()
         self.requests += len(messages)
         replies = []
@@ -246,11 +214,11 @@ class ShardRuntime:
                           if self.candidate is not None else None),
             "requests": self.requests,
             "swaps": self.swaps,
-            "batches_flushed": self.primary.batcher.batches_flushed,
-            "requests_flushed": self.primary.batcher.requests_flushed,
+            "batches_flushed": self.batches_flushed,
+            "requests_flushed": self.requests_flushed,
             "cache_hits": cache.hits if cache is not None else 0,
             "cache_misses": cache.misses if cache is not None else 0,
-            "resilient": self.primary.resilient.snapshot(),
+            "resilient": self.primary.snapshot(),
         }
 
 
@@ -261,7 +229,7 @@ def shard_worker_main(shard_id: int, spec: Dict[str, object],
     Builds the runtime from the plain-data ``spec`` (model config,
     state arrays, knobs) *after* the fork, announces readiness, then
     loops: drain up to ``max_batch_size`` consecutive request messages
-    per wake-up (they flush as one padded batch), answer control
+    per wake-up (each lane's share is one padded batch), answer control
     messages in arrival order, emit a heartbeat when idle.  ``stop``
     exits the loop cleanly.
     """

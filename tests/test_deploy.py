@@ -34,7 +34,7 @@ from repro.deploy import (
     corrupt_checkpoint,
 )
 from repro.obs import MetricsRegistry
-from repro.service import RTPRequest, RTPService
+from repro.service import RTPRequest, RTPService, ServingStage
 from repro.service.rtp_service import RTPResponse
 from repro.training import CheckpointError, load_checkpoint, save_checkpoint
 
@@ -222,8 +222,8 @@ class TestCircuitBreaker:
 # ----------------------------------------------------------------------
 # Resilient service over stub backends (deterministic clocks)
 # ----------------------------------------------------------------------
-class StubService:
-    """Scripted backend: each handle() consumes one step.
+class StubService(ServingStage):
+    """Scripted backend: each handle_batch() call consumes one step.
 
     A step is ``("ok", cost_s)`` or ``("fail", cost_s)``; the cost is
     applied to the fake clock so deadline logic is exact.  The script's
@@ -235,23 +235,25 @@ class StubService:
         self.script = list(script)
         self.calls = 0
 
-    def handle(self, request):
+    def handle_batch(self, requests):
         step = self.script[min(self.calls, len(self.script) - 1)]
         self.calls += 1
         kind, cost = step
         self.clock.advance(cost)
         if kind == "fail":
             raise TransientServiceError("scripted failure")
-        return RTPResponse(
+        return [RTPResponse(
             route=np.arange(request.num_locations, dtype=np.int64),
             eta_minutes=np.ones(request.num_locations),
             aoi_route=None, aoi_eta_minutes=None, latency_ms=cost * 1000.0)
+            for request in requests]
 
 
-def make_resilient(clock, script, config=None, batcher=None, registry=None):
+def make_resilient(clock, script, config=None, backlog_probe=None,
+                   registry=None):
     return ResilientRTPService(
         StubService(clock, script), fallback=FallbackPredictor(),
-        config=config or ResilienceConfig(), batcher=batcher,
+        config=config or ResilienceConfig(), backlog_probe=backlog_probe,
         registry=registry, version="vtest", clock=clock)
 
 
@@ -285,8 +287,7 @@ class TestResilientService:
     def test_breaker_opens_then_serves_degraded(self, requests):
         clock = FakeClock()
         config = ResilienceConfig(breaker_failure_threshold=2,
-                                  breaker_recovery_seconds=100.0,
-                                  retry_transient=False)
+                                  breaker_recovery_seconds=100.0)
         resilient = make_resilient(clock, [("fail", 0.001)], config=config)
         resilient.handle(requests[0])
         resilient.handle(requests[0])
@@ -301,8 +302,7 @@ class TestResilientService:
     def test_every_request_answered_while_breaker_open(self, requests):
         clock = FakeClock()
         config = ResilienceConfig(breaker_failure_threshold=1,
-                                  breaker_recovery_seconds=1e9,
-                                  retry_transient=False)
+                                  breaker_recovery_seconds=1e9)
         resilient = make_resilient(clock, [("fail", 0.001)], config=config)
         for request in requests:
             response = resilient.handle(request)
@@ -322,12 +322,12 @@ class TestResilientService:
     def test_queue_bound_sheds_load(self, requests):
         clock = FakeClock()
 
-        class FullBatcher:
+        class FullBacklog:
             pending = 99
 
         config = ResilienceConfig(max_queue_depth=10)
         resilient = make_resilient(clock, [("ok", 0.001)], config=config,
-                                   batcher=FullBatcher())
+                                   backlog_probe=FullBacklog())
         response = resilient.handle(requests[0])
         assert response.degraded and response.degraded_reason == "shed"
 
@@ -337,8 +337,7 @@ class TestResilientService:
         resilient = make_resilient(
             clock, [("fail", 0.001)],
             config=ResilienceConfig(breaker_failure_threshold=1,
-                                    breaker_recovery_seconds=1e9,
-                                    retry_transient=False),
+                                    breaker_recovery_seconds=1e9),
             registry=registry)
         resilient.handle(requests[0])
         resilient.handle(requests[0])
@@ -351,12 +350,23 @@ class TestResilientService:
 
     def test_handle_batch_degrades_per_member(self, requests):
         clock = FakeClock()
-        resilient = make_resilient(clock, [("fail", 0.001)],
-                                   config=ResilienceConfig(
-                                       retry_transient=False))
+        resilient = make_resilient(clock, [("fail", 0.001)])
         responses = resilient.handle_batch(requests[:3])
         assert len(responses) == 3
         assert all(r.degraded for r in responses)
+
+    def test_failed_batch_is_retried_once(self, requests):
+        clock = FakeClock()
+        resilient = make_resilient(
+            clock, [("fail", 0.001), ("ok", 0.001)])
+        responses = resilient.handle_batch(requests[:3])
+        assert len(responses) == 3
+        assert not any(r.degraded for r in responses)
+        assert all(r.model_version == "vtest" for r in responses)
+        assert resilient.counts["retries"] == 1
+        assert resilient.counts["errors"] == 1
+        assert resilient.counts["model"] == 3
+        assert resilient.service.calls == 2
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Layering: the serving tiers never import the online loop or the load harness.
+"""Layering and the serving-stage contract, checked on the source.
 
 ``repro.deploy``, ``repro.serving_shard`` and ``repro.service`` serve
 requests; ``repro.online`` (the continual-learning loop) and
@@ -7,6 +7,10 @@ the other way is a cycle waiting to happen and couples serving to the
 code that tests it.  ``repro/__init__.py`` imports every subpackage
 eagerly, so ``sys.modules`` cannot tell who imported whom; the source
 is scanned with :mod:`ast` instead, lazy in-function imports included.
+
+Every serving stage implements only ``handle_batch``; ``handle`` is a
+batch of one, defined once on ``ServingStage``.  The same scan keeps a
+second ``handle`` path from growing back.
 """
 
 import ast
@@ -53,4 +57,39 @@ def test_serving_tier_does_not_import_online_or_load(package):
                    for upper in UPPER_PACKAGES):
                 offenders.append(
                     f"{path.relative_to(SRC)}:{lineno} imports {name}")
+    assert not offenders, "\n".join(offenders)
+
+
+def classes_under(root: pathlib.Path):
+    """``(path, ast.ClassDef)`` for every class defined under ``root``."""
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                yield path, node
+
+
+def method_names(cls: ast.ClassDef):
+    return {node.name for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def base_names(cls: ast.ClassDef):
+    return {getattr(base, "id", getattr(base, "attr", None))
+            for base in cls.bases}
+
+
+def test_no_class_defines_both_handle_and_handle_batch():
+    offenders = [f"{path.relative_to(SRC)}:{cls.lineno} {cls.name}"
+                 for path, cls in classes_under(SRC / "repro")
+                 if {"handle", "handle_batch"} <= method_names(cls)]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_batch_stages_subclass_serving_stage():
+    offenders = [f"{path.relative_to(SRC)}:{cls.lineno} {cls.name}"
+                 for package in LOWER_PACKAGES
+                 for path, cls in classes_under(SRC / "repro" / package)
+                 if "handle_batch" in method_names(cls)
+                 and "ServingStage" not in base_names(cls)]
     assert not offenders, "\n".join(offenders)

@@ -35,7 +35,7 @@ from repro.load import (SCENARIOS, LoadPhase, LoadRunConfig, OpenLoopDriver,
                         build_instance_pool, courier_churn_mutator,
                         gps_noise_mutator, run_scenario, small_model)
 from repro.obs import MetricsRegistry
-from repro.service import RTPRequest, RTPService
+from repro.service import RTPRequest, RTPService, ServingStage
 
 
 # ----------------------------------------------------------------------
@@ -322,7 +322,7 @@ class TestScenarios:
 # ----------------------------------------------------------------------
 # Exactly-once degraded accounting (ResilientRTPService)
 # ----------------------------------------------------------------------
-class _FlakyService:
+class _FlakyService(ServingStage):
     """Inner service that fails in bursts (so retry-once cannot always
     rescue), with a thread-safe call counter and structurally valid
     canned responses."""
@@ -334,13 +334,13 @@ class _FlakyService:
         self._lock = threading.Lock()
         self._calls = 0
 
-    def handle(self, request):
+    def handle_batch(self, requests):
         with self._lock:
             self._calls += 1
             calls = self._calls
         if calls % self._period < self._burst:
             raise TransientServiceError(f"injected failure #{calls}")
-        return dataclasses.replace(self._template)
+        return [dataclasses.replace(self._template) for _ in requests]
 
 
 class TestDegradedAccounting:
@@ -405,7 +405,7 @@ class TestDegradedAccounting:
         service = ResilientRTPService(
             _FlakyService(template, period=10 ** 9, burst=0),
             config=ResilienceConfig(max_queue_depth=1),
-            batcher=SimpleNamespace(pending=99),   # permanently saturated
+            backlog_probe=SimpleNamespace(pending=99),   # always saturated
             registry=registry, version="vshed")
         for _ in range(20):
             assert service.handle(request).degraded_reason == "shed"

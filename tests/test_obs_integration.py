@@ -66,13 +66,14 @@ class TestTracedRequests:
         assert len(collector.roots) == 1
         root = collector.roots[0]
         assert root.name == "rtp.request"
+        assert root.attrs["batch_size"] == 1
         names = _span_names(root)
         for required in ("graph_build", "encoder", "route_decode",
                          "time_decode"):
             assert required in names, f"missing span {required!r}"
-        assert root.attrs["num_locations"] == request.num_locations
 
         build = next(c for c in root.children if c.name == "graph_build")
+        assert build.attrs["num_locations"] == request.num_locations
         infer = next(c for c in root.children if c.name == "infer")
         stage_sum = build.duration_ms + infer.duration_ms
         assert stage_sum == pytest.approx(response.latency_ms, rel=0.10), (
@@ -86,7 +87,7 @@ class TestTracedRequests:
         for kernel in ("kernel.level_embed", "kernel.gat_encoder",
                        "kernel.pointer_decode", "kernel.sort_rnn"):
             assert kernel in infer_names, f"missing span {kernel!r}"
-        assert root.attrs["cache_hit"] is False
+        assert build.attrs["cache_hit"] is False
         assert response.batch_size == 1
 
     def test_batch_span_tree(self, model, dataset):
@@ -96,10 +97,13 @@ class TestTracedRequests:
         service.handle_batch(requests)
         disable_tracing()
         root = collector.roots[0]
-        assert root.name == "rtp.batch"
+        assert root.name == "rtp.request"
         assert root.attrs["batch_size"] == 3
         names = _span_names(root)
         assert names.count("graph_build") == 3
+        assert [c.attrs["num_locations"] for c in root.children
+                if c.name == "graph_build"] == [
+            r.num_locations for r in requests]
         assert "encoder" in names
 
     def test_untraced_requests_produce_no_spans(self, model, dataset):

@@ -1,10 +1,10 @@
 """Cross-process/thread trace propagation and collector concurrency.
 
 Covers the wire protocol (:mod:`repro.obs.propagate`), the worker-side
-span session and coordinator-side stitch, the micro-batcher's
-thread-hop grafting, end-to-end span shipping from real parallel
-training workers, and the :class:`TraceCollector` concurrency contract
-(N threads opening nested spans while another thread renders).
+span session and coordinator-side stitch, end-to-end span shipping
+from real parallel training workers, and the :class:`TraceCollector`
+concurrency contract (N threads opening nested spans while another
+thread renders).
 """
 
 import json
@@ -27,7 +27,6 @@ from repro.obs import (
 )
 from repro.obs import tracing
 from repro.parallel import DataParallelTrainer, ParallelConfig
-from repro.service.batching import MicroBatcher
 from repro.training import TrainerConfig
 
 
@@ -124,53 +123,6 @@ class TestWorkerSpanSession:
         assert merge_worker_spans([record], ("t", "s")) == 0
         enable_tracing()
         assert merge_worker_spans([], ("t", "s")) == 0
-
-
-# ----------------------------------------------------------------------
-class _EchoService:
-    """Stand-in service: handle_batch returns one token per request."""
-
-    def handle_batch(self, requests):
-        return [f"response-{id(r)}" for r in requests]
-
-
-class TestMicroBatcherHop:
-    def test_flush_grafts_hop_into_each_submitting_trace(self):
-        collector = enable_tracing()
-        clock = iter(x / 10.0 for x in range(100))
-        batcher = MicroBatcher(_EchoService(), max_batch_size=8,
-                               clock=lambda: next(clock))
-        tickets = []
-        request_spans = []
-        for index in range(2):
-            with collector.span(f"request_{index}") as request_span:
-                tickets.append(batcher.submit(object()))
-                request_spans.append(request_span)
-        batcher.flush()
-        assert all(t.done for t in tickets)
-
-        flush_roots = [r for r in collector.roots
-                       if r.name == "rtp.batch.flush"]
-        assert len(flush_roots) == 1
-        flush_span = flush_roots[0]
-        assert sorted(flush_span.attrs["linked_traces"]) == \
-            sorted(s.trace_id for s in request_spans)
-        for request_span in request_spans:
-            [hop] = [c for c in request_span.children
-                     if c.name == "service.batch.hop"]
-            assert hop.trace_id == request_span.trace_id
-            assert hop.attrs["flush_span"] == flush_span.span_id
-            # Hop duration is the queue wait measured on the clock.
-            assert hop.duration_ms == pytest.approx(
-                hop.attrs["wait_ms"])
-            assert hop.duration_ms > 0
-
-    def test_untraced_submissions_flush_without_stitching(self):
-        batcher = MicroBatcher(_EchoService(), max_batch_size=2)
-        first = batcher.submit(object())
-        second = batcher.submit(object())  # auto-flush at capacity
-        assert first.done and second.done
-        assert first.trace_ctx is None
 
 
 # ----------------------------------------------------------------------

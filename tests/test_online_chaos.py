@@ -113,7 +113,6 @@ class _ChaosRig:
             metrics=self.metrics, on_event=self._on_event)
         self.loop.attach(self.monitor)
         self.monitor.on_alarm(self._on_alarm)
-        self.controller.primary.attach_feedback(self.loop)
         self.stream = RequestStream(pool, seed=9)
 
     def _die(self, boundary):
@@ -144,8 +143,8 @@ class _ChaosRig:
                 predicted_eta_minutes=response.eta_minutes,
                 actual_arrival_minutes=actual,
                 labels={"model_version": response.model_version}))
-            self.controller.primary.complete_route(
-                request, response, list(instance.route), actual)
+            self.loop.offer(request, response, list(instance.route),
+                            actual)
             self.loop.tick()
             if stop_on_decision and self.controller.decisions:
                 return

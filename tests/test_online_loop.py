@@ -47,6 +47,7 @@ from repro.online import (AntiRegressionGate, ExperienceBuffer, GateConfig,
                           OnlineLoop, OnlineLoopConfig, OnlineTrainer,
                           OnlineTrainerConfig, RetrainPolicy,
                           RetrainPolicyConfig, load_loop_state)
+from repro.service import ServingStage
 
 SMOKE = dict(phase_duration_s=1.0, virtual=True, seed=0)
 
@@ -197,7 +198,6 @@ class _FeedbackHarness:
             metrics=self.metrics,
             on_event=lambda e, d: self.events.append(e))
         self.loop.attach(self.monitor)
-        self.controller.primary.attach_feedback(self.loop)
         self.stream = RequestStream(_world_pool(), seed=9)
 
     def pump(self, count, mutate_actual=None):
@@ -215,8 +215,7 @@ class _FeedbackHarness:
                 predicted_eta_minutes=response.eta_minutes,
                 actual_arrival_minutes=actual,
                 labels={"model_version": response.model_version}))
-            self.controller.primary.complete_route(
-                request, response, route, actual)
+            self.loop.offer(request, response, route, actual)
             self.loop.tick()
             if self.loop.retrains:
                 return
@@ -575,9 +574,9 @@ class TestClosedLoopComparison:
             == json.dumps(second.artifact, sort_keys=True)
 
 
-class _EchoService:
-    def handle(self, request):
-        return request
+class _EchoService(ServingStage):
+    def handle_batch(self, requests):
+        return list(requests)
 
 
 @dataclasses.dataclass

@@ -1,4 +1,4 @@
-"""Service-layer batching: micro-batch queue, graph cache, latency split.
+"""Service-layer batching: stage contract, graph cache, latency split.
 
 Covers the serving additions around the batched engine:
 
@@ -8,8 +8,8 @@ Covers the serving additions around the batched engine:
   every decode variant;
 * a malformed decoded route raises on the served path exactly like
   the spec, so the resilience layer degrades instead of serving it;
-* ``MicroBatcher`` flushes on ``max_batch_size`` and on ``max_wait_ms``
-  (driven by an injected fake clock), and is a no-op on an empty queue;
+* every serving stage answers an empty batch with ``[]`` and moves no
+  counter, fault draw or clock;
 * ``GraphCache`` LRU semantics with hit/miss accounting, and the cache
   never changes predictions;
 * ``RTPResponse.latency_ms`` always equals ``build_ms + infer_ms``;
@@ -22,10 +22,12 @@ import numpy as np
 import pytest
 
 from repro.core import M2G4RTP, M2G4RTPConfig, make_variant
-from repro.deploy import ResilientRTPService
+from repro.deploy import (FaultInjector, FaultPlan, ModeledLatencyService,
+                          ResilientRTPService)
+from repro.load import VirtualClock
+from repro.obs import MetricsRegistry
 from repro.service import (
     GraphCache,
-    MicroBatcher,
     RTPRequest,
     RTPService,
     ServiceMonitor,
@@ -65,19 +67,6 @@ def assert_matches_spec(model, builder, request, response):
         np.testing.assert_allclose(response.aoi_eta_minutes,
                                    expected.aoi_arrival_times,
                                    rtol=0.0, atol=1e-6)
-
-
-class FakeClock:
-    """Deterministic injectable clock (seconds)."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance_ms(self, ms: float) -> None:
-        self.now += ms / 1000.0
 
 
 # ----------------------------------------------------------------------
@@ -179,54 +168,40 @@ class TestMalformedRoute:
 
 
 # ----------------------------------------------------------------------
-# Micro-batching queue
+# Stage contract: an empty batch is a no-op in every stage
 # ----------------------------------------------------------------------
-class TestMicroBatcher:
-    def test_flushes_on_max_batch_size(self, model, service, requests):
-        batcher = MicroBatcher(service, max_batch_size=3, max_wait_ms=1e9,
-                               clock=FakeClock())
-        tickets = [batcher.submit(r) for r in requests[:2]]
-        assert all(not t.done for t in tickets)
-        assert batcher.pending == 2
-        tickets.append(batcher.submit(requests[2]))
-        assert all(t.done for t in tickets)
-        assert batcher.pending == 0
-        assert batcher.batches_flushed == 1
-        assert batcher.requests_flushed == 3
-        for ticket, request in zip(tickets, requests[:3]):
-            assert_matches_spec(model, service.builder, request,
-                                ticket.result())
+def _stage_and_probe(name, model):
+    """A stage over a real service, and a probe of every counter and
+    clock it could move (a fault draw advances ``injector.calls``, a
+    modeled charge moves the virtual clock)."""
+    service = RTPService(model, cache_size=4)
+    if name == "RTPService":
+        return service, lambda: (service.queries_served,
+                                 service.cache_misses)
+    if name == "ServiceMonitor":
+        monitor = ServiceMonitor(service)
+        return monitor, monitor.render_metrics
+    if name == "ResilientRTPService":
+        registry = MetricsRegistry()
+        resilient = ResilientRTPService(service, registry=registry)
+        return resilient, lambda: (resilient.snapshot(), registry.render())
+    if name == "FaultyService":
+        # fail_first=1: a consumed draw would also raise.
+        injector = FaultInjector(FaultPlan(fail_first=1), seed=0)
+        return injector.wrap(service), lambda: injector.calls
+    clock = VirtualClock()
+    shim = ModeledLatencyService(service, clock.advance, base_ms=10.0)
+    return shim, clock.now
 
-    def test_flushes_on_max_wait(self, service, requests):
-        clock = FakeClock()
-        batcher = MicroBatcher(service, max_batch_size=100, max_wait_ms=10.0,
-                               clock=clock)
-        ticket = batcher.submit(requests[0])
-        clock.advance_ms(9.0)
-        assert batcher.poll() == 0          # not old enough yet
-        assert not ticket.done
-        clock.advance_ms(2.0)
-        assert batcher.poll() == 1          # oldest aged out -> flush
-        assert ticket.done
-        assert batcher.pending == 0
 
-    def test_empty_queue_is_noop(self, service):
-        batcher = MicroBatcher(service, clock=FakeClock())
-        assert batcher.poll() == 0
-        assert batcher.flush() == 0
-        assert batcher.batches_flushed == 0
-
-    def test_unflushed_ticket_raises(self, service, requests):
-        batcher = MicroBatcher(service, max_batch_size=5, clock=FakeClock())
-        ticket = batcher.submit(requests[0])
-        with pytest.raises(RuntimeError):
-            ticket.result()
-
-    def test_invalid_parameters(self, service):
-        with pytest.raises(ValueError):
-            MicroBatcher(service, max_batch_size=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(service, max_wait_ms=-1.0)
+@pytest.mark.parametrize("name", [
+    "RTPService", "ServiceMonitor", "ResilientRTPService", "FaultyService",
+    "ModeledLatencyService"])
+def test_empty_batch_is_a_no_op(name, model):
+    stage, probe = _stage_and_probe(name, model)
+    before = probe()
+    assert stage.handle_batch([]) == []
+    assert probe() == before
 
 
 # ----------------------------------------------------------------------
@@ -325,47 +300,6 @@ def test_bench_smoke_mode(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# MicroBatcher edge cases: semantics the resilience layer builds on
-# ----------------------------------------------------------------------
-class TestMicroBatcherEdgeCases:
-    def test_flush_on_empty_queue_is_noop(self, service):
-        batcher = MicroBatcher(service)
-        assert batcher.flush() == 0
-        assert batcher.batches_flushed == 0
-        assert batcher.requests_flushed == 0
-
-    def test_ticket_result_read_twice_returns_same_response(self, service,
-                                                            requests):
-        batcher = MicroBatcher(service, max_batch_size=1)
-        ticket = batcher.submit(requests[0])
-        assert ticket.done
-        first = ticket.result()
-        second = ticket.result()
-        assert first is second
-        np.testing.assert_array_equal(first.route, second.route)
-
-    def test_submit_after_poll_drained_queue(self, service, requests):
-        clock = FakeClock()
-        batcher = MicroBatcher(service, max_batch_size=8, max_wait_ms=5.0,
-                               clock=clock)
-        first = batcher.submit(requests[0])
-        clock.advance_ms(6.0)
-        assert batcher.poll() == 1
-        assert first.done and batcher.pending == 0
-        # A poll right after the drain is a no-op, and a fresh submit
-        # starts a new batch with a fresh wait window.
-        assert batcher.poll() == 0
-        second = batcher.submit(requests[1])
-        assert not second.done and batcher.pending == 1
-        assert batcher.poll() == 0          # window not yet aged out
-        clock.advance_ms(6.0)
-        assert batcher.poll() == 1
-        assert second.done
-        assert batcher.batches_flushed == 2
-        assert batcher.requests_flushed == 2
-
-
-# ----------------------------------------------------------------------
 # GraphCache counters in the shared metrics exposition
 # ----------------------------------------------------------------------
 class TestGraphCacheMetricsExport:
@@ -393,7 +327,6 @@ class TestGraphCacheMetricsExport:
         assert "rtp_graph_cache_size 2" in text
 
     def test_bind_backfills_preexisting_counts(self, model, requests):
-        from repro.obs import MetricsRegistry
         service = RTPService(model, cache_size=4)
         service.handle(requests[0])
         service.handle(requests[0])
@@ -410,67 +343,3 @@ class TestGraphCacheMetricsExport:
         assert service.cache.hits == 1
         assert service.cache.misses == 1
         assert service.cache.evictions == 0
-
-
-# ----------------------------------------------------------------------
-# Timer-edge regression: flush at *exactly* the deadline
-# ----------------------------------------------------------------------
-class TestMicroBatcherTimerEdge:
-    """``poll`` must flush when ``waited_ms == max_wait_ms`` exactly.
-
-    The latency bound is inclusive: a request that has waited exactly
-    ``max_wait_ms`` has hit its deadline and must go out *now*, not on
-    the next poll tick.  The values below (250 ms = 0.25 s) are exact
-    binary fractions, so ``(clock() - enqueued_at) * 1000.0`` lands on
-    the boundary with no floating-point slack — an accidental ``>``
-    instead of ``>=`` in ``poll`` fails these tests deterministically.
-    """
-
-    def make(self, service, max_wait_ms=250.0):
-        clock = FakeClock()
-        batcher = MicroBatcher(service, max_batch_size=100,
-                               max_wait_ms=max_wait_ms, clock=clock)
-        return batcher, clock
-
-    def test_flushes_exactly_at_deadline(self, service, requests):
-        batcher, clock = self.make(service)
-        ticket = batcher.submit(requests[0])   # partially-filled batch
-        clock.advance_ms(125.0)                # now = 0.125 s, exact
-        assert batcher.poll() == 0
-        assert not ticket.done
-        clock.advance_ms(125.0)                # now = 0.25 s: waited
-        assert batcher.poll() == 1             # exactly 250.0 ms
-        assert ticket.done
-        assert batcher.batches_flushed == 1
-        assert batcher.pending == 0
-
-    def test_just_under_deadline_does_not_flush(self, service, requests):
-        batcher, clock = self.make(service)
-        ticket = batcher.submit(requests[0])
-        clock.advance_ms(249.0)
-        assert batcher.poll() == 0
-        assert not ticket.done
-        clock.advance_ms(1.0)                  # reaches the deadline
-        assert batcher.poll() == 1
-        assert ticket.done
-
-    def test_zero_wait_flushes_on_first_poll(self, service, requests):
-        """``max_wait_ms == 0`` means no batching delay at all: the very
-        first poll flushes even with zero elapsed time (0 >= 0)."""
-        batcher, clock = self.make(service, max_wait_ms=0.0)
-        ticket = batcher.submit(requests[0])
-        assert batcher.poll() == 1             # no clock advance at all
-        assert ticket.done
-
-    def test_oldest_request_governs_the_deadline(self, service, requests):
-        """A younger request must not reset the timer: the flush happens
-        at the *oldest* ticket's deadline and takes everyone with it."""
-        batcher, clock = self.make(service)
-        first = batcher.submit(requests[0])
-        clock.advance_ms(125.0)
-        second = batcher.submit(requests[1])   # younger, waited 125 less
-        clock.advance_ms(125.0)                # first hits 250.0 exactly
-        assert batcher.poll() == 2             # both flush together
-        assert first.done and second.done
-        assert batcher.batches_flushed == 1
-        assert batcher.requests_flushed == 2

@@ -83,15 +83,16 @@ class TestServiceMonitor:
             def __init__(self):
                 self.calls = 0
 
-            def handle(self, request):
+            def handle_batch(self, requests):
                 latency = 1 + self.calls % 7
                 fake.now += latency / 1024.0
                 n = self.calls % 5
                 self.calls += 1
-                return RTPResponse(route=np.arange(n), eta_minutes=np.zeros(n),
-                                   aoi_route=None, aoi_eta_minutes=None,
-                                   latency_ms=float(latency),
-                                   build_ms=0.5, infer_ms=latency - 0.5)
+                return [RTPResponse(route=np.arange(n),
+                                    eta_minutes=np.zeros(n),
+                                    aoi_route=None, aoi_eta_minutes=None,
+                                    latency_ms=float(latency),
+                                    build_ms=0.5, infer_ms=latency - 0.5)]
 
         monkeypatch.setattr(monitoring, "time", fake)
         monitor = ServiceMonitor(StubService())
@@ -119,11 +120,12 @@ class TestServiceMonitor:
         """Threads sharing one monitor lose no update to the totals."""
 
         class StubService:
-            def handle(self, request):
-                return RTPResponse(route=np.arange(3), eta_minutes=np.zeros(3),
-                                   aoi_route=None, aoi_eta_minutes=None,
-                                   latency_ms=1.0, build_ms=0.25,
-                                   infer_ms=0.75)
+            def handle_batch(self, requests):
+                return [RTPResponse(route=np.arange(3),
+                                    eta_minutes=np.zeros(3),
+                                    aoi_route=None, aoi_eta_minutes=None,
+                                    latency_ms=1.0, build_ms=0.25,
+                                    infer_ms=0.75) for _ in requests]
 
         monitor = ServiceMonitor(StubService())
         threads_n, per_thread = 8, 400

@@ -7,7 +7,7 @@ The properties that make :mod:`repro.serving_shard` trustworthy:
 * admission control sheds at the per-shard depth bound through the
   degraded fallback path, never with an error;
 * two shards never share mutable serving state: each runtime owns its
-  graph cache and batcher (the fused kernels keep no scratch between
+  graph cache and breaker (the fused kernels keep no scratch between
   calls), and process workers rebuild everything post-fork from plain
   spec data;
 * hot swap and canary stop/promote are *drains* — every in-flight
@@ -27,7 +27,7 @@ from repro.core import M2G4RTP, M2G4RTPConfig
 from repro.deploy import ModeledLatencyService
 from repro.load import VirtualClock
 from repro.obs import disable_tracing, enable_tracing
-from repro.service import RTPRequest
+from repro.service import RTPRequest, ServingStage
 from repro.service.monitoring import PERCENTILE_WINDOW
 from repro.serving_shard import (ShardConfig, ShardRouter, ShardRuntime,
                                  build_model)
@@ -152,7 +152,7 @@ class TestShardIsolation:
         lanes = [runtime.primary for runtime in router.runtimes]
         assert lanes[0].service is not lanes[1].service
         assert lanes[0].service.cache is not lanes[1].service.cache
-        assert lanes[0].batcher is not lanes[1].batcher
+        assert lanes[0].breaker is not lanes[1].breaker
 
     def test_spec_is_plain_data(self):
         """The worker spec must cross fork as pickled values — no live
@@ -210,6 +210,32 @@ class TestInlineSwap:
         router.stop_canary(promote=False)
         assert router.version == "v001"
         assert router.handle(requests[0]).model_version == "v001"
+
+    def test_flush_counters_survive_swap_and_promotion(self, requests):
+        """Flush counts belong to the runtime, not to one lane: a swap
+        or a promoted canary never resets them, and canary batches
+        count too."""
+        router = make_router(num_shards=1)
+        seen = []
+
+        def record():
+            stats = router.worker_stats()[0]
+            seen.append((stats["batches_flushed"],
+                         stats["requests_flushed"]))
+
+        for request in requests[:3]:
+            router.handle(request)
+        record()
+        router.swap_to("v002", tiny_model(seed=9))
+        for request in requests[3:6]:
+            router.handle(request)
+        record()
+        router.start_canary("v003", tiny_model(seed=11), fraction=1.0)
+        for request in requests[6:8]:
+            assert router.handle(request).model_version == "v003"
+        router.stop_canary(promote=True)
+        record()
+        assert seen == [(3, 3), (6, 6), (8, 8)]
 
     def test_inline_kill_respawns_from_current_version(self, requests):
         router = make_router(num_shards=2)
@@ -313,10 +339,7 @@ class TestProcessMode:
 # ----------------------------------------------------------------------
 # ModeledLatencyService: the one latency model, on either clock
 # ----------------------------------------------------------------------
-class _Inner:
-    def handle(self, request):
-        return ("one", request)
-
+class _Inner(ServingStage):
     def handle_batch(self, batch):
         return [("many", r) for r in batch]
 
@@ -328,7 +351,7 @@ class TestModeledLatencyService:
         sleeps = []
         service = ModeledLatencyService(_Inner(), sleeps.append,
                                         base_ms=10.0, sigma=0.25, seed=1)
-        assert service.handle("a") == ("one", "a")
+        assert service.handle("a") == ("many", "a")
         assert service.handle_batch(["b", "c"]) == [("many", "b"),
                                                     ("many", "c")]
         assert len(sleeps) == 2, "one modeled cost per call, not per item"
