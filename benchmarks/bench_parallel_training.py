@@ -8,7 +8,7 @@ plus the final-epoch loss of every run so parity is visible in the same
 table.
 
 Speedup is bounded by the physical core count: the report records the
-cores the scheduler actually grants (``os.process_cpu_count``), and on
+cores the scheduler actually grants (``os.sched_getaffinity``), and on
 a single-core box every configuration necessarily lands near 1.0x —
 the numbers that matter come from a multi-core runner (CI uses one).
 
@@ -58,16 +58,14 @@ def _granted_cores() -> int:
 
 
 def run_once(train: RTPDataset, trainer_config: TrainerConfig,
-             model_kwargs: dict, workers: int,
-             prefetch: int) -> dict:
+             model_kwargs: dict, workers: int) -> dict:
     """Train once; return seconds, per-step time and final loss."""
     model = make_model(**model_kwargs)
     if workers == 0:
         trainer = Trainer(model, trainer_config)
     else:
         trainer = DataParallelTrainer(
-            model, trainer_config,
-            ParallelConfig(num_workers=workers, prefetch=prefetch))
+            model, trainer_config, ParallelConfig(num_workers=workers))
     start = time.perf_counter()
     history = trainer.fit(train)
     seconds = time.perf_counter() - start
@@ -84,7 +82,7 @@ def run_once(train: RTPDataset, trainer_config: TrainerConfig,
 
 def run(num_instances: int = 48, epochs: int = 3, batch_size: int = 8,
         hidden_dim: int = 32, num_heads: int = 4,
-        num_encoder_layers: int = 2, prefetch: int = 4,
+        num_encoder_layers: int = 2,
         worker_counts: Optional[List[int]] = None,
         smoke: bool = False) -> str:
     """Execute the benchmark; returns the rendered report."""
@@ -106,14 +104,13 @@ def run(num_instances: int = 48, epochs: int = 3, batch_size: int = 8,
     run_once(train[:batch_size],
              TrainerConfig(epochs=1, batch_size=batch_size,
                            patience=2),
-             model_kwargs, workers=0, prefetch=prefetch)
+             model_kwargs, workers=0)
 
-    baseline = run_once(train, trainer_config, model_kwargs,
-                        workers=0, prefetch=prefetch)
+    baseline = run_once(train, trainer_config, model_kwargs, workers=0)
     rows = [baseline]
     for workers in worker_counts:
         rows.append(run_once(train, trainer_config, model_kwargs,
-                             workers=workers, prefetch=prefetch))
+                             workers=workers))
 
     parity = all(
         np.isclose(row["final_loss"], baseline["final_loss"],
@@ -124,7 +121,7 @@ def run(num_instances: int = 48, epochs: int = 3, batch_size: int = 8,
         "Parallel training — sequential vs data-parallel workers",
         f"mode={'smoke' if smoke else 'full'}  instances={num_instances}  "
         f"epochs={epochs}  batch_size={batch_size}  "
-        f"hidden_dim={hidden_dim}  prefetch={prefetch}",
+        f"hidden_dim={hidden_dim}",
         f"cpu cores granted: {cores}"
         + ("  (single core: speedups are bounded near 1.0x here; "
            "see a multi-core runner for scaling)" if cores == 1 else ""),
@@ -163,7 +160,6 @@ def main() -> int:
     parser.add_argument("--instances", type=int, default=48)
     parser.add_argument("--epochs", type=int, default=3)
     parser.add_argument("--batch-size", type=int, default=8)
-    parser.add_argument("--prefetch", type=int, default=4)
     parser.add_argument("--workers", type=int, nargs="+",
                         default=[1, 2, 4],
                         help="worker counts to sweep (besides sequential)")
@@ -177,8 +173,7 @@ def main() -> int:
     if any(workers < 1 for workers in args.workers):
         parser.error("--workers entries must be >= 1")
     report = run(num_instances=args.instances, epochs=args.epochs,
-                 batch_size=args.batch_size, prefetch=args.prefetch,
-                 worker_counts=args.workers, smoke=args.smoke)
+                 batch_size=args.batch_size, worker_counts=args.workers, smoke=args.smoke)
     print(report)
     return 0 if "FAILED" not in report else 1
 

@@ -96,17 +96,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         epochs=args.epochs, learning_rate=args.lr,
         batch_size=args.batch_size, verbose=not args.quiet)
     if args.workers > 0:
-        parallel = ParallelConfig(
-            num_workers=args.workers,
-            loader_workers=args.loader_workers,
-            prefetch=args.prefetch,
-            deadline_s=(args.step_deadline_ms / 1000.0
-                        if args.step_deadline_ms else None),
-            accumulate_steps=args.accumulate)
-        print(f"data-parallel training with {args.workers} workers "
-              f"(prefetch {args.prefetch})")
+        print(f"data-parallel training with {args.workers} workers")
         trainer: Trainer = DataParallelTrainer(
-            model, trainer_config, parallel,
+            model, trainer_config, ParallelConfig(num_workers=args.workers),
             event_log=event_log, registry=registry)
     else:
         trainer = Trainer(model, trainer_config,
@@ -638,15 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--quiet", action="store_true")
     train.add_argument("--workers", type=int, default=0,
                        help="gradient worker processes (0 = sequential)")
-    train.add_argument("--prefetch", type=int, default=4,
-                       help="max in-flight batches in the data pipeline")
-    train.add_argument("--loader-workers", type=int, default=0,
-                       help="graph-building worker processes (0 = inline)")
-    train.add_argument("--step-deadline-ms", type=float, default=0.0,
-                       help="per-step straggler deadline; late shards are "
-                            "dropped and the gradient rescaled (0 = wait)")
-    train.add_argument("--accumulate", type=int, default=1,
-                       help="gradient-accumulation micro-batches per step")
     train.add_argument("--events", default=None, metavar="PATH",
                        help="write per-epoch telemetry JSONL here")
     train.add_argument("--trace", default=None, metavar="PATH",

@@ -26,14 +26,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import re
-import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..core import M2G4RTP, M2G4RTPConfig
-from ..training.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from ..training.checkpoint import (CheckpointError, atomic_write,
+                                   load_checkpoint, save_checkpoint)
 
 MANIFEST_NAME = "manifest.json"
 CHECKPOINT_NAME = "model.npz"
@@ -58,18 +57,8 @@ def sha256_of_file(path: Union[str, Path]) -> str:
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=path.name + ".", suffix=".tmp", dir=path.parent)
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    with atomic_write(path, "w") as handle:
+        handle.write(text)
 
 
 @dataclasses.dataclass

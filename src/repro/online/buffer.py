@@ -28,9 +28,7 @@ the buffer that wrote it.
 from __future__ import annotations
 
 import dataclasses
-import os
 import pickle
-import tempfile
 from collections import deque
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
@@ -40,6 +38,7 @@ import numpy as np
 from ..data.entities import RTPInstance
 from ..obs.metrics import MetricsRegistry
 from ..service.request import RTPRequest
+from ..training.checkpoint import atomic_write
 
 
 def instance_from_feedback(request: RTPRequest,
@@ -265,18 +264,8 @@ class ExperienceBuffer:
             "window": list(self._window),
             "reservoir": list(self._reservoir),
         }
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=path.name + ".", suffix=".tmp", dir=path.parent)
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(state, handle)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        with atomic_write(path, "wb") as handle:
+            pickle.dump(state, handle)
         return path
 
     def restore(self, path: Union[str, Path]) -> None:

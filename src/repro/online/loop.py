@@ -37,6 +37,7 @@ from typing import Callable, Dict, List, Optional, Union
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import span
+from ..training.checkpoint import atomic_write
 from .buffer import Experience, ExperienceBuffer
 from .policy import AntiRegressionGate, RetrainPolicy, RetrainTrigger
 from .trainer import OnlineTrainer
@@ -434,8 +435,7 @@ class OnlineLoop:
         self._persist_state()
 
     def _persist_state(self) -> None:
-        path = self.trainer.workdir / STATE_FILE
-        with open(path, "w", encoding="utf-8") as handle:
+        with atomic_write(self.trainer.workdir / STATE_FILE, "w") as handle:
             json.dump(self.status(), handle, sort_keys=True, indent=2)
         if self.config.durable:
             self.snapshot()
@@ -446,7 +446,8 @@ class OnlineLoop:
             else self.trainer.workdir / BUFFER_FILE
         result = self.buffer.snapshot(target)
         if path is None:
-            with open(self.trainer.workdir / HOLDOUT_FILE, "wb") as handle:
+            with atomic_write(self.trainer.workdir / HOLDOUT_FILE,
+                              "wb") as handle:
                 pickle.dump(self.frozen_holdout, handle)
         return result
 

@@ -12,18 +12,15 @@ uninterrupted run: the shuffle RNG replays the permutations of the
 completed epochs before continuing, and the optimizer moments come back
 exactly as saved.
 
-Graph building and the per-batch update are delegated to
-:class:`~repro.parallel.DataParallelTrainer` hooks, so
-``num_workers > 0`` shards the fine-tune across the same gradient
-worker pool offline training uses, with identical numerics.
+Each mini-batch update is the sequential
+:class:`~repro.training.trainer.Trainer`'s, so a fine-tune step does
+the same math as an offline training step.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -36,9 +33,9 @@ from ..graphs import GraphBuilder
 from ..obs.events import EventLog
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import span
-from ..parallel import DataParallelTrainer, ParallelConfig
-from ..training.checkpoint import load_checkpoint, save_checkpoint
-from ..training.trainer import TrainerConfig
+from ..training.checkpoint import (atomic_write, load_checkpoint,
+                                   save_checkpoint)
+from ..training.trainer import Trainer, TrainerConfig
 
 
 @dataclasses.dataclass
@@ -58,7 +55,6 @@ class OnlineTrainerConfig:
     batch_size: int = 4
     grad_clip: float = 5.0
     shuffle_seed: int = 11
-    num_workers: int = 0            # gradient workers (0 = sequential)
     #: Fraction of the live window's size to top up with pre-shift
     #: reservoir experiences (experience replay): ``fine_tune`` draws a
     #: seeded sample of ``round(replay_fraction * len(instances))``
@@ -133,18 +129,8 @@ class OnlineTrainer:
         }
 
     def _write_progress(self, path: Path, record: Dict) -> None:
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=path.name + ".", suffix=".tmp", dir=path.parent)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(record, handle, sort_keys=True)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        with atomic_write(path, "w") as handle:
+            json.dump(record, handle, sort_keys=True)
 
     # ------------------------------------------------------------------
     def fine_tune(self, parent: str, instances: Sequence[RTPInstance],
@@ -185,12 +171,16 @@ class OnlineTrainer:
                 len(replay_pool), size=replay_count, replace=False)
             instances = list(instances) + [replay_pool[int(i)]
                                            for i in picks]
-        trainer = DataParallelTrainer(
+        if model.config.detach_time_inputs:
+            raise ValueError(
+                "fine-tuning takes one joint Adam step per batch; the "
+                "two-step ablation (detach_time_inputs=True) trains "
+                "offline only")
+        trainer = Trainer(
             model,
             TrainerConfig(epochs=cfg.epochs, learning_rate=cfg.learning_rate,
                           grad_clip=cfg.grad_clip, batch_size=cfg.batch_size,
                           shuffle_seed=cfg.shuffle_seed),
-            ParallelConfig(num_workers=cfg.num_workers),
             self.builder, registry=self.metrics)
 
         start_epoch = 0
@@ -207,9 +197,8 @@ class OnlineTrainer:
         with span("online.fine_tune", job=job_id, parent=parent,
                   instances=len(instances), replay=replay_count,
                   resume_epoch=start_epoch):
-            graphs = trainer._build_graphs(list(instances))
+            graphs = [trainer.builder.build(i) for i in instances]
             targets = [RTPTargets.from_instance(i) for i in instances]
-            trainer._on_data_ready(graphs, targets)
             optimizer = Adam(model.parameters(), lr=cfg.learning_rate)
             if start_epoch > 0:
                 load_checkpoint(model, paths["checkpoint"],
@@ -217,48 +206,44 @@ class OnlineTrainer:
             shuffle_rng = np.random.default_rng(cfg.shuffle_seed)
             sampling_rng = np.random.default_rng(cfg.shuffle_seed + 1)
             epochs_done = start_epoch
-            try:
-                model.train()
-                for epoch in range(cfg.epochs):
-                    # The permutation stream is drawn for *every* epoch
-                    # so a resumed job sees the same epoch orders an
-                    # uninterrupted one would.
-                    order = shuffle_rng.permutation(len(graphs))
-                    if epoch < start_epoch:
-                        continue
-                    epoch_loss = 0.0
-                    with span("online.epoch", job=job_id, epoch=epoch):
-                        for start_index in range(0, len(order),
-                                                 cfg.batch_size):
-                            chunk = order[start_index:start_index
-                                          + cfg.batch_size]
-                            epoch_loss += trainer._update_batch(
-                                chunk, graphs, targets, optimizer, 0.0,
-                                sampling_rng)
-                    epoch_loss /= max(len(graphs), 1)
-                    losses.append(float(epoch_loss))
-                    epochs_done = epoch + 1
-                    save_checkpoint(model, paths["checkpoint"],
-                                    optimizer=optimizer)
-                    self._write_progress(paths["progress"], {
-                        "job": job_id, "parent": parent,
-                        "epochs_done": epochs_done,
-                        "completed": epochs_done >= cfg.epochs,
-                        "losses": losses,
-                        "replay_samples": replay_count,
-                    })
-                    if self.metrics is not None:
-                        self._m_epochs.inc()
-                        self._m_loss.set(float(epoch_loss))
-                    if self.event_log is not None:
-                        self.event_log.log(
-                            "online_epoch", job=job_id, epoch=epoch,
-                            loss=round(float(epoch_loss), 6))
-                    if stop_after_epoch is not None \
-                            and epochs_done >= stop_after_epoch:
-                        break
-            finally:
-                trainer._teardown()
+            model.train()
+            for epoch in range(cfg.epochs):
+                # The permutation stream is drawn for *every* epoch so a
+                # resumed job sees the same epoch orders an
+                # uninterrupted one would.
+                order = shuffle_rng.permutation(len(graphs))
+                if epoch < start_epoch:
+                    continue
+                epoch_loss = 0.0
+                with span("online.epoch", job=job_id, epoch=epoch):
+                    for start_index in range(0, len(order), cfg.batch_size):
+                        chunk = order[start_index:start_index
+                                      + cfg.batch_size]
+                        epoch_loss += trainer._update_batch(
+                            chunk, graphs, targets, optimizer, 0.0,
+                            sampling_rng)
+                epoch_loss /= max(len(graphs), 1)
+                losses.append(float(epoch_loss))
+                epochs_done = epoch + 1
+                save_checkpoint(model, paths["checkpoint"],
+                                optimizer=optimizer)
+                self._write_progress(paths["progress"], {
+                    "job": job_id, "parent": parent,
+                    "epochs_done": epochs_done,
+                    "completed": epochs_done >= cfg.epochs,
+                    "losses": losses,
+                    "replay_samples": replay_count,
+                })
+                if self.metrics is not None:
+                    self._m_epochs.inc()
+                    self._m_loss.set(float(epoch_loss))
+                if self.event_log is not None:
+                    self.event_log.log(
+                        "online_epoch", job=job_id, epoch=epoch,
+                        loss=round(float(epoch_loss), 6))
+                if stop_after_epoch is not None \
+                        and epochs_done >= stop_after_epoch:
+                    break
             model.eval()
         return FineTuneResult(
             model=model, job_id=job_id, parent=parent,

@@ -1,34 +1,25 @@
-"""Parallel training subsystem: data pipeline and data-parallel workers.
+"""Data-parallel training: gradient work sharded over worker processes.
 
-Two cooperating pieces turn the single-process numpy training loop into
-a multi-process one without changing what it computes:
-
-* :class:`ParallelDataLoader` — a multiprocessing data pipeline that
-  transforms and batches samples ahead of the consumer behind a bounded
-  prefetch queue, with deterministic per-item seeding and clean
-  shutdown;
-* :class:`DataParallelTrainer` — a drop-in
-  :class:`~repro.training.trainer.Trainer` that shards every mini-batch
-  across a pool of gradient worker processes and aggregates their
-  gradients with elastic, straggler-tolerant averaging (per-step
-  deadlines with drop-and-rescale, worker heartbeats, automatic
-  respawn of dead workers).
+:class:`DataParallelTrainer` is a drop-in
+:class:`~repro.training.trainer.Trainer` that shards every mini-batch
+across a pool of gradient worker processes
+(:class:`GradientWorkerPool`) and all-reduces their gradients, so a
+step computes the sequential trainer's gradient up to floating-point
+summation order.  Dead or hung workers are respawned with their shard
+resubmitted; a worker that raises loses its shard and the rest is
+rescaled.
 
 Configuration lives on :class:`ParallelConfig`; the CLI exposes it as
-``repro-rtp train --workers N --prefetch K``.  Fault injection for the
-resilience tests reuses :class:`~repro.deploy.faults.FaultInjector`.
+``repro-rtp train --workers N``.  Fault injection for the resilience
+tests reuses :class:`~repro.deploy.faults.FaultInjector`.
 """
 
-from .loader import ParallelDataLoader
-from .trainer import DataParallelTrainer, ParallelConfig, train_parallel
-from .worker import GradientWorkerPool, StepResult, default_start_method
+from .trainer import DataParallelTrainer, ParallelConfig
+from .worker import GradientWorkerPool, StepResult
 
 __all__ = [
-    "ParallelDataLoader",
     "DataParallelTrainer",
     "ParallelConfig",
-    "train_parallel",
     "GradientWorkerPool",
     "StepResult",
-    "default_start_method",
 ]

@@ -19,16 +19,11 @@ to floating-point summation order — loss trajectories and final
 parameters match within tolerance on the same seed (asserted by
 ``tests/test_parallel_training.py``).
 
-Elastic aggregation (config knobs on :class:`ParallelConfig`):
-
-* ``deadline_s`` — per-step worker deadline; shards that miss it are
-  dropped and the surviving gradient sum is rescaled by
-  ``expected/arrived`` (drop-and-rescale averaging);
-* ``min_shards`` — the deadline never cuts below this many shards;
-* dead or hung workers are respawned automatically mid-step;
-* ``accumulate_steps`` — gradient accumulation: the batch is processed
-  in that many sequential micro-batches per optimiser step, trading
-  peak memory for latency without changing the computed gradient.
+Faults: a worker that dies or hangs is respawned mid-step from the
+current parameters and its shard resubmitted (at most
+``max_respawns`` times per fit); a worker that raises loses its shard,
+and the surviving gradient sum is rescaled by ``expected/arrived``.  A
+step whose every shard was lost is skipped.
 
 Observability: the coordinator (single writer) maintains
 ``rtp_train_worker_*`` metrics from worker-shipped statistics and wraps
@@ -45,46 +40,30 @@ import numpy as np
 
 from ..autodiff import Adam, clip_grad_norm
 from ..core.model import M2G4RTP
-from ..data.dataset import RTPDataset
 from ..deploy.faults import FaultPlan
 from ..graphs import GraphBuilder
 from ..obs.events import EventLog
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import span
-from ..training.trainer import Trainer, TrainerConfig, TrainingHistory
-from .loader import ParallelDataLoader
+from ..training.trainer import Trainer, TrainerConfig
 from .worker import GradientWorkerPool
 
-__all__ = ["ParallelConfig", "DataParallelTrainer", "train_parallel"]
+__all__ = ["ParallelConfig", "DataParallelTrainer"]
 
 
 @dataclasses.dataclass
 class ParallelConfig:
-    """Knobs of the parallel training subsystem."""
+    """Knobs of data-parallel training."""
 
     num_workers: int = 2            # gradient workers (0 = sequential)
-    loader_workers: int = 0         # graph-building workers (0 = inline)
-    prefetch: int = 4               # loader in-flight batches
-    deadline_s: Optional[float] = None   # per-step straggler deadline
-    min_shards: int = 1             # deadline floor, in arrived shards
-    accumulate_steps: int = 1       # micro-batches per optimiser step
     max_respawns: int = 8           # worker-death budget for one fit
-    heartbeat_grace_s: float = 60.0  # hung-worker cutoff (no deadline)
-    start_method: Optional[str] = None   # fork/spawn; None = platform
-    #: Per-worker fault plans (tests/benchmarks): worker id -> plan.
+    #: Per-worker fault plans (tests): worker id -> plan.
     fault_plans: Dict[int, FaultPlan] = dataclasses.field(
         default_factory=dict)
-    fault_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.num_workers < 0:
             raise ValueError("num_workers must be >= 0")
-        if self.accumulate_steps < 1:
-            raise ValueError("accumulate_steps must be >= 1")
-        if self.min_shards < 1:
-            raise ValueError("min_shards must be >= 1")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError("deadline_s must be positive")
 
 
 class DataParallelTrainer(Trainer):
@@ -92,10 +71,9 @@ class DataParallelTrainer(Trainer):
     sharded across a pool of worker processes.
 
     Drop-in for the sequential trainer (same ``fit`` signature, history
-    and telemetry); only the inner mini-batch update and, optionally,
-    graph building are distributed.  ``parallel.num_workers == 0``
-    degrades to exactly the sequential path, which is what the CLI's
-    default does.
+    and telemetry); only the inner mini-batch update is distributed.
+    ``parallel.num_workers == 0`` degrades to exactly the sequential
+    path, which is what the CLI's default does.
     """
 
     def __init__(self, model: M2G4RTP,
@@ -119,19 +97,6 @@ class DataParallelTrainer(Trainer):
     # ------------------------------------------------------------------
     # Trainer hooks
     # ------------------------------------------------------------------
-    def _build_graphs(self, instances):
-        if self.parallel.loader_workers <= 0 or len(instances) < 2:
-            return super()._build_graphs(instances)
-        with ParallelDataLoader(
-                instances, self.builder.build,
-                batch_size=max(1, len(instances)
-                               // (4 * self.parallel.loader_workers) or 1),
-                num_workers=self.parallel.loader_workers,
-                prefetch=self.parallel.prefetch,
-                start_method=self.parallel.start_method,
-                registry=self.registry) as loader:
-            return loader.map()
-
     def _on_data_ready(self, graphs, targets) -> None:
         if self.parallel.num_workers <= 0:
             return
@@ -139,11 +104,8 @@ class DataParallelTrainer(Trainer):
             self.model, graphs, targets,
             num_workers=self.parallel.num_workers,
             sample_seed=self.config.shuffle_seed + 1,
-            start_method=self.parallel.start_method,
             fault_plans=self.parallel.fault_plans,
-            fault_seed=self.parallel.fault_seed,
             max_respawns=self.parallel.max_respawns,
-            heartbeat_grace_s=self.parallel.heartbeat_grace_s,
             registry=self.registry)
         self._worker_param_version = {
             worker_id: self._param_version
@@ -161,98 +123,64 @@ class DataParallelTrainer(Trainer):
             return super()._update_batch(chunk, graphs, targets, optimizer,
                                          sample_prob, rng)
         pool = self._pool
-        parallel = self.parallel
         parameters = optimizer.parameters
-        scale = 1.0 / len(chunk)
-        micro_chunks = [m for m in np.array_split(
-            np.asarray(chunk), min(parallel.accumulate_steps, len(chunk)))
-            if len(m)]
-
-        grad_totals: List[Optional[np.ndarray]] = [None] * len(parameters)
-        loss_total = 0.0
-        for micro in micro_chunks:
-            shards = self._shard(micro, pool.num_workers)
-            self._step_id += 1
-            pool.drain()
-            params_payload = None
-            params_for: Dict[int, Optional[List[np.ndarray]]] = {}
-            for worker_id in shards:
-                if self._worker_param_version.get(worker_id) \
-                        != self._param_version:
-                    if params_payload is None:
-                        params_payload = [parameter.data.copy()
-                                          for parameter in parameters]
-                    params_for[worker_id] = params_payload
-                    self._worker_param_version[worker_id] = \
-                        self._param_version
-                else:
-                    params_for[worker_id] = None
-            step_started = time.perf_counter()
-            with span("parallel.step", step=self._step_id,
-                      instances=len(micro), workers=len(shards)) \
-                    as step_span:
-                pool.dispatch(self._step_id, shards, scale, sample_prob,
-                              self._current_epoch, params_for)
-                result = pool.collect(self._step_id, shards,
-                                      parallel.deadline_s,
-                                      parallel.min_shards)
-            if self.registry is not None:
-                # Exemplars link a slow step straight to its trace — the
-                # span has already exited, so its trace id is passed
-                # explicitly rather than auto-captured.
-                self.registry.histogram(
-                    "rtp_train_step_ms",
-                    "Distributed step wall time (dispatch to collect)",
-                    exemplars=5).observe(
-                    (time.perf_counter() - step_started) * 1000.0,
-                    trace_id=step_span.trace_id)
-            # A respawned worker starts from current coordinator
-            # parameters — its copy is up to date by construction.
-            for worker_id, _ in result.errors:
-                self._worker_param_version.setdefault(
-                    worker_id, self._param_version)
-            for worker_id in result.stragglers:
-                # Straggler state is unknown (it may still apply the
-                # missed broadcast); force a re-send next time.
-                self._worker_param_version[worker_id] = -1
-            self._record_step(result)
-            if result.arrived == 0:
-                continue
-            rescale = result.expected / result.arrived
-            loss_total += result.loss_sum * rescale
-            for slot, grad in enumerate(result.grad_sums or []):
-                if grad is None:
-                    continue
-                grad = grad * rescale if rescale != 1.0 else grad
-                if grad_totals[slot] is None:
-                    grad_totals[slot] = grad.copy()
-                else:
-                    grad_totals[slot] += grad
-
-        if all(grad is None for grad in grad_totals):
-            # Every shard of every micro-batch was lost: skip the step
-            # rather than stepping Adam on a zero gradient.
+        shards = self._shard(chunk, pool.num_workers)
+        self._step_id += 1
+        params_payload = None
+        params_for: Dict[int, Optional[List[np.ndarray]]] = {}
+        for worker_id in shards:
+            if self._worker_param_version[worker_id] != self._param_version:
+                if params_payload is None:
+                    params_payload = [parameter.data.copy()
+                                      for parameter in parameters]
+                params_for[worker_id] = params_payload
+            # Current from here on: the worker applies the payload
+            # before anything that can fail, and a respawned worker
+            # starts from the current parameters.
+            self._worker_param_version[worker_id] = self._param_version
+        step_started = time.perf_counter()
+        with span("parallel.step", step=self._step_id,
+                  instances=len(chunk), workers=len(shards)) as step_span:
+            pool.dispatch(self._step_id, shards, 1.0 / len(chunk),
+                          sample_prob, self._current_epoch, params_for)
+            result = pool.collect(self._step_id, shards)
+        if self.registry is not None:
+            # Exemplars link a slow step straight to its trace — the
+            # span has already exited, so its trace id is passed
+            # explicitly rather than auto-captured.
+            self.registry.histogram(
+                "rtp_train_step_ms",
+                "Distributed step wall time (dispatch to collect)",
+                exemplars=5).observe(
+                (time.perf_counter() - step_started) * 1000.0,
+                trace_id=step_span.trace_id)
+        self._record_step(result)
+        if result.arrived == 0:
+            # Every shard was lost: skip the step rather than stepping
+            # Adam on a zero gradient.
             if self.registry is not None:
                 self.registry.counter(
                     "rtp_train_steps_skipped_total",
                     "Optimiser steps skipped because no gradients "
                     "arrived").inc()
-            return loss_total
+            return 0.0
+        rescale = result.expected / result.arrived
         with span("parallel.apply"):
-            for parameter, grad in zip(parameters, grad_totals):
+            for parameter, grad in zip(parameters, result.grad_sums):
+                if grad is not None and rescale != 1.0:
+                    grad = grad * rescale
                 parameter.grad = grad
             self._epoch_grad_norms.append(
                 clip_grad_norm(parameters, self.config.grad_clip))
             optimizer.step()
             self._param_version += 1
-        return loss_total
+        return result.loss_sum * rescale
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _shard(micro: np.ndarray, num_workers: int
-               ) -> Dict[int, List[int]]:
+    def _shard(chunk, num_workers: int) -> Dict[int, List[int]]:
         """Strided round-robin shards (sizes differ by at most one)."""
-        shards = {worker_id: [int(i) for i in micro[worker_id::num_workers]]
+        shards = {worker_id: [int(i) for i in chunk[worker_id::num_workers]]
                   for worker_id in range(num_workers)}
         return {worker_id: indices
                 for worker_id, indices in shards.items() if indices}
@@ -271,11 +199,6 @@ class DataParallelTrainer(Trainer):
         for worker_id, elapsed in result.worker_seconds.items():
             steps.labels(worker=worker_id).inc()
             seconds.labels(worker=worker_id).observe(elapsed)
-        for worker_id in result.stragglers:
-            registry.counter(
-                "rtp_train_worker_stragglers_total",
-                "Shards dropped at the step deadline",
-                labels=("worker",)).labels(worker=worker_id).inc()
         for worker_id, _ in result.errors:
             registry.counter(
                 "rtp_train_worker_errors_total",
@@ -292,20 +215,3 @@ class DataParallelTrainer(Trainer):
                     "rtp_train_worker_heartbeat_age_seconds",
                     "Seconds since the oldest worker heartbeat"
                 ).set(max(ages.values()))
-
-
-def train_parallel(train: RTPDataset,
-                   validation: Optional[RTPDataset] = None,
-                   model: Optional[M2G4RTP] = None,
-                   trainer_config: Optional[TrainerConfig] = None,
-                   parallel: Optional[ParallelConfig] = None,
-                   builder: Optional[GraphBuilder] = None):
-    """One-call convenience mirroring
-    :func:`~repro.training.trainer.train_m2g4rtp` for the parallel path.
-
-    Returns ``(model, history)``.
-    """
-    model = model or M2G4RTP()
-    trainer = DataParallelTrainer(model, trainer_config, parallel, builder)
-    history: TrainingHistory = trainer.fit(train, validation)
-    return model, history

@@ -1,13 +1,9 @@
-"""Process-boundary layer of the parallel training subsystem.
+"""Process-boundary layer of data-parallel training: the gradient workers.
 
-Two kinds of child processes live here:
-
-* **loader workers** (:func:`loader_worker_main`) — transform dataset
-  items into samples for :class:`~repro.parallel.loader.ParallelDataLoader`;
-* **gradient workers** (:func:`gradient_worker_main`) — run
-  forward/backward over a shard of a mini-batch for
-  :class:`~repro.parallel.trainer.DataParallelTrainer`, coordinated by
-  :class:`GradientWorkerPool`.
+Each gradient worker (:func:`gradient_worker_main`) runs forward/backward
+over a shard of a mini-batch for
+:class:`~repro.parallel.trainer.DataParallelTrainer`, coordinated by
+:class:`GradientWorkerPool`.
 
 Everything that crosses a process boundary is a plain picklable tuple
 (see the message glossary below), and all numpy payloads are shipped as
@@ -37,6 +33,11 @@ under the dispatching span on collect is the only way they survive.
 Both fields are empty (``None`` / ``[]``) when tracing is off, so the
 steady-state wire cost is two constant-size slots per message.
 
+A worker applies a step's ``params`` payload before anything else that
+can fail, so every worker that received a task holds the parameters it
+carried — whether it then answers, raises or is respawned (a fresh
+process starts from the coordinator's current parameters).
+
 Fault injection: each worker may own a seeded
 :class:`~repro.deploy.faults.FaultInjector`.  ``should_crash`` kills the
 process outright (``os._exit``) to exercise dead-worker respawn;
@@ -62,17 +63,20 @@ from ..obs.propagate import capture_context, merge_worker_spans, \
     worker_span_session
 from ..obs.tracing import span
 
-__all__ = [
-    "GradientWorkerPool", "StepResult", "gradient_worker_main",
-    "loader_worker_main", "default_start_method",
-]
+__all__ = ["GradientWorkerPool", "StepResult", "gradient_worker_main"]
 
+#: ``fork`` where the platform offers it (cheap, zero-copy inheritance
+#: of the graphs), ``spawn`` otherwise.
+START_METHOD = ("fork" if "fork" in multiprocessing.get_all_start_methods()
+                else "spawn")
 
-def default_start_method() -> str:
-    """``fork`` where the platform offers it (cheap, zero-copy data
-    inheritance), ``spawn`` otherwise."""
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
+#: Seconds a pending worker may go without a heartbeat before it is
+#: treated as hung and respawned.
+HEARTBEAT_GRACE_S = 60.0
+
+#: How long :meth:`GradientWorkerPool.collect` waits for a message
+#: before it checks the pending workers' liveness.
+_POLL_S = 0.05
 
 
 def _instance_rng(sample_seed: int, epoch: int, index: int):
@@ -88,46 +92,6 @@ def _instance_rng(sample_seed: int, epoch: int, index: int):
 
 
 # ----------------------------------------------------------------------
-# Loader worker
-# ----------------------------------------------------------------------
-def loader_worker_main(worker_id: int, items: Sequence, transform,
-                       wants_rng: bool, seed: int,
-                       task_queue, result_queue) -> None:
-    """Transform chunks of ``items`` until a ``("stop",)`` sentinel.
-
-    Each item is transformed with an RNG seeded by ``(seed, index)``, so
-    stochastic transforms are deterministic per item regardless of which
-    worker picks the chunk up or how many workers exist.
-    """
-    while True:
-        message = task_queue.get()
-        if message[0] == "stop":
-            break
-        _, chunk_id, indices, trace_ctx = message
-        with worker_span_session(trace_ctx) as session:
-            try:
-                samples = []
-                with span("parallel.loader.chunk", worker=worker_id,
-                          items=len(indices)):
-                    for index in indices:
-                        item = items[index]
-                        if transform is None:
-                            samples.append(item)
-                        elif wants_rng:
-                            samples.append(transform(
-                                item,
-                                np.random.default_rng((seed, index))))
-                        else:
-                            samples.append(transform(item))
-                result_queue.put(("chunk", worker_id, chunk_id, samples,
-                                  session.export()))
-            except Exception as exc:  # ship the failure, keep serving
-                result_queue.put(("chunk_error", worker_id, chunk_id,
-                                  f"{type(exc).__name__}: {exc}",
-                                  session.export()))
-
-
-# ----------------------------------------------------------------------
 # Gradient worker
 # ----------------------------------------------------------------------
 def gradient_worker_main(worker_id: int, model_config: M2G4RTPConfig,
@@ -135,7 +99,6 @@ def gradient_worker_main(worker_id: int, model_config: M2G4RTPConfig,
                          graphs: Sequence, targets: Sequence,
                          sample_seed: int, task_queue, result_queue,
                          fault_plan: Optional[FaultPlan] = None,
-                         fault_seed: int = 0,
                          fault_offset: int = 0) -> None:
     """Per-shard forward/backward loop of one data-parallel worker.
 
@@ -151,7 +114,7 @@ def gradient_worker_main(worker_id: int, model_config: M2G4RTPConfig,
     parameters = model.parameters()
     for parameter, value in zip(parameters, initial_params):
         parameter.data[...] = value
-    injector = (FaultInjector(fault_plan, seed=fault_seed + worker_id)
+    injector = (FaultInjector(fault_plan, seed=worker_id)
                 if fault_plan is not None else None)
     if injector is not None and fault_offset:
         # This is a respawned incarnation: resume the logical worker's
@@ -166,6 +129,11 @@ def gradient_worker_main(worker_id: int, model_config: M2G4RTPConfig,
          trace_ctx) = message
         result_queue.put(("heartbeat", worker_id, step_id))
         started = time.perf_counter()
+        # The coordinator counts this worker as current once the task
+        # is sent, so the payload lands before any fault can fire.
+        if params is not None:
+            for parameter, value in zip(parameters, params):
+                parameter.data[...] = value
         with worker_span_session(trace_ctx) as session:
             try:
                 if injector is not None:
@@ -174,9 +142,6 @@ def gradient_worker_main(worker_id: int, model_config: M2G4RTPConfig,
                         # message: exit without flushing anything.
                         os._exit(23)
                     injector.before_call()
-                if params is not None:
-                    for parameter, value in zip(parameters, params):
-                        parameter.data[...] = value
                 for parameter in parameters:
                     parameter.zero_grad()
                 loss_sum = 0.0
@@ -211,17 +176,16 @@ def gradient_worker_main(worker_id: int, model_config: M2G4RTPConfig,
 # Coordinator-side pool
 # ----------------------------------------------------------------------
 class StepResult:
-    """Aggregated outcome of one distributed step (or micro-step)."""
+    """Aggregated outcome of one distributed step."""
 
     __slots__ = ("loss_sum", "arrived", "expected", "grad_sums",
-                 "stragglers", "errors", "worker_seconds")
+                 "errors", "worker_seconds")
 
     def __init__(self):
         self.loss_sum = 0.0
         self.arrived = 0                    # instances that contributed
         self.expected = 0                   # instances dispatched
         self.grad_sums: Optional[List[Optional[np.ndarray]]] = None
-        self.stragglers: List[int] = []     # worker ids cut at deadline
         self.errors: List[Tuple[int, str]] = []
         self.worker_seconds: Dict[int, float] = {}
 
@@ -239,23 +203,14 @@ class StepResult:
 
 
 class GradientWorkerPool:
-    """N persistent gradient workers plus the elastic coordination logic.
+    """N persistent gradient workers plus their fault handling.
 
     The pool owns worker lifecycles (start, heartbeat tracking, dead- or
-    hung-worker respawn) and the per-step collect loop with its deadline
-    semantics:
-
-    * ``deadline_s`` — per-step budget measured from dispatch; workers
-      that have not answered when it expires are recorded as
-      **stragglers**, their shards dropped and the surviving gradients
-      rescaled by the coordinator (drop-and-rescale averaging);
-    * ``min_shards`` — the deadline never cuts below this many arrived
-      worker shards, so a fleet-wide hiccup stalls instead of stepping
-      on (almost) no data;
-    * a worker found dead mid-step is respawned from the coordinator's
-      current parameters and its task resubmitted (unless the deadline
-      already passed, in which case the respawn still happens but the
-      shard is dropped for this step).
+    hung-worker respawn) and the per-step collect loop: it waits for
+    every dispatched shard; a worker that raised loses its shard (the
+    coordinator rescales the rest), and a worker found dead or hung
+    mid-step is respawned from the coordinator's current parameters
+    with its task resubmitted, so a crash changes nothing numerically.
 
     Single-writer metrics: workers never touch a registry; the
     coordinator folds their shipped statistics into ``rtp_train_worker_*``
@@ -264,11 +219,8 @@ class GradientWorkerPool:
 
     def __init__(self, model: M2G4RTP, graphs: Sequence, targets: Sequence,
                  num_workers: int, sample_seed: int = 0,
-                 start_method: Optional[str] = None,
                  fault_plans: Optional[Dict[int, FaultPlan]] = None,
-                 fault_seed: int = 0,
                  max_respawns: int = 8,
-                 heartbeat_grace_s: float = 60.0,
                  registry=None):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1 for a worker pool")
@@ -278,13 +230,10 @@ class GradientWorkerPool:
         self.num_workers = num_workers
         self.sample_seed = sample_seed
         self.fault_plans = dict(fault_plans or {})
-        self.fault_seed = fault_seed
         self.max_respawns = max_respawns
-        self.heartbeat_grace_s = heartbeat_grace_s
         self.registry = registry
         self.respawns = 0
-        self._ctx = multiprocessing.get_context(
-            start_method or default_start_method())
+        self._ctx = multiprocessing.get_context(START_METHOD)
         self._result_queue = self._ctx.Queue()
         self._processes: List = [None] * num_workers
         self._task_queues = [self._ctx.Queue() for _ in range(num_workers)]
@@ -304,7 +253,7 @@ class GradientWorkerPool:
                   [parameter.data.copy() for parameter in self._parameters],
                   self.graphs, self.targets, self.sample_seed,
                   self._task_queues[worker_id], self._result_queue,
-                  self.fault_plans.get(worker_id), self.fault_seed,
+                  self.fault_plans.get(worker_id),
                   self._tasks_sent.get(worker_id, 0)),
             daemon=True,
             name=f"rtp-grad-worker-{worker_id}")
@@ -312,7 +261,8 @@ class GradientWorkerPool:
         self._processes[worker_id] = process
         self._last_heartbeat[worker_id] = time.monotonic()
 
-    def _respawn(self, worker_id: int, resubmit: bool) -> None:
+    def _respawn(self, worker_id: int) -> None:
+        """Replace a dead or hung worker and resubmit its last task."""
         if self.respawns >= self.max_respawns:
             raise RuntimeError(
                 f"gradient worker {worker_id} died and the respawn budget "
@@ -329,7 +279,7 @@ class GradientWorkerPool:
         self._count("rtp_train_worker_respawns_total",
                     "Gradient workers respawned after dying", worker_id)
         self._start_worker(worker_id)
-        if resubmit and worker_id in self._last_task:
+        if worker_id in self._last_task:
             # The fresh worker started from current coordinator
             # parameters, so resend the task without a params payload.
             (kind, step_id, indices, scale, sample_prob, epoch, _,
@@ -349,11 +299,10 @@ class GradientWorkerPool:
                 for worker_id, seen in self._last_heartbeat.items()}
 
     # ------------------------------------------------------------------
-    def _count(self, name: str, help_text: str, worker_id: int,
-               amount: float = 1.0) -> None:
+    def _count(self, name: str, help_text: str, worker_id: int) -> None:
         if self.registry is not None:
             self.registry.counter(name, help_text, labels=("worker",)) \
-                .labels(worker=worker_id).inc(amount)
+                .labels(worker=worker_id).inc()
 
     def dispatch(self, step_id: int, shards: Dict[int, Sequence[int]],
                  scale: float, sample_prob: float, epoch: int,
@@ -375,102 +324,59 @@ class GradientWorkerPool:
                 self._tasks_sent.get(worker_id, 0) + 1
             self._task_queues[worker_id].put(task)
 
-    def collect(self, step_id: int, shards: Dict[int, Sequence[int]],
-                deadline_s: Optional[float], min_shards: int) -> StepResult:
-        """Gather this step's shard results, elastically.
+    def collect(self, step_id: int,
+                shards: Dict[int, Sequence[int]]) -> StepResult:
+        """Gather this step's shard results.
 
-        Returns once every dispatched shard has answered, or — when
-        ``deadline_s`` is set — once the deadline passes with at least
-        ``min_shards`` shards in hand.  Dead workers are respawned as
-        they are discovered; results for other step ids (late stragglers
-        from a previous step) are discarded.
+        Returns once every dispatched shard has answered with gradients
+        or an error.  Dead or hung workers are respawned as they are
+        discovered; results for other step ids (a hung worker's answer
+        that raced its replacement) are discarded.
         """
         result = StepResult()
         result.expected = sum(len(indices) for indices in shards.values())
-        pending = {worker_id: len(indices)
-                   for worker_id, indices in shards.items() if len(indices)}
-        arrived_shards = 0
-        started = time.monotonic()
+        pending = {worker_id for worker_id, indices in shards.items()
+                   if len(indices)}
         while pending:
-            elapsed = time.monotonic() - started
-            cut_allowed = (deadline_s is not None
-                           and arrived_shards + len(result.errors)
-                           >= min_shards)
-            if cut_allowed and elapsed >= deadline_s:
-                break
-            if deadline_s is not None and not cut_allowed:
-                timeout = 0.05
-            elif deadline_s is not None:
-                timeout = max(deadline_s - elapsed, 0.001)
-            else:
-                timeout = 0.05
             try:
-                message = self._result_queue.get(timeout=min(timeout, 0.25))
+                message = self._result_queue.get(timeout=_POLL_S)
             except queue.Empty:
-                message = None
-            if message is not None:
-                kind = message[0]
-                if kind == "heartbeat":
-                    _, worker_id, _ = message
-                    self._last_heartbeat[worker_id] = time.monotonic()
-                    continue
-                if message[2] != step_id:
-                    # Late answer from an earlier step: its shard was
-                    # already dropped and rescaled; discard.
-                    self._count("rtp_train_worker_late_results_total",
-                                "Results that arrived after their step "
-                                "was closed", message[1])
-                    continue
-                if kind == "result":
-                    (_, worker_id, _, loss_sum, count, grads, seconds,
-                     spans) = message
-                    if worker_id in pending:
-                        result.loss_sum += loss_sum
-                        result.arrived += count
-                        result.merge_grads(grads)
-                        result.worker_seconds[worker_id] = seconds
-                        arrived_shards += 1
-                        del pending[worker_id]
-                        self._last_heartbeat[worker_id] = time.monotonic()
-                        # Stitch the worker's spans under whatever span
-                        # is collecting (e.g. ``parallel.step``).
-                        merge_worker_spans(spans, capture_context())
-                    continue
-                if kind == "error":
-                    _, worker_id, _, text, seconds, spans = message
-                    if worker_id in pending:
-                        result.errors.append((worker_id, text))
-                        result.worker_seconds[worker_id] = seconds
-                        del pending[worker_id]
-                        self._last_heartbeat[worker_id] = time.monotonic()
-                        merge_worker_spans(spans, capture_context())
-                    continue
+                # No message this tick: check liveness of pending workers.
+                now = time.monotonic()
+                for worker_id in list(pending):
+                    process = self._processes[worker_id]
+                    hung = (now - self._last_heartbeat[worker_id]
+                            > HEARTBEAT_GRACE_S)
+                    if process is None or not process.is_alive() or hung:
+                        self._respawn(worker_id)
                 continue
-            # No message this tick: check liveness of pending workers.
-            for worker_id in list(pending):
-                process = self._processes[worker_id]
-                hung = (time.monotonic() - self._last_heartbeat[worker_id]
-                        > self.heartbeat_grace_s)
-                if process is not None and process.is_alive() and not hung:
-                    continue
-                past_deadline = (deadline_s is not None
-                                 and time.monotonic() - started >= deadline_s)
-                self._respawn(worker_id, resubmit=not past_deadline)
-                if past_deadline:
-                    result.stragglers.append(worker_id)
-                    del pending[worker_id]
-        result.stragglers.extend(pending)
+            kind, worker_id = message[0], message[1]
+            if kind == "heartbeat":
+                self._last_heartbeat[worker_id] = time.monotonic()
+                continue
+            if message[2] != step_id:
+                self._count("rtp_train_worker_late_results_total",
+                            "Results that arrived after their step "
+                            "was closed", worker_id)
+                continue
+            if worker_id not in pending:
+                continue
+            pending.discard(worker_id)
+            self._last_heartbeat[worker_id] = time.monotonic()
+            if kind == "result":
+                (_, _, _, loss_sum, count, grads, seconds,
+                 spans) = message
+                result.loss_sum += loss_sum
+                result.arrived += count
+                result.merge_grads(grads)
+            else:
+                _, _, _, text, seconds, spans = message
+                result.errors.append((worker_id, text))
+            result.worker_seconds[worker_id] = seconds
+            # Stitch the worker's spans under whatever span is
+            # collecting (e.g. ``parallel.step``).
+            merge_worker_spans(spans, capture_context())
         return result
-
-    def drain(self) -> None:
-        """Discard queued results (between steps after a straggler cut)."""
-        while True:
-            try:
-                message = self._result_queue.get_nowait()
-            except queue.Empty:
-                return
-            if message[0] == "heartbeat":
-                self._last_heartbeat[message[1]] = time.monotonic()
 
     # ------------------------------------------------------------------
     def shutdown(self, timeout: float = 5.0) -> None:

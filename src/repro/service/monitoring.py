@@ -11,7 +11,10 @@ autodiff op profiler — rendered in Prometheus exposition format by
 Exposed series: request/error totals, a latency histogram, build/infer
 summaries, a per-call batch-size histogram (a single request is a
 batch of one), a route-length summary and the service's graph-cache
-counters.
+counters.  Degraded answers are counted by
+:class:`~repro.deploy.ResilientRTPService`, which produces them
+(``rtp_degraded_responses_total``), so the two stages can share one
+registry in either order.
 """
 
 from __future__ import annotations
@@ -102,9 +105,6 @@ class ServiceMonitor(ServingStage):
             "rtp_cache_hits_total", "Graph-cache hits")
         self._cache_misses = self.registry.gauge(
             "rtp_cache_misses_total", "Graph-cache misses")
-        self._degraded = self.registry.counter(
-            "rtp_degraded_responses_total",
-            "Responses served by the degraded fallback path")
         # Export the service's GraphCache counters (hits/misses/
         # evictions/size) as rtp_graph_cache_* through this registry.
         cache = getattr(service, "cache", None)
@@ -165,8 +165,6 @@ class ServiceMonitor(ServingStage):
         if response is not None:
             self._build.observe(response.build_ms)
             self._infer.observe(response.infer_ms)
-            if getattr(response, "degraded", False):
-                self._degraded.inc()
 
     def _sync_cache_counters(self) -> None:
         self._cache_hits.set(getattr(self.service, "cache_hits", 0))

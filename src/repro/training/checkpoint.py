@@ -6,6 +6,9 @@ Two durability guarantees matter for the deployment layer built on top
 * :func:`save_checkpoint` is **atomic** — the archive is written to a
   temporary file in the destination directory and renamed into place,
   so a crash mid-write can never leave a truncated file at ``path``.
+  The same :func:`atomic_write` helper writes every other state file
+  (registry manifests and pointers, online progress records, buffer
+  snapshots, loop state).
 * :func:`load_checkpoint` **validates before it applies** — parameter
   names and shapes are checked against the model first, so a mismatch
   raises :class:`CheckpointError` with the model left untouched rather
@@ -22,12 +25,13 @@ callers that only care about the weights.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
 import zipfile
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import IO, Dict, Iterator, Optional, Union
 
 import numpy as np
 
@@ -70,6 +74,32 @@ def _optimizer_entries(optimizer: Optimizer) -> Dict[str, np.ndarray]:
     return entries
 
 
+@contextlib.contextmanager
+def atomic_write(path: Union[str, Path], mode: str) -> Iterator[IO]:
+    """Write ``path`` all or nothing, opened in ``mode`` (``"w"`` or ``"wb"``).
+
+    Yields a handle on a temporary file in ``path``'s directory and
+    renames it over ``path`` with :func:`os.replace` once the ``with``
+    block has finished.  On any exception the temporary file is removed
+    and ``path`` keeps its previous content, so a crash mid-write never
+    leaves a truncated file behind.  Text modes write UTF-8.
+    """
+    path = Path(path)
+    fd, tmp_name = tempfile.mkstemp(
+        prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, mode,
+                       encoding=None if "b" in mode else "utf-8") as handle:
+            yield handle
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
 def save_checkpoint(model: Module, path: Union[str, Path],
                     optimizer: Optional[Optimizer] = None) -> Path:
     """Atomically write the model's parameters to ``path`` (``.npz``).
@@ -84,19 +114,9 @@ def save_checkpoint(model: Module, path: Union[str, Path],
     state = model.state_dict()
     if optimizer is not None:
         state.update(_optimizer_entries(optimizer))
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=path.name + ".", suffix=".tmp", dir=path.parent)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            # Parameter names contain dots; np.savez handles arbitrary keys.
-            np.savez(handle, **state)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    with atomic_write(path, "wb") as handle:
+        # Parameter names contain dots; np.savez handles arbitrary keys.
+        np.savez(handle, **state)
     return path
 
 

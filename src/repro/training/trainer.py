@@ -9,6 +9,11 @@ stopping on validation loss.
 The "two-step" ablation uses two optimisers over disjoint parameter
 groups: the route stage (encoder + route decoders) and the time stage
 (SortLSTMs), with time-decoder inputs detached inside the model.
+
+:class:`~repro.parallel.DataParallelTrainer` reuses this loop through
+three hooks (``_on_data_ready``, ``_update_batch``, ``_teardown``) to
+shard each step's gradient work over worker processes;
+:func:`train_m2g4rtp` opts into it with ``num_workers > 0``.
 """
 
 from __future__ import annotations
@@ -112,11 +117,11 @@ class Trainer:
         fit_start = time.perf_counter()
         rng = np.random.default_rng(cfg.shuffle_seed)
         with span("train.build_graphs", instances=len(train)):
-            graphs = self._build_graphs(list(train))
+            graphs = [self.builder.build(instance) for instance in train]
             targets = [RTPTargets.from_instance(instance) for instance in train]
             val_graphs = val_targets = None
             if validation is not None and len(validation):
-                val_graphs = self._build_graphs(list(validation))
+                val_graphs = [self.builder.build(i) for i in validation]
                 val_targets = [RTPTargets.from_instance(i) for i in validation]
         self._on_data_ready(graphs, targets)
 
@@ -227,10 +232,6 @@ class Trainer:
     # :mod:`repro.parallel` overrides these; the sequential base class
     # keeps them trivial so the training loop itself stays shared.
     # ------------------------------------------------------------------
-    def _build_graphs(self, instances) -> List[MultiLevelGraph]:
-        """Turn instances into graphs (override to parallelise)."""
-        return [self.builder.build(instance) for instance in instances]
-
     def _on_data_ready(self, graphs, targets) -> None:
         """Called once after graph building, before the first epoch."""
 
@@ -364,22 +365,19 @@ def train_m2g4rtp(train: RTPDataset, validation: Optional[RTPDataset] = None,
                   model: Optional[M2G4RTP] = None,
                   trainer_config: Optional[TrainerConfig] = None,
                   builder: Optional[GraphBuilder] = None,
-                  num_workers: int = 0,
-                  parallel=None):
+                  num_workers: int = 0):
     """One-call convenience: build, train and return (model, history).
 
-    ``num_workers > 0`` (or an explicit
-    :class:`~repro.parallel.ParallelConfig` via ``parallel=``) opts into
-    the data-parallel trainer of :mod:`repro.parallel`; the default is
-    the sequential loop.
+    ``num_workers > 0`` opts into the data-parallel trainer of
+    :mod:`repro.parallel` with that many gradient workers; the default
+    is the sequential loop.
     """
     model = model or M2G4RTP()
-    if num_workers > 0 or parallel is not None:
+    if num_workers > 0:
         from ..parallel import DataParallelTrainer, ParallelConfig
-        if parallel is None:
-            parallel = ParallelConfig(num_workers=num_workers)
         trainer: Trainer = DataParallelTrainer(
-            model, trainer_config, parallel, builder)
+            model, trainer_config, ParallelConfig(num_workers=num_workers),
+            builder)
     else:
         trainer = Trainer(model, trainer_config, builder)
     history = trainer.fit(train, validation)

@@ -34,7 +34,7 @@ from repro.deploy import (
     corrupt_checkpoint,
 )
 from repro.obs import MetricsRegistry
-from repro.service import RTPRequest, RTPService, ServingStage
+from repro.service import RTPRequest, RTPService, ServiceMonitor, ServingStage
 from repro.service.rtp_service import RTPResponse
 from repro.training import CheckpointError, load_checkpoint, save_checkpoint
 
@@ -367,6 +367,34 @@ class TestResilientService:
         assert resilient.counts["errors"] == 1
         assert resilient.counts["model"] == 3
         assert resilient.service.calls == 2
+
+
+    @pytest.mark.parametrize("monitor_outside", [False, True])
+    def test_stacks_with_a_monitor_on_one_registry(self, model, requests,
+                                                   monitor_outside):
+        """A monitor and the resilient wrapper share one registry in
+        either order; each degraded answer is counted once, by the
+        resilient wrapper."""
+        registry = MetricsRegistry()
+        # The first request's model call and its retry both fail.
+        failing = FaultInjector(FaultPlan(fail_first=2)).wrap(
+            RTPService(model))
+        if monitor_outside:
+            stack = ServiceMonitor(ResilientRTPService(
+                failing, registry=registry, version="v1",
+                clock=FakeClock()), registry=registry)
+        else:
+            stack = ResilientRTPService(
+                ServiceMonitor(failing, registry=registry),
+                registry=registry, version="v1", clock=FakeClock())
+        degraded = stack.handle(requests[0])
+        served = stack.handle(requests[1])
+        assert degraded.degraded and degraded.degraded_reason == "error"
+        assert not served.degraded
+        assert registry.get("rtp_degraded_responses_total").labels(
+            version="v1").value == 1
+        assert registry.get("rtp_model_requests_total").labels(
+            version="v1").value == 2
 
 
 # ----------------------------------------------------------------------

@@ -1,23 +1,21 @@
-"""Parallel training subsystem: loader pipeline, seq-vs-parallel parity,
-and elastic gradient aggregation under injected faults.
+"""Data-parallel training: seq-vs-parallel parity and gradient-worker
+fault handling.
 
 The parity suite is the core guarantee: a ``DataParallelTrainer`` with
 ``num_workers=2`` must reproduce the sequential ``Trainer``'s loss
 trajectory and final parameters within floating-point-summation
-tolerance on the same seed.  The fault cases drive the elastic paths —
-straggler drop-and-rescale, transient-error shard loss and dead-worker
-respawn — through :class:`repro.deploy.FaultPlan`.
+tolerance on the same seed.  The fault cases drive transient-error
+shard loss, dead-worker respawn and the respawn budget through
+:class:`repro.deploy.FaultPlan`.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import M2G4RTP, M2G4RTPConfig
-from repro.deploy import FaultInjector, FaultPlan
-from repro.graphs import GraphBuilder
+from repro.deploy import FaultInjector, FaultPlan, TransientServiceError
 from repro.obs import MetricsRegistry
-from repro.parallel import (DataParallelTrainer, ParallelConfig,
-                            ParallelDataLoader, train_parallel)
+from repro.parallel import DataParallelTrainer, ParallelConfig
 from repro.training import Trainer, TrainerConfig, train_m2g4rtp
 
 TINY = dict(hidden_dim=16, num_heads=2, num_encoder_layers=1, seed=5)
@@ -34,78 +32,6 @@ def metric_value(registry, name, **labels):
     if labels:
         return instrument.labels(**labels).value
     return instrument.value
-
-
-# ----------------------------------------------------------------------
-class TestParallelDataLoader:
-    def test_matches_sequential_map(self, splits):
-        train, _, _ = splits
-        builder = GraphBuilder(num_aoi_ids=256)
-        reference = [builder.build(instance) for instance in train]
-        with ParallelDataLoader(list(train), builder.build, batch_size=4,
-                                num_workers=2) as loader:
-            produced = loader.map()
-        assert len(produced) == len(reference)
-        for got, want in zip(produced, reference):
-            assert np.array_equal(got.location.continuous,
-                                  want.location.continuous)
-            assert np.array_equal(got.aoi.adjacency, want.aoi.adjacency)
-
-    def test_respects_order_and_is_reusable(self, splits):
-        train, _, _ = splits
-        items = list(range(20))
-        with ParallelDataLoader(items, lambda x: x * x, batch_size=3,
-                                num_workers=2) as loader:
-            forward = [x for batch in loader.iter_batches() for x in batch]
-            reverse = [x for batch
-                       in loader.iter_batches(order=items[::-1])
-                       for x in batch]
-        assert forward == [x * x for x in items]
-        assert reverse == [x * x for x in items[::-1]]
-
-    def test_stochastic_transform_deterministic_across_pool_sizes(self):
-        def jitter(value, rng):
-            return value + rng.normal()
-
-        results = {}
-        for workers in (0, 1, 3):
-            with ParallelDataLoader(list(range(12)), jitter, batch_size=4,
-                                    num_workers=workers, seed=9) as loader:
-                results[workers] = loader.map()
-        assert np.allclose(results[0], results[1])
-        assert np.allclose(results[0], results[3])
-
-    def test_zero_workers_is_synchronous(self):
-        loader = ParallelDataLoader(list(range(7)), lambda x: x + 1,
-                                    batch_size=2, num_workers=0)
-        assert [batch for batch in loader] == [[1, 2], [3, 4], [5, 6], [7]]
-        assert len(loader) == 4
-
-    def test_clean_shutdown_kills_workers(self):
-        loader = ParallelDataLoader(list(range(8)), lambda x: x,
-                                    batch_size=2, num_workers=2)
-        processes = list(loader._processes)
-        assert all(process.is_alive() for process in processes)
-        loader.close()
-        assert all(not process.is_alive() for process in processes)
-        with pytest.raises(RuntimeError):
-            list(loader.iter_batches())
-
-    def test_transform_error_propagates(self):
-        def boom(value):
-            raise ValueError(f"bad item {value}")
-
-        with ParallelDataLoader(list(range(4)), boom, batch_size=2,
-                                num_workers=1) as loader:
-            with pytest.raises(RuntimeError, match="bad item"):
-                list(loader.iter_batches())
-
-    def test_records_metrics(self):
-        registry = MetricsRegistry()
-        with ParallelDataLoader(list(range(8)), lambda x: x, batch_size=2,
-                                num_workers=2, registry=registry) as loader:
-            loader.map()
-        assert metric_value(registry, "rtp_train_loader_batches_total") == 4
 
 
 # ----------------------------------------------------------------------
@@ -128,18 +54,6 @@ class TestParity:
         for name in seq_state:
             assert np.allclose(seq_state[name], par_state[name],
                                rtol=1e-7, atol=1e-9), name
-
-    def test_gradient_accumulation_matches_sequential(self, splits):
-        train, _, _ = splits
-        config = TrainerConfig(epochs=2, batch_size=4, patience=10)
-        sequential = tiny_model()
-        seq_history = Trainer(sequential, config).fit(train[:8])
-        parallel = tiny_model()
-        par_history = DataParallelTrainer(
-            parallel, config,
-            ParallelConfig(num_workers=2, accumulate_steps=2)).fit(train[:8])
-        assert np.allclose(seq_history.train_loss, par_history.train_loss,
-                           rtol=1e-8, atol=1e-8)
 
     def test_train_m2g4rtp_opt_in(self, splits):
         train, _, _ = splits
@@ -169,24 +83,6 @@ class TestParity:
 
 # ----------------------------------------------------------------------
 class TestElasticAggregation:
-    def test_straggler_dropped_and_rescaled(self, splits):
-        train, _, _ = splits
-        registry = MetricsRegistry()
-        config = ParallelConfig(
-            num_workers=2, deadline_s=0.35,
-            fault_plans={1: FaultPlan(spike_rate=1.0,
-                                      latency_spike_ms=5000)})
-        trainer = DataParallelTrainer(
-            tiny_model(), TrainerConfig(epochs=1, batch_size=4, patience=10),
-            config, registry=registry)
-        history = trainer.fit(train[:8])
-        assert metric_value(registry, "rtp_train_worker_stragglers_total",
-                            worker="1") >= 1
-        # Training still made progress on worker 0's rescaled shards.
-        assert np.isfinite(history.train_loss[0])
-        assert metric_value(registry, "rtp_train_worker_steps_total",
-                            worker="0") >= 2
-
     def test_transient_error_loses_shard_not_run(self, splits):
         train, _, _ = splits
         registry = MetricsRegistry()
@@ -199,6 +95,52 @@ class TestElasticAggregation:
         assert metric_value(registry, "rtp_train_worker_errors_total",
                             worker="1") == 2
         assert np.isfinite(history.train_loss[0])
+
+    def test_failed_step_leaves_no_stale_worker(self, splits):
+        """A worker that raises on a step still holds the parameters that
+        step carried.  With one worker the failed step loses every
+        shard and is skipped, so no later broadcast would repair a stale
+        copy: the run must equal a sequential run that skips the same
+        step."""
+        train, _, _ = splits
+        plan = FaultPlan(error_rate=0.05)
+        # Worker 0's injector (seed 0) fails only the 2nd of its 3 calls,
+        # the first step that ships a parameter payload.
+        probe = FaultInjector(plan, seed=0)
+        failed = []
+        for _ in range(3):
+            try:
+                probe.before_call()
+                failed.append(False)
+            except TransientServiceError:
+                failed.append(True)
+        assert failed == [False, True, False]
+
+        class SkipSecondStep(Trainer):
+            steps = 0
+
+            def _update_batch(self, *args):
+                self.steps += 1
+                if self.steps == 2:
+                    return 0.0
+                return super()._update_batch(*args)
+
+        config = TrainerConfig(epochs=1, batch_size=4, patience=10)
+        sequential = tiny_model()
+        seq_history = SkipSecondStep(sequential, config).fit(train[:12])
+        registry = MetricsRegistry()
+        parallel = tiny_model()
+        par_history = DataParallelTrainer(
+            parallel, config,
+            ParallelConfig(num_workers=1, fault_plans={0: plan}),
+            registry=registry).fit(train[:12])
+        assert metric_value(registry, "rtp_train_steps_skipped_total") == 1
+        assert np.allclose(seq_history.train_loss, par_history.train_loss,
+                           rtol=1e-8, atol=1e-8)
+        par_state = parallel.state_dict()
+        for name, value in sequential.state_dict().items():
+            assert np.allclose(value, par_state[name],
+                               rtol=1e-7, atol=1e-9), name
 
     def test_dead_worker_respawned_and_step_preserved(self, splits):
         """A crash before any gradient ships must not change the math:
@@ -260,22 +202,6 @@ class TestElasticAggregation:
         assert errors(plain, False) == errors(crashy, True)
 
 
-# ----------------------------------------------------------------------
-class TestParallelGraphBuild:
-    def test_loader_workers_build_identical_graphs(self, splits):
-        train, _, _ = splits
-        config = TrainerConfig(epochs=1, batch_size=4, patience=10)
-        inline = DataParallelTrainer(tiny_model(), config,
-                                     ParallelConfig(num_workers=2))
-        loaded = DataParallelTrainer(
-            tiny_model(), config,
-            ParallelConfig(num_workers=2, loader_workers=2, prefetch=2))
-        inline_history = inline.fit(train[:8])
-        loaded_history = loaded.fit(train[:8])
-        assert np.allclose(inline_history.train_loss,
-                           loaded_history.train_loss, rtol=1e-8, atol=1e-8)
-
-
 @pytest.mark.slow
 class TestScaling:
     def test_four_worker_scaling(self, dataset):
@@ -295,9 +221,3 @@ class TestScaling:
         for worker in range(4):
             assert metric_value(registry, "rtp_train_worker_steps_total",
                                 worker=str(worker)) >= 1
-        _, convenience_history = train_parallel(
-            train[:8], trainer_config=TrainerConfig(
-                epochs=1, batch_size=8, patience=10),
-            model=tiny_model(),
-            parallel=ParallelConfig(num_workers=4))
-        assert len(convenience_history.train_loss) == 1
