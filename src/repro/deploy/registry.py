@@ -217,11 +217,18 @@ class ModelRegistry:
         return pin_path.read_text().strip() if pin_path.exists() else None
 
     def activate(self, version: str) -> None:
-        """Point ACTIVE at ``version`` (appends to promotion history)."""
+        """Point ACTIVE at ``version`` and append it to the history.
+
+        Both files are written whole and atomically, ACTIVE first: a
+        failed ACTIVE write leaves both as they were, and a failed
+        history write leaves the history one entry behind ACTIVE, which
+        :meth:`rollback_active` tolerates.
+        """
         version = self.resolve(version)
-        with open(self.root / "ACTIVE_HISTORY", "a") as handle:
-            handle.write(version + "\n")
+        history = self.activation_history() + [version]
         _atomic_write_text(self.root / "ACTIVE", version)
+        _atomic_write_text(self.root / "ACTIVE_HISTORY",
+                           "".join(entry + "\n" for entry in history))
 
     def active(self) -> Optional[str]:
         """The currently promoted version, or ``None``."""
@@ -236,11 +243,18 @@ class ModelRegistry:
         return [line for line in history_path.read_text().splitlines() if line]
 
     def rollback_active(self) -> Optional[str]:
-        """Re-activate the previously active version; returns it."""
-        history = self.activation_history()
-        if len(history) < 2:
+        """Re-activate the previously active version; returns it.
+
+        That is the newest history entry other than ACTIVE, so a
+        history write lost to a failed :meth:`activate` still rolls
+        back to the version before the active one.
+        """
+        active = self.active()
+        previous = next((version for version
+                         in reversed(self.activation_history())
+                         if version != active), None)
+        if previous is None:
             raise RegistryError("no earlier activation to roll back to")
-        previous = history[-2]
         self.activate(previous)
         return previous
 

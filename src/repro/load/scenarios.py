@@ -380,8 +380,7 @@ def _attach_shards(context: ScenarioContext, scenario: Scenario,
             # a single placement.
             max_queue_depth=max(4, config.max_queue_depth
                                 // config.num_shards),
-            cache_size=config.cache_size,
-            seed=config.seed + 6),
+            cache_size=config.cache_size),
         resilience=resilience, metrics=context.metrics,
         inline=config.virtual, clock=context.clock,
         service_wrapper=shard_wrapper if config.virtual else None,

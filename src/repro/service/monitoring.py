@@ -110,12 +110,9 @@ class ServiceMonitor(ServingStage):
         cache = getattr(service, "cache", None)
         if cache is not None and hasattr(cache, "bind_registry"):
             cache.bind_registry(self.registry)
-        self._totals_lock = threading.Lock()
-        self._reset_totals()
-
-    def _reset_totals(self) -> None:
         # Exact running totals for the count/mean/max fields of stats(),
         # plus a bounded window of recent latencies for its percentiles.
+        self._totals_lock = threading.Lock()
         self._count = 0
         self._latency_sum = 0.0
         self._latency_max = 0.0
@@ -204,8 +201,3 @@ class ServiceMonitor(ServingStage):
         """Prometheus-exposition text of the shared registry."""
         self._sync_cache_counters()
         return self.registry.render()
-
-    def reset(self) -> None:
-        with self._totals_lock:
-            self._reset_totals()
-        self.registry.reset()

@@ -13,15 +13,14 @@ serving tier:
   degraded answer through the shared
   :func:`~repro.deploy.resilience.degraded_response` fallback path —
   load never grows a queue without bound;
-* **health + respawn** — worker processes emit heartbeats; a dead
-  shard is respawned from the *current* primary weights (and canary,
-  if one is active) with its outstanding requests resubmitted,
-  mirroring the heartbeat/respawn discipline of
-  :mod:`repro.parallel.worker`;
-* **hot swap / canary** — new versions are broadcast once as
-  serialized state dicts; FIFO per-shard queues make swap and rollback
-  *drains* (in-flight work completes on the old version, nothing is
-  dropped);
+* **health + respawn** — a dead worker is found by
+  ``process.is_alive()`` and respawned from the *current* weights with
+  its outstanding requests resubmitted;
+* **hot swap** — a router serves one version at a time; ``swap_to``
+  broadcasts the new one once as a serialized state dict, and FIFO
+  per-shard queues make the swap a *drain* (in-flight work completes
+  on the old version, nothing is dropped).  Canary, promote and
+  rollback belong to :class:`~repro.deploy.DeploymentController`;
 * **observability** — per-shard ``rtp_shard_*`` series (requests,
   shed, queue depth/peak, respawns, swaps, latency histogram with
   exemplars) in the shared registry, and worker-process spans shipped
@@ -76,10 +75,8 @@ class ShardConfig:
     max_queue_depth: int = 32      # per-shard admission bound
     max_batch_size: int = 8        # request messages per worker batch
     cache_size: int = 32           # per-shard graph-cache entries
-    heartbeat_s: float = 0.25      # worker idle-heartbeat period
     health_timeout_s: float = 10.0  # control-ack / liveness budget
     max_respawns: int = 3          # per-shard respawn budget
-    seed: int = 0                  # canary traffic-split RNG seed
     #: When > 0, every worker wraps its service in a
     #: :class:`~repro.deploy.ModeledLatencyService` that sleeps this
     #: base cost per call — the spec-data (picklable) way to model
@@ -99,15 +96,14 @@ class ShardConfig:
 class ShardTicket:
     """Pending answer for one routed request (process mode)."""
 
-    __slots__ = ("req_id", "shard", "request", "lane", "trace_ctx",
+    __slots__ = ("req_id", "shard", "request", "trace_ctx",
                  "submitted", "done_at", "response", "spans", "event")
 
-    def __init__(self, req_id: int, shard: int, request, lane: str,
-                 trace_ctx, submitted: float):
+    def __init__(self, req_id: int, shard: int, request, trace_ctx,
+                 submitted: float):
         self.req_id = req_id
         self.shard = shard
         self.request = request
-        self.lane = lane
         self.trace_ctx = trace_ctx
         self.submitted = submitted
         self.done_at: Optional[float] = None
@@ -123,12 +119,11 @@ class ShardTicket:
 class _ShardHandle:
     """Process-mode bookkeeping for one worker."""
 
-    __slots__ = ("process", "task_queue", "last_seen", "ready")
+    __slots__ = ("process", "task_queue", "ready")
 
     def __init__(self):
         self.process = None
         self.task_queue = None
-        self.last_seen = 0.0
         self.ready = threading.Event()
 
 
@@ -198,9 +193,6 @@ class ShardRouter:
         self.version = version
         self.model_config = dataclasses.asdict(model.config)
         self.state = model.state_dict()
-        self._candidate: Optional[Dict[str, object]] = None  # canary spec
-        self._canary_fraction = 0.0
-        self._rng = np.random.default_rng(self.config.seed)
         self._req_counter = 0
         self._lock = threading.Lock()
         self._tallies = [_ShardTally()
@@ -269,18 +261,13 @@ class ShardRouter:
             exemplars=SHARD_LATENCY_EXEMPLARS)
 
     def _make_runtime(self, shard: int) -> ShardRuntime:
-        runtime = ShardRuntime(
+        return ShardRuntime(
             shard, self.model_config, self.state, self.version,
             resilience=self.resilience,
             cache_size=self.config.cache_size,
             max_batch_size=self.config.max_batch_size,
             clock=self.clock, service_wrapper=self._wrappers[shard],
             sleep_latency_ms=self.config.sleep_latency_ms)
-        if self._candidate is not None:
-            runtime.process(("canary_start", self._candidate["version"],
-                             self._candidate["model_config"],
-                             self._candidate["state"]))
-        return runtime
 
     def _spec(self) -> Dict[str, object]:
         return {
@@ -288,7 +275,6 @@ class ShardRouter:
             "version": self.version, "resilience": self.resilience,
             "cache_size": self.config.cache_size,
             "max_batch_size": self.config.max_batch_size,
-            "heartbeat_s": self.config.heartbeat_s,
             "sleep_latency_ms": self.config.sleep_latency_ms,
         }
 
@@ -302,11 +288,6 @@ class ShardRouter:
                   self._result_queue),
             name=f"rtp-shard-{shard}", daemon=True)
         handle.process.start()
-        handle.last_seen = time.monotonic()
-        if self._candidate is not None:
-            handle.task_queue.put(
-                ("canary_start", self._candidate["version"],
-                 self._candidate["model_config"], self._candidate["state"]))
 
     # ------------------------------------------------------------------
     # Placement and admission
@@ -327,14 +308,6 @@ class ShardRouter:
         if self.backlog_probe is not None:
             depth += int(self.backlog_probe.pending)
         return depth
-
-    def _pick_lane(self) -> str:
-        """The canary's traffic share goes to the candidate lane,
-        everything else to the primary."""
-        if (self._candidate is not None
-                and float(self._rng.random()) < self._canary_fraction):
-            return "candidate"
-        return "primary"
 
     def _note_depth(self, shard: int, depth: int) -> None:
         tally = self._tallies[shard]
@@ -375,12 +348,9 @@ class ShardRouter:
             self._note_depth(shard, depth)
             if depth >= self.config.max_queue_depth:
                 return self._shed(shard, request)
-            lane = self._pick_lane()
             if self.inline:
-                return self._dispatch_inline(shard, request, lane,
-                                             route_span)
-            ticket = self._submit(shard, request, lane)
-            return self._wait(ticket)
+                return self._dispatch_inline(shard, request, route_span)
+            return self._wait(self._submit(shard, request))
 
     def submit(self, request) -> ShardTicket:
         """Pipelined submission (process mode): returns a ticket.
@@ -396,16 +366,15 @@ class ShardRouter:
         self._note_depth(shard, depth)
         if depth >= self.config.max_queue_depth:
             response = self._shed(shard, request)
-            ticket = ShardTicket(-1, shard, request, "primary", None,
-                                 self.clock())
+            ticket = ShardTicket(-1, shard, request, None, self.clock())
             ticket.response = response
             ticket.done_at = self.clock()
             ticket.event.set()
             return ticket
-        return self._submit(shard, request, self._pick_lane())
+        return self._submit(shard, request)
 
     # -- inline ---------------------------------------------------------
-    def _dispatch_inline(self, shard: int, request, lane: str, route_span):
+    def _dispatch_inline(self, shard: int, request, route_span):
         runtime = self.runtimes[shard]
         if not runtime.alive:
             self._respawn_inline(shard)
@@ -415,7 +384,7 @@ class ShardRouter:
         try:
             ctx = capture_context()
             reply = runtime.process(
-                ("request", self._next_req_id(), request, lane, ctx))[0]
+                ("request", self._next_req_id(), request, ctx))[0]
         finally:
             self._in_flight[shard] -= 1
         response, spans = reply[3], reply[4]
@@ -446,16 +415,16 @@ class ShardRouter:
             return self._req_counter
 
     # -- process mode ---------------------------------------------------
-    def _submit(self, shard: int, request, lane: str) -> ShardTicket:
+    def _submit(self, shard: int, request) -> ShardTicket:
         handle = self._handles[shard]
         if not handle.process.is_alive():
             self._respawn_process(shard)
-        ticket = ShardTicket(self._next_req_id(), shard, request, lane,
+        ticket = ShardTicket(self._next_req_id(), shard, request,
                              capture_context(), self.clock())
         with self._lock:
             self._tickets[ticket.req_id] = ticket
             self._in_flight[shard] += 1
-        handle.task_queue.put(("request", ticket.req_id, request, lane,
+        handle.task_queue.put(("request", ticket.req_id, request,
                                ticket.trace_ctx))
         return ticket
 
@@ -496,7 +465,7 @@ class ShardRouter:
             raise RuntimeError(f"respawned shard {shard} never became ready")
         for ticket in outstanding:   # resubmit, nothing is dropped
             handle.task_queue.put(("request", ticket.req_id, ticket.request,
-                                   ticket.lane, ticket.trace_ctx))
+                                   ticket.trace_ctx))
 
     def _collect_loop(self) -> None:
         import queue as queue_mod
@@ -521,24 +490,16 @@ class ShardRouter:
                 latency_ms = (ticket.done_at - ticket.submitted) * 1000.0
                 self._record_answer(shard, latency_ms)
                 ticket.event.set()
-                self._handles[shard].last_seen = time.monotonic()
             elif kind == "ready":
-                _, shard, _pid = message
-                self._handles[shard].last_seen = time.monotonic()
-                self._handles[shard].ready.set()
-            elif kind == "heartbeat":
-                self._handles[message[1]].last_seen = time.monotonic()
+                self._handles[message[1]].ready.set()
             elif kind == "pong":
                 _, shard, _ping_id, payload = message
                 self._pong_payloads[shard] = payload
                 event = self._control_events.get(("pong", shard))
                 if event is not None:
                     event.set()
-            elif kind in ("swapped", "canary_ready", "canary_stopped",
-                          "stopped"):
-                shard = message[1]
-                self._handles[shard].last_seen = time.monotonic()
-                event = self._control_events.get((kind, shard))
+            elif kind == "swapped":
+                event = self._control_events.get((kind, message[1]))
                 if event is not None:
                     event.set()
 
@@ -562,10 +523,10 @@ class ShardRouter:
             self._control_events.pop((ack_kind, shard), None)
 
     # ------------------------------------------------------------------
-    # Lifecycle: swap, canary, kill, shutdown
+    # Lifecycle: swap, kill, shutdown
     # ------------------------------------------------------------------
     def swap_to(self, version: str, model) -> None:
-        """Hot-swap every shard's primary to ``model`` (drains FIFO)."""
+        """Hot-swap every shard to ``model`` (drains FIFO)."""
         self.model_config = dataclasses.asdict(model.config)
         self.state = model.state_dict()
         self.version = version
@@ -586,54 +547,6 @@ class ShardRouter:
             if self.metrics is not None:
                 self._m_swaps.labels(shard=str(shard)).inc()
 
-    def start_canary(self, version: str, model, fraction: float) -> None:
-        """Install ``model`` as the canary lane on every shard."""
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
-        self._candidate = {
-            "version": version,
-            "model_config": dataclasses.asdict(model.config),
-            "state": model.state_dict(),
-        }
-        message = ("canary_start", version,
-                   self._candidate["model_config"],
-                   self._candidate["state"])
-        if self.inline:
-            for runtime in self.runtimes:
-                if runtime.alive:
-                    runtime.process(message)
-        else:
-            self._broadcast(message, "canary_ready")
-        self._canary_fraction = fraction   # route only after all acks
-
-    def stop_canary(self, promote: bool = False) -> None:
-        """End the canary: drop the candidate, or promote it in place.
-
-        The stop message queues behind any in-flight requests, so each
-        shard drains its canary work before switching — a rollback
-        never drops an answered-by-candidate request on the floor.
-        """
-        if self._candidate is None:
-            raise RuntimeError("no canary is active")
-        self._canary_fraction = 0.0   # stop routing before draining
-        message = ("canary_stop", promote)
-        if self.inline:
-            for runtime in self.runtimes:
-                if runtime.alive:
-                    runtime.process(message)
-        else:
-            self._broadcast(message, "canary_stopped")
-        if promote:
-            self.version = self._candidate["version"]
-            self.model_config = self._candidate["model_config"]
-            self.state = self._candidate["state"]
-            self._count_swaps()
-        self._candidate = None
-
-    @property
-    def canary_active(self) -> bool:
-        return self._candidate is not None
-
     def kill_shard(self, shard: int) -> None:
         """Kill one shard (tests / kill scenarios); respawn is lazy."""
         if self.inline:
@@ -641,19 +554,6 @@ class ShardRouter:
         else:
             self._handles[shard].process.terminate()
             self._handles[shard].process.join(timeout=2.0)
-
-    def alive_shards(self) -> List[int]:
-        if self.inline:
-            return [i for i, r in enumerate(self.runtimes) if r.alive]
-        return [i for i, h in enumerate(self._handles)
-                if h.process.is_alive()]
-
-    def heartbeat_ages(self) -> List[float]:
-        """Seconds since each shard was last heard from (process mode)."""
-        if self.inline:
-            return [0.0] * self.num_shards
-        now = time.monotonic()
-        return [now - h.last_seen for h in self._handles]
 
     def shutdown(self) -> None:
         if self.inline:
@@ -674,15 +574,10 @@ class ShardRouter:
     # ------------------------------------------------------------------
     @property
     def breakers(self) -> List[object]:
-        """Inline lanes' circuit breakers (for scenario breaker watch)."""
+        """Inline shards' circuit breakers (for scenario breaker watch)."""
         if not self.inline:
             return []
-        found = []
-        for runtime in self.runtimes:
-            found.append(runtime.primary.breaker)
-            if runtime.candidate is not None:
-                found.append(runtime.candidate.breaker)
-        return found
+        return [runtime.primary.breaker for runtime in self.runtimes]
 
     def shard_stats(self) -> List[Dict[str, object]]:
         """Router-side per-shard accounting (the artifact block)."""

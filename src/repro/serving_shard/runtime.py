@@ -14,18 +14,16 @@ class backs both deployment modes of the
   kernels keep no scratch between calls, so shards that share a
   thread share no buffers either.
 
-Per shard, each installed version is one lane, the full
-single-process serving story:
-:class:`~repro.service.RTPService` (own :class:`~repro.service.GraphCache`)
-wrapped by :class:`~repro.deploy.ResilientRTPService`
-(deadline/breaker/fallback, fixed ``model_version`` stamp per
-installed version).  The worker loop drains up to ``max_batch_size``
-request messages per wake-up, and each lane's share of them is one
-``handle_batch`` call — one padded batched forward.  Hot model swap
-and canary install/stop arrive as queue messages; FIFO ordering is
-what makes a swap *drain* — every request enqueued before the swap
-message is answered by the old version, every one after by the new,
-and no request is ever dropped.
+A shard serves one installed version, the full single-process
+serving story: :class:`~repro.service.RTPService` (own
+:class:`~repro.service.GraphCache`) wrapped by
+:class:`~repro.deploy.ResilientRTPService` (deadline/breaker/fallback,
+fixed ``model_version`` stamp).  The worker loop drains up to
+``max_batch_size`` request messages per wake-up into one
+``handle_batch`` call — one padded batched forward.  A hot model swap
+arrives as a queue message; FIFO ordering is what makes it a *drain* —
+every request enqueued before the swap message is answered by the old
+version, every one after by the new, and no request is ever dropped.
 """
 
 from __future__ import annotations
@@ -44,12 +42,6 @@ from ..deploy.resilience import ResilienceConfig, ResilientRTPService
 from ..obs import tracing
 from ..obs.propagate import worker_span_session
 from ..service import RTPService
-
-#: Exit code a worker uses for injected crashes (mirrors repro.parallel).
-CRASH_EXIT_CODE = 23
-
-#: Seconds a worker waits for a message before emitting a heartbeat.
-DEFAULT_HEARTBEAT_S = 0.25
 
 
 def build_model(model_config: Dict[str, object],
@@ -73,9 +65,9 @@ class ShardRuntime:
     Parameters mirror what fits in a picklable spec message: the model
     arrives as ``(model_config, state)`` plain data, never as a live
     object.  ``service_wrapper`` (inline mode only — closures do not
-    cross process boundaries) wraps the inner service per lane, which
-    is how the load scenarios install fault injection and
-    modeled-latency shims per shard.
+    cross process boundaries) wraps the inner service of every
+    installed version, which is how the load scenarios install fault
+    injection and modeled-latency shims per shard.
     """
 
     def __init__(self, shard_id: int, model_config: Dict[str, object],
@@ -104,15 +96,14 @@ class ShardRuntime:
         self.alive = True
         self.requests = 0
         self.swaps = 0
-        # Lane groups served and their requests, over every lane ever
-        # installed, so swaps and promotions never reset them.
+        # Batches served and their requests, over every version ever
+        # installed, so a swap never resets them.
         self.batches_flushed = 0
         self.requests_flushed = 0
-        self.primary = self._make_lane(model_config, state, version)
-        self.candidate: Optional[ResilientRTPService] = None
+        self.primary = self._make_service(model_config, state, version)
 
     # ------------------------------------------------------------------
-    def _make_lane(self, model_config: Dict[str, object],
+    def _make_service(self, model_config: Dict[str, object],
                    state: Dict[str, np.ndarray],
                    version: str) -> ResilientRTPService:
         """One installed version: resilient wrap over its own service."""
@@ -124,13 +115,6 @@ class ShardRuntime:
             service, fallback=self.fallback, config=self.resilience,
             version=version, clock=self.clock)
 
-    def _lane(self, requested: str) -> ResilientRTPService:
-        """The lane a request message serves from: the candidate when
-        one is installed and asked for, else the primary."""
-        if requested == "candidate" and self.candidate is not None:
-            return self.candidate
-        return self.primary
-
     # ------------------------------------------------------------------
     # Message protocol (plain picklable tuples, repro.parallel style)
     # ------------------------------------------------------------------
@@ -141,66 +125,40 @@ class ShardRuntime:
             return self.process_requests([message])
         if kind == "swap":
             _, swap_id, version, model_config, state = message
-            self.primary = self._make_lane(model_config, state, version)
+            self.primary = self._make_service(model_config, state, version)
             self.swaps += 1
             return [("swapped", self.shard_id, swap_id, version)]
-        if kind == "canary_start":
-            _, version, model_config, state = message
-            self.candidate = self._make_lane(model_config, state, version)
-            return [("canary_ready", self.shard_id, version)]
-        if kind == "canary_stop":
-            _, promote = message
-            stopped = self.candidate.version if self.candidate else ""
-            if promote and self.candidate is not None:
-                self.primary = self.candidate
-                self.swaps += 1
-            self.candidate = None
-            return [("canary_stopped", self.shard_id, stopped,
-                     self.primary.version)]
         if kind == "ping":
             return [("pong", self.shard_id, message[1], self.stats())]
-        if kind == "crash":  # fault injection for respawn tests
-            os._exit(CRASH_EXIT_CODE)
         raise ValueError(f"shard {self.shard_id}: unknown message "
                          f"kind {kind!r}")
 
     def process_requests(self, messages: Sequence[Tuple]) -> List[Tuple]:
-        """Serve a drained batch of request messages.
+        """Serve a drained batch of ``("request", req_id, request,
+        trace_ctx)`` messages as one ``handle_batch`` call.
 
-        Messages are grouped by lane (primary vs canary candidate) and
-        each group is one ``handle_batch`` call; reply order matches
-        message order.  Worker-side spans are captured under a session
-        keyed by the first message that shipped a trace context and
-        returned with that message's reply (one flush serves many
-        traces; the router stitches the shipped tree under its own
-        dispatch span).
+        Reply order matches message order.  Worker-side spans are
+        captured under a session keyed by the first message that
+        shipped a trace context and returned with that message's reply
+        (one flush serves many traces; the router stitches the shipped
+        tree under its own dispatch span).
         """
         ctx_index = next((i for i, m in enumerate(messages)
-                          if m[4] is not None), 0)
-        session = worker_span_session(messages[ctx_index][4])
+                          if m[3] is not None), 0)
+        session = worker_span_session(messages[ctx_index][3])
         with session:
             with tracing.span("shard.serve", shard=self.shard_id,
                               batch=len(messages)):
-                responses: Dict[int, object] = {}
-                groups: Dict[ResilientRTPService, List[int]] = {}
-                for index, message in enumerate(messages):
-                    groups.setdefault(self._lane(message[3]),
-                                      []).append(index)
-                for lane, indices in groups.items():
-                    answers = lane.handle_batch(
-                        [messages[i][2] for i in indices])
-                    for index, answer in zip(indices, answers):
-                        responses[index] = answer
-                    self.batches_flushed += 1
-                    self.requests_flushed += len(indices)
+                responses = self.primary.handle_batch(
+                    [message[2] for message in messages])
             spans = session.export()
         self.requests += len(messages)
-        replies = []
-        for index, message in enumerate(messages):
-            shipped = spans if index == ctx_index else []
-            replies.append(("response", self.shard_id, message[1],
-                            responses[index], shipped))
-        return replies
+        self.batches_flushed += 1
+        self.requests_flushed += len(messages)
+        return [("response", self.shard_id, message[1], response,
+                 spans if index == ctx_index else [])
+                for index, (message, response)
+                in enumerate(zip(messages, responses))]
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
@@ -210,8 +168,6 @@ class ShardRuntime:
             "shard": self.shard_id,
             "pid": os.getpid(),
             "version": self.primary.version,
-            "candidate": (self.candidate.version
-                          if self.candidate is not None else None),
             "requests": self.requests,
             "swaps": self.swaps,
             "batches_flushed": self.batches_flushed,
@@ -228,10 +184,11 @@ def shard_worker_main(shard_id: int, spec: Dict[str, object],
 
     Builds the runtime from the plain-data ``spec`` (model config,
     state arrays, knobs) *after* the fork, announces readiness, then
-    loops: drain up to ``max_batch_size`` consecutive request messages
-    per wake-up (each lane's share is one padded batch), answer control
-    messages in arrival order, emit a heartbeat when idle.  ``stop``
-    exits the loop cleanly.
+    blocks on its task queue: it drains up to ``max_batch_size``
+    consecutive request messages per wake-up into one padded batch and
+    answers control messages in arrival order.  ``stop`` exits the loop
+    without a reply; the router finds a dead worker with
+    ``process.is_alive()``.
     """
     runtime = ShardRuntime(
         shard_id, spec["model_config"], spec["state"], spec["version"],
@@ -239,20 +196,14 @@ def shard_worker_main(shard_id: int, spec: Dict[str, object],
         cache_size=spec.get("cache_size", 32),
         max_batch_size=spec.get("max_batch_size", 8),
         sleep_latency_ms=spec.get("sleep_latency_ms", 0.0))
-    heartbeat_s = spec.get("heartbeat_s", DEFAULT_HEARTBEAT_S)
     result_queue.put(("ready", shard_id, os.getpid()))
     held: Optional[Tuple] = None
     while True:
         if held is not None:
             message, held = held, None
         else:
-            try:
-                message = task_queue.get(timeout=heartbeat_s)
-            except queue.Empty:
-                result_queue.put(("heartbeat", shard_id, time.monotonic()))
-                continue
+            message = task_queue.get()
         if message[0] == "stop":
-            result_queue.put(("stopped", shard_id))
             return
         if message[0] == "request":
             batch = [message]

@@ -5,14 +5,12 @@ never produce a torn answer: every response carries the
 ``model_version`` of a service it was actually admitted to, no request
 errors out because the candidate was yanked mid-call, and once the
 swap has drained every new request is stamped with the surviving
-version.  Covered in both deployment shapes:
-
-* single-process :class:`~repro.deploy.DeploymentController` hammered
-  from serving threads while the main thread flips canary → promote /
-  rollback;
-* the sharded tier, where :class:`~repro.serving_shard.ShardRouter`'s
-  ``start_canary`` / ``stop_canary`` make the same lifecycle a
-  broadcast drain over worker queues.
+version.  :class:`~repro.deploy.DeploymentController`, the one
+rollout controller, is hammered from serving threads while the main
+thread flips canary → promote / rollback.  A
+:class:`~repro.serving_shard.ShardRouter` serves one version and has
+no rollout of its own; its ``swap_to`` drain over worker queues is
+covered in ``tests/test_serving_shard.py``.
 """
 
 import threading
@@ -24,7 +22,6 @@ from repro.core import M2G4RTP, M2G4RTPConfig
 from repro.deploy import (DeploymentController, ModelRegistry,
                           ResilienceConfig, RolloutPolicy)
 from repro.service import RTPRequest
-from repro.serving_shard import ShardConfig, ShardRouter
 
 
 def tiny_model(seed: int) -> M2G4RTP:
@@ -138,59 +135,3 @@ class TestSingleProcessHotSwap:
             controller.rollback()
         with pytest.raises(RuntimeError):
             controller.promote()
-
-
-class TestShardedHotSwap:
-    def test_inline_promote_rollback_lifecycle(self, registry, requests):
-        model, _ = registry.load("v001")
-        candidate, _ = registry.load("v002")
-        router = ShardRouter(model, version="v001",
-                             config=ShardConfig(num_shards=2, seed=4),
-                             inline=True)
-        router.start_canary("v002", candidate, fraction=0.5)
-        versions = set()
-        for request in requests:
-            response = router.handle(request)
-            assert_valid(response, request)
-            versions.add(response.model_version)
-        assert versions == {"v001", "v002"}
-
-        router.stop_canary(promote=False)
-        assert router.version == "v001"
-        assert all(router.handle(r).model_version == "v001"
-                   for r in requests[:4])
-
-        router.start_canary("v002", candidate, fraction=0.5)
-        router.stop_canary(promote=True)
-        assert router.version == "v002"
-        assert all(router.handle(r).model_version == "v002"
-                   for r in requests[:4])
-
-    def test_process_mode_promote_drains_in_flight(self, registry,
-                                                   requests):
-        """Pipelined submissions across a promote: versions coherent,
-        FIFO-monotonic per shard, and nothing dropped."""
-        model, _ = registry.load("v001")
-        candidate, _ = registry.load("v002")
-        router = ShardRouter(model, version="v001",
-                             config=ShardConfig(num_shards=2, seed=4),
-                             inline=False)
-        try:
-            router.start_canary("v002", candidate, fraction=0.5)
-            promote_at = len(requests) // 2
-            tickets = []
-            for i, request in enumerate(requests):
-                if i == promote_at:
-                    router.stop_canary(promote=True)
-                tickets.append(router.submit(request))
-            responses = router.wait_all(tickets)
-            assert len(responses) == len(requests)
-            for i, response in enumerate(responses):
-                assert response.model_version in ("v001", "v002")
-                if i >= promote_at:
-                    # stop_canary() returns only after every shard acked
-                    # the drain, so everything submitted after it is new.
-                    assert response.model_version == "v002"
-            assert router.version == "v002"
-        finally:
-            router.shutdown()

@@ -12,7 +12,9 @@ is scanned with :mod:`ast` instead, lazy in-function imports included.
 
 Every serving stage implements only ``handle_batch``; ``handle`` is a
 batch of one, defined once on ``ServingStage``.  The same scan keeps a
-second ``handle`` path from growing back.
+second ``handle`` path from growing back, and a second rollout
+controller: ``DeploymentController`` is the only class with canary,
+shadow, promote or rollback methods.
 """
 
 import ast
@@ -104,3 +106,17 @@ def test_batch_stages_subclass_serving_stage():
                  if "handle_batch" in method_names(cls)
                  and "ServingStage" not in base_names(cls)]
     assert not offenders, "\n".join(offenders)
+
+
+#: Starting or stopping a canary or shadow, promoting, rolling back.
+ROLLOUT_METHODS = ({f"{verb}_{mode}" for verb in ("start", "stop")
+                    for mode in ("canary", "shadow")}
+                   | {"promote", "rollback"})
+
+
+def test_deployment_controller_is_the_one_rollout_controller():
+    owners = sorted(f"{path.relative_to(SRC)}:{cls.lineno} {cls.name}"
+                    for path, cls in classes_under(SRC / "repro")
+                    if ROLLOUT_METHODS & method_names(cls))
+    assert [owner.rsplit(" ", 1)[1] for owner in owners] == [
+        "DeploymentController"], "\n".join(owners)

@@ -273,14 +273,6 @@ class TestMonitoringSplit:
         assert "rtp_cache_hits_total 2" in metrics
         assert "rtp_cache_misses_total 3" in metrics
 
-    def test_reset_clears_split(self, model, requests):
-        monitor = ServiceMonitor(RTPService(model))
-        monitor.handle(requests[0])
-        monitor.reset()
-        stats = monitor.stats()
-        assert stats.queries == 0
-        assert stats.mean_build_ms == 0.0 and stats.mean_infer_ms == 0.0
-
 
 # ----------------------------------------------------------------------
 # Benchmark smoke mode (CI-sized)

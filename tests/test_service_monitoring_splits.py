@@ -52,11 +52,6 @@ class TestServiceMonitor:
                       if l.startswith("rtp_latency_ms_count")][0]
         assert inf_line.split()[-1] == count_line.split()[-1]
 
-    def test_reset(self, monitor, dataset):
-        monitor.handle(RTPRequest.from_instance(dataset[0]))
-        monitor.reset()
-        assert monitor.stats().queries == 0
-
     def test_unsorted_buckets_rejected(self, monitor):
         with pytest.raises(ValueError):
             ServiceMonitor(monitor.service, buckets=(5.0, 1.0))

@@ -10,15 +10,20 @@ The properties that make :mod:`repro.serving_shard` trustworthy:
   graph cache and breaker (the fused kernels keep no scratch between
   calls), and process workers rebuild everything post-fork from plain
   spec data;
-* hot swap and canary stop/promote are *drains* — every in-flight
-  request is answered by a coherent installed version, versions are
-  FIFO-monotonic per shard, and nothing is dropped;
+* a router serves one version at a time, and a hot swap is a
+  *drain* — every in-flight request is answered by a coherent
+  installed version, versions are FIFO-monotonic per shard, and
+  nothing is dropped;
 * a killed worker is respawned (from current weights) and outstanding
-  work resubmitted — the caller just sees answers.
+  work resubmitted — the caller just sees answers;
+* an idle worker blocks on its task queue and sends nothing; the
+  router finds a dead one with ``process.is_alive()``.
 """
 
 import pickle
+import queue
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -30,7 +35,7 @@ from repro.obs import disable_tracing, enable_tracing
 from repro.service import RTPRequest, ServingStage
 from repro.service.monitoring import PERCENTILE_WINDOW
 from repro.serving_shard import (ShardConfig, ShardRouter, ShardRuntime,
-                                 build_model)
+                                 build_model, shard_worker_main)
 
 
 def tiny_model(seed: int = 3) -> M2G4RTP:
@@ -51,8 +56,8 @@ def requests(dataset):
 
 def make_router(num_shards=2, **kwargs) -> ShardRouter:
     kwargs.setdefault("inline", True)
-    config = kwargs.pop("config", None) or ShardConfig(num_shards=num_shards)
-    return ShardRouter(tiny_model(), version="v001", config=config, **kwargs)
+    return ShardRouter(tiny_model(), version="v001",
+                       config=ShardConfig(num_shards=num_shards), **kwargs)
 
 
 def assert_valid(response, request):
@@ -170,7 +175,7 @@ class TestShardIsolation:
         runtime = ShardRuntime(0, spec["model_config"], spec["state"],
                                spec["version"])
         [(kind, _shard, _req, response, _spans)] = runtime.process(
-            ("request", 0, requests[0], "primary", None))
+            ("request", 0, requests[0], None))
         assert kind == "response"
         direct = router.handle(requests[0])
         np.testing.assert_allclose(response.eta_minutes,
@@ -179,7 +184,7 @@ class TestShardIsolation:
 
 
 # ----------------------------------------------------------------------
-# Hot swap / canary (inline: deterministic drain semantics)
+# Hot swap (inline: deterministic drain semantics)
 # ----------------------------------------------------------------------
 class TestInlineSwap:
     def test_swap_to_changes_stamp_everywhere(self, requests):
@@ -191,30 +196,9 @@ class TestInlineSwap:
             assert router.handle(request).model_version == "v002"
         assert all(s["swaps"] == 1 for s in router.shard_stats())
 
-    def test_canary_split_then_promote(self, requests):
-        router = make_router(num_shards=2,
-                             config=ShardConfig(num_shards=2, seed=4))
-        router.start_canary("v002", tiny_model(seed=9), fraction=0.5)
-        versions = {router.handle(request).model_version
-                    for request in requests}
-        assert versions == {"v001", "v002"}
-        router.stop_canary(promote=True)
-        assert router.version == "v002"
-        assert {router.handle(r).model_version
-                for r in requests[:6]} == {"v002"}
-
-    def test_canary_rollback_restores_primary(self, requests):
-        router = make_router(num_shards=2)
-        router.start_canary("v002", tiny_model(seed=9), fraction=1.0)
-        assert router.handle(requests[0]).model_version == "v002"
-        router.stop_canary(promote=False)
-        assert router.version == "v001"
-        assert router.handle(requests[0]).model_version == "v001"
-
-    def test_flush_counters_survive_swap_and_promotion(self, requests):
-        """Flush counts belong to the runtime, not to one lane: a swap
-        or a promoted canary never resets them, and canary batches
-        count too."""
+    def test_flush_counters_survive_swap(self, requests):
+        """Flush counts belong to the runtime, not to one installed
+        version: a swap never resets them."""
         router = make_router(num_shards=1)
         seen = []
 
@@ -230,12 +214,7 @@ class TestInlineSwap:
         for request in requests[3:6]:
             router.handle(request)
         record()
-        router.start_canary("v003", tiny_model(seed=11), fraction=1.0)
-        for request in requests[6:8]:
-            assert router.handle(request).model_version == "v003"
-        router.stop_canary(promote=True)
-        record()
-        assert seen == [(3, 3), (6, 6), (8, 8)]
+        assert seen == [(3, 3), (6, 6)]
 
     def test_inline_kill_respawns_from_current_version(self, requests):
         router = make_router(num_shards=2)
@@ -317,7 +296,9 @@ class TestProcessMode:
             assert_valid(response, requests[0])
             assert response.model_version == "v002"
             assert router.shard_stats()[victim]["respawns"] == 1
-            assert sorted(router.alive_shards()) == [0, 1]
+            live = {s["shard"]: s["pid"] for s in router.worker_stats()}
+            assert sorted(live) == [0, 1]
+            assert len(set(live.values())) == 2
         finally:
             router.shutdown()
 
@@ -334,6 +315,29 @@ class TestProcessMode:
             assert (time.perf_counter() - start) >= 0.004
         finally:
             router.shutdown()
+
+
+# ----------------------------------------------------------------------
+# Worker loop (driven on a thread, so queue traffic is observable)
+# ----------------------------------------------------------------------
+class TestWorkerLoop:
+    def test_idle_worker_is_silent_and_stop_sends_nothing(self):
+        """An idle worker blocks on its task queue: after ``ready`` it
+        sends nothing until asked, and ``stop`` ends it without a
+        reply."""
+        tasks, results = queue.Queue(), queue.Queue()
+        worker = threading.Thread(
+            target=shard_worker_main,
+            args=(0, make_router(num_shards=1)._spec(), tasks, results),
+            daemon=True)
+        worker.start()
+        assert results.get(timeout=30)[0] == "ready"
+        time.sleep(0.7)
+        assert results.empty(), f"idle worker sent {results.get()!r}"
+        tasks.put(("stop",))
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert results.empty(), f"stopped worker sent {results.get()!r}"
 
 
 # ----------------------------------------------------------------------

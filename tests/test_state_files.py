@@ -2,10 +2,10 @@
 
 Every file a restarted process reads back goes through
 :func:`repro.training.checkpoint.atomic_write`: model checkpoints,
-registry pointers, fine-tune progress records, experience-buffer and
-frozen-holdout snapshots, and the online loop's ``loop_state.json``.  A
-write that fails part-way must leave the previous file readable and no
-``*.tmp`` file behind.
+registry pointers and activation history, fine-tune progress records,
+experience-buffer and frozen-holdout snapshots, and the online loop's
+``loop_state.json``.  A write that fails part-way must leave the
+previous file readable and no ``*.tmp`` file behind.
 """
 
 import errno
@@ -177,3 +177,26 @@ def test_failed_write_keeps_previous_file_and_no_temp(site, loop, tmp_path,
         write()
     assert read() == before
     assert not list(directory.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("skip", [0, 1],
+                         ids=["active_write", "history_write"])
+def test_rollback_after_failed_activate_returns_to_previous_version(
+        skip, tmp_path, monkeypatch, fill_disk):
+    """``activate`` writes ``ACTIVE``, then ``ACTIVE_HISTORY``; whichever
+    write fails, ``rollback_active`` returns to the version before the
+    active one, never re-activating the active one."""
+    registry = ModelRegistry(tmp_path / "reg")
+    for seed in (17, 18, 19):
+        registry.register(small_model(seed, 16), created_at="t")
+    registry.activate("v001")
+    registry.activate("v002")
+    fill_disk(skip)
+    with pytest.raises(OSError, match="No space left"):
+        registry.activate("v003")
+    monkeypatch.undo()   # the disk has room again
+    active, previous = ("v002", "v001") if skip == 0 else ("v003", "v002")
+    assert registry.active() == active
+    assert registry.activation_history()[-1] == "v002"
+    assert registry.rollback_active() == previous
+    assert registry.active() == previous
