@@ -11,7 +11,10 @@ The design follows the classic define-by-run tape:
 * every operation returns a new ``Tensor`` holding references to its
   parent tensors and a closure that accumulates gradients into them;
 * :meth:`Tensor.backward` topologically sorts the graph and runs the
-  closures in reverse order;
+  closures in reverse order, freeing each interior node (its gradient,
+  closure and parents) once it has propagated, as PyTorch does without
+  ``retain_graph``: the tape is single-use, and only leaves keep
+  ``.grad``;
 * broadcasting is supported everywhere through :func:`_unbroadcast`.
 
 All arithmetic is performed in ``float64`` so that the finite-difference
@@ -66,6 +69,13 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad.reshape(shape)
+
+
+def _freed(grad: np.ndarray) -> None:
+    """The closure of an interior node an earlier backward freed."""
+    raise RuntimeError(
+        "backward() reached a node an earlier backward() already freed; "
+        "a graph can be back-propagated only once")
 
 
 def _as_array(value: ArrayLike) -> np.ndarray:
@@ -180,6 +190,13 @@ class Tensor:
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Backpropagate from this tensor.
 
+        Each interior node drops its ``.grad``, closure and parents as
+        soon as it has propagated, so the activations and gradients of
+        the graph are released during the pass instead of after it.
+        Leaves (parameters and tensors built with ``requires_grad``)
+        keep ``.grad``; a later backward that reaches a freed node
+        raises :class:`RuntimeError`.
+
         Parameters
         ----------
         grad:
@@ -210,9 +227,17 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(np.asarray(grad, dtype=np.float64))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            # Popping drops the list's reference too, so a freed node's
+            # data goes as soon as its last consumer has propagated.
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._backward = _freed
+            node._parents = ()
 
     # ------------------------------------------------------------------
     # Elementwise arithmetic

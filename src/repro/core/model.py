@@ -187,12 +187,16 @@ class M2G4RTP(Module):
                        aoi_routes: np.ndarray, aoi_times: Tensor) -> Tensor:
         """Location decoder inputs with AOI guidance (Eq. 34): each
         location's representation, the position encoding of its AOI in
-        the AOI route, and that AOI's predicted arrival time."""
+        the AOI route, and that AOI's predicted arrival time.  The
+        two-step variant detaches that time, so the route loss does
+        not reach the AOI time decoder."""
         size, n = len(batch), batch.location.max_nodes
         aoi_positions = route_positions(aoi_routes, batch.aoi.lengths)
         location_positions = aoi_positions[np.arange(size)[:, None],
                                            batch.aoi_of_location]
         table = position_table(batch.aoi.max_nodes, self.config.position_dim)
+        if self.config.detach_time_inputs:
+            aoi_times = aoi_times.detach()
         per_location_eta = padded_gather(
             aoi_times, batch.aoi_of_location, valid=batch.location.mask)
         return concat([location_reps, Tensor(table[location_positions]),

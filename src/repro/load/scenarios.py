@@ -162,7 +162,17 @@ class ScenarioContext:
 
     def breaker_opens(self) -> int:
         """Total breaker trips across every watched service."""
+        self._watch_shard_breakers()
         return sum(breaker.opens for breaker in self.breaker_watch)
+
+    def _watch_shard_breakers(self) -> None:
+        """Add the breakers of shard runtimes built since the last
+        sweep (respawns and swaps build new ones) to the watch."""
+        if self.router is None:
+            return
+        for breaker in self.router.breakers:
+            if breaker not in self.breaker_watch:
+                self.breaker_watch.append(breaker)
 
     def record_event(self, event: str, detail: str) -> None:
         self.events.append({"phase": self.current_phase, "event": event,
@@ -356,6 +366,8 @@ def _attach_shards(context: ScenarioContext, scenario: Scenario,
         return wrap
 
     def note_respawn(shard: int) -> None:
+        # Called before the runtime is replaced: keep its breaker.
+        context._watch_shard_breakers()
         context.record_event(
             "shard_respawned",
             f"shard {shard} rebuilt from version "
@@ -388,7 +400,7 @@ def _attach_shards(context: ScenarioContext, scenario: Scenario,
         on_respawn=note_respawn, on_shed=note_shed)
     context.router = router
     context.handler = router.handle
-    context.breaker_watch.extend(router.breakers)
+    context._watch_shard_breakers()
     context.events.append({
         "phase": "setup", "event": "shards_started",
         "detail": f"{config.num_shards} shards serving v001 in "

@@ -160,11 +160,6 @@ class _Instrument:
     def _new_cell(self):
         raise NotImplementedError
 
-    def reset(self) -> None:
-        """Drop all recorded values (all label children)."""
-        with self._lock:
-            self._values.clear()
-
     # ------------------------------------------------------------------
     def render(self) -> List[str]:
         """Exposition lines for this instrument (TYPE line included)."""
@@ -535,13 +530,6 @@ class MetricsRegistry:
         """Registered instrument names, in registration order."""
         with self._lock:
             return list(self._instruments)
-
-    def reset(self) -> None:
-        """Zero every instrument (keeps registrations)."""
-        with self._lock:
-            instruments = list(self._instruments.values())
-        for instrument in instruments:
-            instrument.reset()
 
     def render(self) -> str:
         """Full Prometheus-exposition text of every instrument."""

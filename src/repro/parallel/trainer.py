@@ -6,8 +6,9 @@ processes.  Each optimisation step:
 
 1. the mini-batch's instance indices are sharded round-robin across the
    workers (strided, so shard sizes differ by at most one);
-2. every worker runs forward/backward over its shard, accumulating
-   ``d(loss_i / batch)`` exactly like the sequential trainer does;
+2. every worker runs forward/backward over its shard one instance at a
+   time, accumulating ``d(loss_i / batch)``; the sequential trainer
+   gets the same sum from a few padded groups;
 3. the coordinator sums the shipped gradients (an all-reduce with the
    coordinator as the reduction root), clips by global norm, and takes
    the Adam step — then lazily re-broadcasts parameters with the next

@@ -1,14 +1,23 @@
 """Training loop for M²G4RTP and its ablation variants.
 
 Implements the paper's multi-task training (Section IV-D): teacher
-forcing through the padded :meth:`M2G4RTP.forward`, run on each instance
-as a batch of one, the four losses combined by the model's weighting
-module, Adam with gradient clipping and a step LR schedule, and early
-stopping on validation loss.
+forcing through the padded :meth:`M2G4RTP.forward`, the four losses
+combined by the model's weighting module, Adam with gradient clipping
+and a step LR schedule, and early stopping on validation loss.
+
+Each optimizer step packs its mini-batch into a few padded groups
+(:func:`pack_groups`): rows sorted by location count, each group's
+padded location cells held to :data:`GROUP_CELLS`, so no group's tape
+outgrows that of one paper-scope instance.  Each group runs one
+forward and one backward, scaled by its share of the batch, and the
+step clips and updates once; the gradient is the batch mean, as if
+every instance had run on its own.
 
 The "two-step" ablation uses two optimisers over disjoint parameter
 groups: the route stage (encoder + route decoders) and the time stage
-(SortLSTMs), with time-decoder inputs detached inside the model.
+(SortLSTMs).  Time-decoder inputs and the AOI time guidance of the
+location decoders are detached inside the model, so one backward of
+both losses gives each group only its own loss's gradient.
 
 :class:`~repro.parallel.DataParallelTrainer` reuses this loop through
 three hooks (``_on_data_ready``, ``_update_batch``, ``_teardown``) to
@@ -20,7 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +45,10 @@ from ..obs.tracing import span
 
 _ROUTE_TASKS = ("aoi_route", "location_route")
 _TIME_TASKS = ("aoi_time", "location_time")
+
+#: Most padded location cells (rows x largest n^2) one packed group may
+#: hold: those of one 20-location instance, the paper-scope maximum.
+GROUP_CELLS = 400
 
 
 @dataclasses.dataclass
@@ -70,14 +83,32 @@ class TrainingHistory:
         return len(self.train_loss)
 
 
-def _sum_losses(losses: Dict[str, Tensor], tasks) -> Optional[Tensor]:
+def _sum_losses(losses: Dict[str, Tensor], tasks) -> Tensor:
     selected = [losses[task] for task in tasks if task in losses]
-    if not selected:
-        return None
     total = selected[0]
     for term in selected[1:]:
         total = total + term
     return total
+
+
+def pack_groups(graphs: Sequence[MultiLevelGraph]) -> List[List[int]]:
+    """Partition ``graphs`` into padded groups for one optimizer step.
+
+    Indices are stable-sorted by location count and packed greedily: a
+    group takes the next row while its padded location cells (rows x
+    the largest n^2) stay within :data:`GROUP_CELLS`.  A row whose own
+    cells exceed that forms a group alone.
+    """
+    order = sorted(range(len(graphs)),
+                   key=lambda index: graphs[index].num_locations)
+    groups: List[List[int]] = []
+    for index in order:
+        n = graphs[index].num_locations
+        if groups and (len(groups[-1]) + 1) * n * n <= GROUP_CELLS:
+            groups[-1].append(index)
+        else:
+            groups.append([index])
+    return groups
 
 
 class Trainer:
@@ -297,20 +328,24 @@ class Trainer:
     # ------------------------------------------------------------------
     def _joint_update_batch(self, graphs, targets, optimizer: Adam,
                             sample_prob: float = 0.0, rng=None) -> float:
-        """Accumulate gradients over a mini-batch, then one Adam step.
+        """One Adam step on the mean gradient of a mini-batch.
 
-        Per-instance losses are averaged so the effective gradient is
-        the batch mean — larger ``batch_size`` trades update frequency
-        for lower gradient variance.
+        The batch runs as the padded groups of :func:`pack_groups`.  A
+        group's loss is the mean over its rows, so back-propagating it
+        scaled by ``len(group) / len(graphs)`` accumulates the
+        batch-mean gradient; clipping and the step then run once.  Returns the sum
+        of the per-instance losses.  With scheduled sampling, each
+        group draws one coin per row per decode step.
         """
         optimizer.zero_grad()
-        scale = 1.0 / len(graphs)
         total = 0.0
-        for graph, target in zip(graphs, targets):
-            output = self.model(GraphBatch.from_graphs([graph]), [target],
-                                sample_prob=sample_prob, rng=rng)
-            (output.total_loss * scale).backward()
-            total += float(output.total_loss.data)
+        for group in pack_groups(graphs):
+            output = self.model(
+                GraphBatch.from_graphs([graphs[i] for i in group]),
+                [targets[i] for i in group],
+                sample_prob=sample_prob, rng=rng)
+            (output.total_loss * (len(group) / len(graphs))).backward()
+            total += float(output.total_loss.data) * len(group)
         self._epoch_grad_norms.append(
             clip_grad_norm(optimizer.parameters, self.config.grad_clip))
         optimizer.step()
@@ -319,26 +354,25 @@ class Trainer:
     def _two_step_update(self, graph: MultiLevelGraph, target: RTPTargets,
                          route_optimizer: Adam, time_optimizer: Adam,
                          sample_prob: float = 0.0, rng=None) -> float:
+        """One step of each optimizer on its own loss.
+
+        The model detaches every path between the route and time stages
+        (the time decoders' inputs and the AOI time guidance), so the
+        two losses reach disjoint parameter groups and one backward of
+        their sum gives each group exactly its own loss's gradient.
+        """
         output = self.model(GraphBatch.from_graphs([graph]), [target],
                             sample_prob=sample_prob, rng=rng)
         route_loss = _sum_losses(output.losses, _ROUTE_TASKS)
         time_loss = _sum_losses(output.losses, _TIME_TASKS)
-        total = 0.0
-        if route_loss is not None:
-            route_optimizer.zero_grad()
-            route_loss.backward()
+        route_optimizer.zero_grad()
+        time_optimizer.zero_grad()
+        (route_loss + time_loss).backward()
+        for optimizer in (route_optimizer, time_optimizer):
             self._epoch_grad_norms.append(clip_grad_norm(
-                route_optimizer.parameters, self.config.grad_clip))
-            route_optimizer.step()
-            total += float(route_loss.data)
-        if time_loss is not None:
-            time_optimizer.zero_grad()
-            time_loss.backward()
-            self._epoch_grad_norms.append(clip_grad_norm(
-                time_optimizer.parameters, self.config.grad_clip))
-            time_optimizer.step()
-            total += float(time_loss.data)
-        return total
+                optimizer.parameters, self.config.grad_clip))
+            optimizer.step()
+        return float(route_loss.data) + float(time_loss.data)
 
     # ------------------------------------------------------------------
     def evaluate_loss(self, graphs, targets) -> float:

@@ -16,9 +16,10 @@ import copy
 
 import pytest
 
-from repro.load import (LoadPhase, LoadRunConfig, diurnal_rate,
-                        reconcile_shards, reconcile_with_registry,
-                        run_scenario, validate_artifact)
+from repro.load import (SCENARIOS, LoadPhase, LoadRunConfig,
+                        build_context, diurnal_rate, reconcile_shards,
+                        reconcile_with_registry, run_scenario,
+                        small_model, validate_artifact)
 
 
 # ----------------------------------------------------------------------
@@ -181,3 +182,39 @@ class TestShardCount:
         result = run_scenario("shard_soak", smoke_config())
         clone = copy.deepcopy(result.artifact)
         assert clone == result.artifact
+
+
+class TestBreakerWatch:
+    def test_respawned_shard_breaker_is_counted(self):
+        """A respawn builds a new runtime, and with it a new breaker:
+        the scenario's breaker count must include its trips."""
+        context = build_context(SCENARIOS["shard_kill"],
+                                smoke_config(num_shards=2))
+        try:
+            router = context.router
+            request = context.stream.next()
+            while router.place(request) != 1:
+                request = context.stream.next()
+            router.kill_shard(1)
+            context.handler(request)   # respawns shard 1
+            assert router.shard_stats()[1]["respawns"] == 1
+            breaker = router.runtimes[1].primary.breaker
+            for _ in range(breaker.failure_threshold):
+                breaker.record_failure()
+            assert breaker.opens == 1
+            assert context.breaker_opens() == 1
+        finally:
+            context.close()
+
+    def test_swapped_shard_breakers_are_counted(self):
+        context = build_context(SCENARIOS["shard_kill"],
+                                smoke_config(num_shards=2))
+        try:
+            context.router.swap_to("v002", small_model(7, 16))
+            for runtime in context.router.runtimes:
+                breaker = runtime.primary.breaker
+                for _ in range(breaker.failure_threshold):
+                    breaker.record_failure()
+            assert context.breaker_opens() == 2
+        finally:
+            context.close()

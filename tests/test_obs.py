@@ -245,14 +245,6 @@ class TestRegistry:
         sum_line = next(l for l in lines if l.startswith("lat_ms_sum"))
         assert float(sum_line.split()[-1]) == pytest.approx(134.2)
 
-    def test_reset_zeroes_but_keeps_registration(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("x_total")
-        counter.inc(7)
-        registry.reset()
-        assert counter.value == 0
-        assert registry.counter("x_total") is counter
-
 
 class TestRegistryThreadSafety:
     """Every write path mutates under the instrument lock, so hammering
