@@ -20,7 +20,7 @@ Quickstart::
 __version__ = "1.0.0"
 
 from . import autodiff, baselines, core, data, deploy, eval, experiments, graphs
-from . import kernels, load, metrics, nn, obs, parallel, service, training
+from . import kernels, load, metrics, nn, obs, service, training
 
 # Convenience re-exports of the most-used names.
 from .data import (
@@ -38,13 +38,11 @@ from .core import M2G4RTP, M2G4RTPConfig, RTPTargets, make_variant
 from .training import Trainer, TrainerConfig, train_m2g4rtp
 from .eval import evaluate_method, format_table, model_predictor, baseline_predictor
 from .service import ETAService, OrderSortingService, RTPRequest, RTPService
-from .parallel import DataParallelTrainer, ParallelConfig
 
 __all__ = [
     "autodiff", "baselines", "core", "data", "deploy", "eval", "experiments",
-    "graphs", "kernels", "load", "metrics", "nn", "obs", "parallel",
-    "service", "training",
-    "DataParallelTrainer", "ParallelConfig",
+    "graphs", "kernels", "load", "metrics", "nn", "obs", "service",
+    "training",
     "AOI", "Courier", "Location", "RTPInstance", "RTPDataset",
     "GeneratorConfig", "SyntheticWorld", "generate_dataset",
     "GraphBuilder", "MultiLevelGraph",

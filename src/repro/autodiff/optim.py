@@ -20,7 +20,7 @@ class Optimizer:
 
     Every optimiser can round-trip its internal state (step counter,
     momentum / moment buffers) through :meth:`state_dict` /
-    :meth:`load_state_dict`, so a resumed or data-parallel run continues
+    :meth:`load_state_dict`, so a resumed run continues
     *identically* to an uninterrupted one.  The state format is a plain
     dict of scalars and numpy arrays — the checkpoint layer
     (:mod:`repro.training.checkpoint`) persists it alongside the model

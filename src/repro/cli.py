@@ -38,7 +38,6 @@ from .eval import evaluate_method, format_table, model_predictor
 from .obs import (EventLog, MetricsRegistry, disable_tracing, enable_tracing,
                   format_span_record, profile_ops, read_jsonl,
                   summarize_events, summarize_spans)
-from .parallel import DataParallelTrainer, ParallelConfig
 from .service import (ETAService, OrderSortingService, RTPRequest, RTPService,
                       ServiceMonitor)
 from .training import Trainer, TrainerConfig, load_checkpoint, save_checkpoint
@@ -95,14 +94,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     trainer_config = TrainerConfig(
         epochs=args.epochs, learning_rate=args.lr,
         batch_size=args.batch_size, verbose=not args.quiet)
-    if args.workers > 0:
-        print(f"data-parallel training with {args.workers} workers")
-        trainer: Trainer = DataParallelTrainer(
-            model, trainer_config, ParallelConfig(num_workers=args.workers),
-            event_log=event_log, registry=registry)
-    else:
-        trainer = Trainer(model, trainer_config,
-                          event_log=event_log, registry=registry)
+    trainer = Trainer(model, trainer_config,
+                      event_log=event_log, registry=registry)
     try:
         history = trainer.fit(train, validation)
     finally:
@@ -604,6 +597,14 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-rtp",
@@ -622,14 +623,12 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="train M2G4RTP on a CSV dataset")
     train.add_argument("--data", required=True)
     train.add_argument("--out", required=True)
-    train.add_argument("--epochs", type=int, default=12)
+    train.add_argument("--epochs", type=_positive_int, default=12)
     train.add_argument("--lr", type=float, default=3e-3)
     train.add_argument("--hidden-dim", type=int, default=32)
-    train.add_argument("--batch-size", type=int, default=1)
+    train.add_argument("--batch-size", type=_positive_int, default=1)
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--quiet", action="store_true")
-    train.add_argument("--workers", type=int, default=0,
-                       help="gradient worker processes (0 = sequential)")
     train.add_argument("--events", default=None, metavar="PATH",
                        help="write per-epoch telemetry JSONL here")
     train.add_argument("--trace", default=None, metavar="PATH",

@@ -32,14 +32,9 @@ class FaultPlan:
     spike_rate: float = 0.0         # P(add latency_spike_ms of delay)
     latency_spike_ms: float = 0.0
     fail_first: int = 0             # deterministically fail calls 1..N
-    # Hard-crash faults (used by the parallel-training worker pool: a
-    # crash decision makes the whole worker process exit, exercising
-    # dead-worker detection and respawn rather than error handling).
-    crash_rate: float = 0.0         # P(the process should die this call)
-    crash_first: int = 0            # deterministically crash calls 1..N
 
     def __post_init__(self) -> None:
-        for name in ("error_rate", "spike_rate", "crash_rate"):
+        for name in ("error_rate", "spike_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
@@ -47,8 +42,6 @@ class FaultPlan:
             raise ValueError("latency_spike_ms must be non-negative")
         if self.fail_first < 0:
             raise ValueError("fail_first must be non-negative")
-        if self.crash_first < 0:
-            raise ValueError("crash_first must be non-negative")
 
 
 class FaultInjector:
@@ -64,24 +57,16 @@ class FaultInjector:
         self.seed = seed
         self.sleeper = sleeper
         self._rng = np.random.default_rng(seed)
-        # Crash decisions draw from their own stream so enabling them
-        # never perturbs the error/spike sequence of an existing seed.
-        self._crash_rng = np.random.default_rng((seed, 0xC4A5))
         self.calls = 0
-        self.crash_calls = 0
         self.errors_injected = 0
         self.spikes_injected = 0
-        self.crashes_signalled = 0
 
     def reset(self) -> None:
         """Rewind to the start of the deterministic fault sequence."""
         self._rng = np.random.default_rng(self.seed)
-        self._crash_rng = np.random.default_rng((self.seed, 0xC4A5))
         self.calls = 0
-        self.crash_calls = 0
         self.errors_injected = 0
         self.spikes_injected = 0
-        self.crashes_signalled = 0
 
     # ------------------------------------------------------------------
     def before_call(self) -> None:
@@ -103,47 +88,6 @@ class FaultInjector:
             self.errors_injected += 1
             raise TransientServiceError(
                 f"injected fault on call {self.calls} (seed {self.seed})")
-
-    def fast_forward(self, calls: int) -> None:
-        """Consume ``calls`` fault decisions without acting on them.
-
-        Used when a fault stream outlives a process: a respawned
-        parallel-training worker fast-forwards its fresh injector past
-        the decisions its previous incarnation already consumed, so the
-        logical worker replays one deterministic sequence rather than
-        re-triggering ``crash_first``/``fail_first`` on every respawn.
-        """
-        if calls < 0:
-            raise ValueError("calls must be non-negative")
-        for _ in range(calls):
-            self._rng.random()
-            self._rng.random()
-        self.calls += calls
-        if self.plan.crash_rate > 0.0 or self.plan.crash_first > 0:
-            self._crash_rng.random(calls)
-            self.crash_calls += calls
-
-    def should_crash(self) -> bool:
-        """Decide whether the calling process should die hard this call.
-
-        Unlike :meth:`before_call` this does not raise — a crash is not
-        an exception the caller can handle, it models the whole process
-        disappearing.  The parallel-training worker checks this at the
-        top of each step and exits the process (no result, no goodbye)
-        when it returns ``True``, which is what exercises dead-worker
-        detection and respawn in the coordinator.  Draws one uniform per
-        call from a dedicated stream, so seeds replay identically and
-        existing error/spike sequences are unaffected.
-        """
-        if self.plan.crash_rate <= 0.0 and self.plan.crash_first <= 0:
-            return False
-        self.crash_calls += 1
-        draw = float(self._crash_rng.random())
-        if (self.crash_calls <= self.plan.crash_first
-                or draw < self.plan.crash_rate):
-            self.crashes_signalled += 1
-            return True
-        return False
 
     def wrap(self, service) -> "FaultyService":
         """Return a service façade that injects faults before each call."""

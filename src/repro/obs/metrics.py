@@ -20,14 +20,14 @@ Concurrency contract:
 
 * **Threads** — every write (``inc``/``set``/``observe``) and
   ``render()`` runs under the instrument's lock, so instruments are
-  safe to hammer from many threads (the service monitor and the
-  parallel-training main loop do exactly that); no increments are lost.
+  safe to hammer from many threads (the shard router writes from its
+  callers' threads and its collector thread); no increments are lost.
 * **Processes** — a registry is **per-process** state and is *not*
   shared across ``fork``/``spawn``; each process that wants metrics
-  owns its own registry.  The parallel-training worker pool follows a
-  single-writer design: workers ship raw step statistics back over the
-  result queue and only the coordinator process writes them into its
-  registry (see :mod:`repro.parallel`).
+  owns its own registry.  The shard tier follows a single-writer
+  design: shard workers ship answers and spans back over the response
+  queue and only the router process writes them into its registry
+  (see :mod:`repro.serving_shard`).
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """Trace-context propagation across process and thread boundaries.
 
-A trace that crosses a queue — the coordinator dispatching a gradient
-shard to a worker process, the shard router dispatching a request to
-a serving worker — would otherwise fall apart into
+A trace that crosses a queue — the shard router dispatching a request
+to a serving worker process — would otherwise fall apart into
 disconnected process-local fragments (or, worse, the worker-side spans
 would land in the worker's own collector and be silently dropped when
 the process exits).  This module is the wire protocol that keeps the
@@ -10,8 +9,8 @@ tree whole:
 
 * :class:`SpanContext` — the (trace id, span id) pair identifying "the
   span this work logically belongs under"; :meth:`SpanContext.to_wire`
-  is a plain picklable tuple, matching the tuple-message discipline of
-  :mod:`repro.parallel.worker`;
+  is a plain picklable tuple, matching the tuple messages of
+  :mod:`repro.serving_shard.runtime`;
 * :func:`capture_context` — snapshot the caller's innermost active
   span as a wire tuple (``None`` when tracing is off), taken at
   dispatch time and shipped with the task;

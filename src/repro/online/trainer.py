@@ -12,9 +12,10 @@ uninterrupted run: the shuffle RNG replays the permutations of the
 completed epochs before continuing, and the optimizer moments come back
 exactly as saved.
 
-Each mini-batch update is the sequential
-:class:`~repro.training.trainer.Trainer`'s, so a fine-tune step does
-the same math as an offline training step.
+Each mini-batch update is
+:meth:`~repro.training.trainer.Trainer._joint_update_batch`, the step
+:meth:`~repro.training.trainer.Trainer.fit` takes, so a fine-tune step
+does the same math as an offline training step.
 """
 
 from __future__ import annotations
@@ -219,9 +220,10 @@ class OnlineTrainer:
                     for start_index in range(0, len(order), cfg.batch_size):
                         chunk = order[start_index:start_index
                                       + cfg.batch_size]
-                        epoch_loss += trainer._update_batch(
-                            chunk, graphs, targets, optimizer, 0.0,
-                            sampling_rng)
+                        epoch_loss += trainer._joint_update_batch(
+                            [graphs[i] for i in chunk],
+                            [targets[i] for i in chunk],
+                            optimizer, 0.0, sampling_rng)
                 epoch_loss /= max(len(graphs), 1)
                 losses.append(float(epoch_loss))
                 epochs_done = epoch + 1

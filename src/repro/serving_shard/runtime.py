@@ -116,7 +116,7 @@ class ShardRuntime:
             version=version, clock=self.clock)
 
     # ------------------------------------------------------------------
-    # Message protocol (plain picklable tuples, repro.parallel style)
+    # Message protocol (plain picklable tuples)
     # ------------------------------------------------------------------
     def process(self, message: Tuple) -> List[Tuple]:
         """Handle one control or request message; returns replies."""

@@ -19,10 +19,10 @@ groups: the route stage (encoder + route decoders) and the time stage
 location decoders are detached inside the model, so one backward of
 both losses gives each group only its own loss's gradient.
 
-:class:`~repro.parallel.DataParallelTrainer` reuses this loop through
-three hooks (``_on_data_ready``, ``_update_batch``, ``_teardown``) to
-shard each step's gradient work over worker processes;
-:func:`train_m2g4rtp` opts into it with ``num_workers > 0``.
+:meth:`Trainer.fit` and the online fine-tune
+(:class:`~repro.online.trainer.OnlineTrainer`) both take every joint
+step through :meth:`Trainer._joint_update_batch`.  Validation runs the
+same groups under ``no_grad``.
 """
 
 from __future__ import annotations
@@ -138,7 +138,6 @@ class Trainer:
         self.event_log = event_log
         self.registry = registry
         self._epoch_grad_norms: List[float] = []
-        self._current_epoch = 0
 
     # ------------------------------------------------------------------
     def fit(self, train: RTPDataset,
@@ -154,7 +153,6 @@ class Trainer:
             if validation is not None and len(validation):
                 val_graphs = [self.builder.build(i) for i in validation]
                 val_targets = [RTPTargets.from_instance(i) for i in validation]
-        self._on_data_ready(graphs, targets)
 
         def make_schedule(optimizer):
             if cfg.lr_schedule == "step":
@@ -179,72 +177,69 @@ class Trainer:
         stale = 0
         sampling_rng = np.random.default_rng(cfg.shuffle_seed + 1)
 
-        try:
-            for epoch in range(cfg.epochs):
-                start = time.perf_counter()
-                model.train()
-                self._current_epoch = epoch
-                order = rng.permutation(len(graphs))
-                epoch_loss = 0.0
-                self._epoch_grad_norms = []
-                epoch_lr = (route_optimizer if self._two_step else optimizer).lr
-                # Scheduled sampling ramps linearly from 0 to its target
-                # probability across the epochs (curriculum).
-                if cfg.scheduled_sampling > 0.0 and cfg.epochs > 1:
-                    sample_prob = cfg.scheduled_sampling * epoch / (cfg.epochs - 1)
+        for epoch in range(cfg.epochs):
+            start = time.perf_counter()
+            model.train()
+            order = rng.permutation(len(graphs))
+            epoch_loss = 0.0
+            self._epoch_grad_norms = []
+            epoch_lr = (route_optimizer if self._two_step else optimizer).lr
+            # Scheduled sampling ramps linearly from 0 to its target
+            # probability across the epochs (curriculum).
+            if cfg.scheduled_sampling > 0.0 and cfg.epochs > 1:
+                sample_prob = cfg.scheduled_sampling * epoch / (cfg.epochs - 1)
+            else:
+                sample_prob = 0.0
+            with span("train.epoch", epoch=epoch):
+                if self._two_step:
+                    # The two-step ablation optimises per instance (the
+                    # paper's separate-optimizer setup); batch_size ignored.
+                    for index in order:
+                        epoch_loss += self._two_step_update(
+                            graphs[index], targets[index], route_optimizer,
+                            time_optimizer, sample_prob, sampling_rng)
                 else:
-                    sample_prob = 0.0
-                with span("train.epoch", epoch=epoch):
-                    if self._two_step:
-                        # The two-step ablation optimises per instance (the
-                        # paper's separate-optimizer setup); batch_size ignored.
-                        for index in order:
-                            epoch_loss += self._two_step_update(
-                                graphs[index], targets[index], route_optimizer,
-                                time_optimizer, sample_prob, sampling_rng)
-                    else:
-                        batch = max(1, cfg.batch_size)
-                        for start_index in range(0, len(order), batch):
-                            chunk = order[start_index:start_index + batch]
-                            epoch_loss += self._update_batch(
-                                chunk, graphs, targets, optimizer, sample_prob,
-                                sampling_rng)
-                for schedule in schedules:
-                    schedule.step()
-                epoch_loss /= max(len(graphs), 1)
-                history.train_loss.append(epoch_loss)
-                sigmas = (model.loss_weighting.sigmas()
-                          if hasattr(model.loss_weighting, "sigmas") else None)
-                if sigmas is not None:
-                    history.sigmas.append(sigmas)
-                seconds = time.perf_counter() - start
-                history.seconds.append(seconds)
+                    batch = max(1, cfg.batch_size)
+                    for start_index in range(0, len(order), batch):
+                        chunk = order[start_index:start_index + batch]
+                        epoch_loss += self._joint_update_batch(
+                            [graphs[i] for i in chunk],
+                            [targets[i] for i in chunk],
+                            optimizer, sample_prob, sampling_rng)
+            for schedule in schedules:
+                schedule.step()
+            epoch_loss /= max(len(graphs), 1)
+            history.train_loss.append(epoch_loss)
+            sigmas = (model.loss_weighting.sigmas()
+                      if hasattr(model.loss_weighting, "sigmas") else None)
+            if sigmas is not None:
+                history.sigmas.append(sigmas)
+            seconds = time.perf_counter() - start
+            history.seconds.append(seconds)
 
-                val_loss = None
-                if val_graphs is not None:
-                    with span("train.validate", epoch=epoch,
-                              instances=len(val_graphs)):
-                        val_loss = self.evaluate_loss(val_graphs, val_targets)
-                    history.val_loss.append(val_loss)
-                self._emit_epoch_telemetry(epoch, epoch_loss, val_loss, sigmas,
-                                           epoch_lr, seconds)
-                if val_loss is not None:
-                    if cfg.verbose:
-                        print(f"epoch {epoch}: train {epoch_loss:.4f} val {val_loss:.4f}")
-                    if val_loss < best_val - 1e-6:
-                        best_val = val_loss
-                        best_state = model.state_dict()
-                        history.best_epoch = epoch
-                        stale = 0
-                    else:
-                        stale += 1
-                        if stale >= cfg.patience:
-                            break
-                elif cfg.verbose:
-                    print(f"epoch {epoch}: train {epoch_loss:.4f}")
+            val_loss = None
+            if val_graphs is not None:
+                with span("train.validate", epoch=epoch,
+                          instances=len(val_graphs)):
+                    val_loss = self.evaluate_loss(val_graphs, val_targets)
+                history.val_loss.append(val_loss)
+            self._emit_epoch_telemetry(epoch, epoch_loss, val_loss, sigmas,
+                                       epoch_lr, seconds)
+            if val_loss is not None:
+                if cfg.verbose:
+                    print(f"epoch {epoch}: train {epoch_loss:.4f} val {val_loss:.4f}")
+                if val_loss < best_val - 1e-6:
+                    best_val = val_loss
+                    best_state = model.state_dict()
+                    history.best_epoch = epoch
+                    stale = 0
+                else:
+                    stale += 1
+                    if stale >= cfg.patience:
+                        break
+            elif cfg.verbose:
+                print(f"epoch {epoch}: train {epoch_loss:.4f}")
 
-        finally:
-            self._teardown()
         if best_state is not None:
             model.load_state_dict(best_state)
         model.eval()
@@ -257,29 +252,6 @@ class Trainer:
                 total_seconds=round(time.perf_counter() - fit_start, 6),
             )
         return history
-
-    # ------------------------------------------------------------------
-    # Extension hooks — the data-parallel trainer in
-    # :mod:`repro.parallel` overrides these; the sequential base class
-    # keeps them trivial so the training loop itself stays shared.
-    # ------------------------------------------------------------------
-    def _on_data_ready(self, graphs, targets) -> None:
-        """Called once after graph building, before the first epoch."""
-
-    def _update_batch(self, chunk, graphs, targets, optimizer: Adam,
-                      sample_prob: float, rng) -> float:
-        """One optimisation step over the index array ``chunk``.
-
-        The base class gathers the chunk's graphs/targets and runs the
-        sequential mini-batch update; the data-parallel trainer ships
-        the indices to its worker pool instead.
-        """
-        return self._joint_update_batch(
-            [graphs[i] for i in chunk], [targets[i] for i in chunk],
-            optimizer, sample_prob, rng)
-
-    def _teardown(self) -> None:
-        """Called when :meth:`fit` exits (normally or not)."""
 
     # ------------------------------------------------------------------
     def _emit_epoch_telemetry(self, epoch: int, train_loss: float,
@@ -376,20 +348,29 @@ class Trainer:
 
     # ------------------------------------------------------------------
     def evaluate_loss(self, graphs, targets) -> float:
-        """Mean teacher-forced loss over a validation set."""
+        """Mean teacher-forced loss over a validation set.
+
+        Runs the step's padded groups (:func:`pack_groups`) under
+        ``no_grad``.  A group's losses are means over its rows, so its
+        summed task losses weighted by its row count, summed over the
+        groups and divided by the set size, give the per-instance mean.
+        """
         model = self.model
         was_training = model.training
         model.eval()
         try:
+            total = 0.0
             with no_grad():
-                losses = []
-                for graph, target in zip(graphs, targets):
-                    output = model(GraphBatch.from_graphs([graph]), [target])
+                for group in pack_groups(graphs):
+                    output = model(
+                        GraphBatch.from_graphs([graphs[i] for i in group]),
+                        [targets[i] for i in group])
                     # Compare raw task losses (not sigma-weighted) so
                     # early stopping is insensitive to the weighting
                     # parameters drifting.
-                    losses.append(sum(float(l.data) for l in output.losses.values()))
-            return float(np.mean(losses))
+                    total += len(group) * sum(
+                        float(loss.data) for loss in output.losses.values())
+            return total / len(graphs)
         finally:
             if was_training:
                 model.train()
@@ -398,21 +379,8 @@ class Trainer:
 def train_m2g4rtp(train: RTPDataset, validation: Optional[RTPDataset] = None,
                   model: Optional[M2G4RTP] = None,
                   trainer_config: Optional[TrainerConfig] = None,
-                  builder: Optional[GraphBuilder] = None,
-                  num_workers: int = 0):
-    """One-call convenience: build, train and return (model, history).
-
-    ``num_workers > 0`` opts into the data-parallel trainer of
-    :mod:`repro.parallel` with that many gradient workers; the default
-    is the sequential loop.
-    """
+                  builder: Optional[GraphBuilder] = None):
+    """One-call convenience: build, train and return (model, history)."""
     model = model or M2G4RTP()
-    if num_workers > 0:
-        from ..parallel import DataParallelTrainer, ParallelConfig
-        trainer: Trainer = DataParallelTrainer(
-            model, trainer_config, ParallelConfig(num_workers=num_workers),
-            builder)
-    else:
-        trainer = Trainer(model, trainer_config, builder)
-    history = trainer.fit(train, validation)
+    history = Trainer(model, trainer_config, builder).fit(train, validation)
     return model, history

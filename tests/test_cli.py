@@ -82,3 +82,18 @@ class TestCommands:
         main(["evaluate", "--data", str(csv), "--model", str(model)])
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize("flag, value", [("--epochs", "0"),
+                                             ("--batch-size", "-3")])
+    def test_train_rejects_values_below_one(self, workspace, tmp_path,
+                                            capsys, flag, value):
+        csv, _ = workspace
+        out = tmp_path / "model.npz"
+        argv = ["train", "--data", str(csv), "--out", str(out),
+                "--epochs", "1", "--quiet"] + [flag, value]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"{flag}: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_suffix(".json").exists()

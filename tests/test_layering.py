@@ -4,9 +4,7 @@
 requests; ``repro.online`` (the continual-learning loop) and
 ``repro.load`` (the scenario harness) drive them from above.  An import
 the other way is a cycle waiting to happen and couples serving to the
-code that tests it.  ``repro.online`` fine-tunes with the sequential
-trainer and does not import ``repro.parallel`` (multiprocess
-training) either.  ``repro/__init__.py`` imports every subpackage
+code that tests it.  ``repro/__init__.py`` imports every subpackage
 eagerly, so ``sys.modules`` cannot tell who imported whom; the source
 is scanned with :mod:`ast` instead, lazy in-function imports included.
 
@@ -61,15 +59,6 @@ def test_serving_tier_does_not_import_online_or_load(package):
                    for upper in UPPER_PACKAGES):
                 offenders.append(
                     f"{path.relative_to(SRC)}:{lineno} imports {name}")
-    assert not offenders, "\n".join(offenders)
-
-
-def test_online_does_not_import_parallel():
-    offenders = [f"{path.relative_to(SRC)}:{lineno} imports {name}"
-                 for path in sorted((SRC / "repro" / "online").rglob("*.py"))
-                 for lineno, name in imported_modules(path)
-                 if name == "repro.parallel"
-                 or name.startswith("repro.parallel.")]
     assert not offenders, "\n".join(offenders)
 
 

@@ -249,7 +249,7 @@ class TestRegistry:
 class TestRegistryThreadSafety:
     """Every write path mutates under the instrument lock, so hammering
     one instrument from many threads must lose no updates (the contract
-    the parallel-training coordinator and serving threads rely on)."""
+    the shard router's threads rely on)."""
 
     THREADS = 8
     PER_THREAD = 500

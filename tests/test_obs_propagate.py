@@ -1,10 +1,10 @@
 """Cross-process/thread trace propagation and collector concurrency.
 
 Covers the wire protocol (:mod:`repro.obs.propagate`), the worker-side
-span session and coordinator-side stitch, end-to-end span shipping
-from real parallel training workers, and the :class:`TraceCollector`
-concurrency contract (N threads opening nested spans while another
-thread renders).
+span session and coordinator-side stitch, and the
+:class:`TraceCollector` concurrency contract (N threads opening nested
+spans while another thread renders).  End-to-end span shipping from
+real shard worker processes is tested in ``test_serving_shard.py``.
 """
 
 import json
@@ -12,9 +12,7 @@ import threading
 
 import pytest
 
-from repro.core import M2G4RTP, M2G4RTPConfig
 from repro.obs import (
-    MetricsRegistry,
     Span,
     SpanContext,
     TraceCollector,
@@ -26,8 +24,6 @@ from repro.obs import (
     worker_span_session,
 )
 from repro.obs import tracing
-from repro.parallel import DataParallelTrainer, ParallelConfig
-from repro.training import TrainerConfig
 
 
 @pytest.fixture(autouse=True)
@@ -99,15 +95,15 @@ class TestWorkerSpanSession:
                 pass
             records = session.export()
         collector = enable_tracing()
-        with collector.span("parallel.step") as step_span:
-            wire = (step_span.trace_id, step_span.span_id)
+        with collector.span("shard.route") as route_span:
+            wire = (route_span.trace_id, route_span.span_id)
             merged = merge_worker_spans(records, wire)
         assert merged == 1
         [root] = collector.roots
         [child] = root.children
         assert child.name == "worker.step"
         # Adopted into the dispatching trace with fresh local ids.
-        assert child.trace_id == step_span.trace_id
+        assert child.trace_id == route_span.trace_id
         assert child.span_id != records[0]["span_id"]
         # Shipped durations preserved verbatim.
         assert child.duration_ms == records[0]["duration_ms"]
@@ -199,48 +195,3 @@ class TestCollectorConcurrency:
         # Final serialisation sees the complete forest.
         assert len(collector.to_jsonl().splitlines()) == \
             self.THREADS * self.TRACES_PER_THREAD
-
-
-# ----------------------------------------------------------------------
-class TestParallelWorkerSpans:
-    def test_worker_spans_shipped_and_stitched(self, splits):
-        """Spans opened inside worker processes land in the
-        coordinator's collector, nested under the dispatching step."""
-        train, _, _ = splits
-        collector = enable_tracing()
-        registry = MetricsRegistry()
-        model = M2G4RTP(M2G4RTPConfig(
-            hidden_dim=16, num_heads=2, num_encoder_layers=1, seed=5))
-        trainer = DataParallelTrainer(
-            model, TrainerConfig(epochs=1, batch_size=4, patience=10),
-            ParallelConfig(num_workers=2), registry=registry)
-        trainer.fit(train[:8])
-
-        forest = [span_obj for root in collector.roots
-                  for span_obj in root.iter_spans()]
-        step_spans = [s for s in forest if s.name == "parallel.step"]
-        assert step_spans, "the coordinator must open parallel.step spans"
-        worker_spans = [
-            child
-            for step in step_spans
-            for child in step.iter_spans()
-            if child.name == "parallel.worker.step"
-        ]
-        assert worker_spans, \
-            "worker-process spans must ship back and be stitched in"
-        workers_seen = {s.attrs["worker"] for s in worker_spans}
-        assert workers_seen == {0, 1}
-        for span_obj in worker_spans:
-            parent_step = next(s for s in step_spans
-                               if span_obj in list(s.iter_spans()))
-            # Adopted spans join the dispatching step's trace.
-            assert span_obj.trace_id == parent_step.trace_id
-            assert span_obj.duration_ms > 0
-
-        # The step-time histogram's exemplars resolve to those traces.
-        histogram = registry.get("rtp_train_step_ms")
-        entries = histogram.exemplars()
-        assert entries
-        step_trace_ids = {s.trace_id for s in step_spans}
-        assert entries[0]["trace_id"] in step_trace_ids
-        assert collector.trace_roots(entries[0]["trace_id"])

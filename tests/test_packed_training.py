@@ -6,7 +6,9 @@ one per instance, and ``Tensor.backward`` frees each interior node once
 it has propagated.  These tests pin both against the per-instance step
 the packed one replaces (kept here as the reference), and the two-step
 ablation's per-group gradients against fresh single-loss backwards.
-The ``--runslow`` leg sweeps the parity over 120 seeded chunks.
+``Trainer.evaluate_loss`` runs the same groups under ``no_grad`` and is
+pinned against per-instance validation the same way.  The
+``--runslow`` leg sweeps the step parity over 120 seeded chunks.
 """
 
 import types
@@ -14,7 +16,7 @@ import types
 import numpy as np
 import pytest
 
-from repro.autodiff import SGD, Adam, Tensor, clip_grad_norm
+from repro.autodiff import SGD, Adam, Tensor, clip_grad_norm, no_grad
 from repro.core import GraphBatch, M2G4RTP, M2G4RTPConfig, RTPTargets
 from repro.training import Trainer, TrainerConfig
 from repro.training.trainer import (_ROUTE_TASKS, _TIME_TASKS, GROUP_CELLS,
@@ -44,6 +46,24 @@ class PerInstanceTrainer(Trainer):
             clip_grad_norm(optimizer.parameters, self.config.grad_clip))
         optimizer.step()
         return total
+
+
+class PerInstanceValidation(Trainer):
+    """Validation as the packed one replaces it: each instance a batch
+    of one, its raw task losses summed, then the mean over instances."""
+
+    def evaluate_loss(self, graphs, targets):
+        was_training = self.model.training
+        self.model.eval()
+        losses = []
+        with no_grad():
+            for graph, target in zip(graphs, targets):
+                output = self.model(GraphBatch.from_graphs([graph]), [target])
+                losses.append(sum(float(loss.data)
+                                  for loss in output.losses.values()))
+        if was_training:
+            self.model.train()
+        return float(np.mean(losses))
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +198,35 @@ class TestPackedStepParity:
         size = int(rng.integers(2, 9))
         indices = rng.choice(len(pool[0]), size=size, replace=False)
         assert_step_parity(pool, [int(i) for i in indices], seed=seed % 4)
+
+
+# ----------------------------------------------------------------------
+class TestPackedValidation:
+    def test_matches_per_instance_validation(self, pool):
+        graphs, targets = pool
+        sizes = {graph.num_locations for graph in graphs}
+        assert min(sizes) <= 3 and max(sizes) == 20
+        assert len(pack_groups(graphs)) > 2
+        model = small_model()
+        model.train()
+        reference = PerInstanceValidation(model).evaluate_loss(graphs, targets)
+        loss = Trainer(model).evaluate_loss(graphs, targets)
+        assert abs(loss - reference) <= 1e-12 * abs(reference)
+        assert model.training   # the training mode comes back
+
+    def test_fit_validates_like_per_instance(self, splits):
+        train, val, _ = splits
+        config = TrainerConfig(epochs=6, batch_size=4, patience=2)
+        runs = []
+        for trainer_class in (PerInstanceValidation, Trainer):
+            model = small_model()
+            runs.append(trainer_class(model, config).fit(train[:8], val))
+        reference, history = runs
+        assert len(history.val_loss) == len(reference.val_loss) > 1
+        for value, want in zip(history.val_loss, reference.val_loss):
+            assert abs(value - want) <= 1e-12 * abs(want)
+        assert history.best_epoch == reference.best_epoch
+        assert history.train_loss == reference.train_loss
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,6 @@ PACKAGES = [
     "repro.service",
     "repro.experiments",
     "repro.deploy",
-    "repro.parallel",
 ]
 
 

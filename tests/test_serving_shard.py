@@ -252,6 +252,26 @@ class TestSpanStitching:
         assert serve.trace_id == root.trace_id, (
             "worker spans must be stitched into the router's trace")
 
+    def test_process_worker_spans_ship_and_stitch(self, requests):
+        """Spans opened in a shard worker process travel back with the
+        answer and land under the router's span, in its trace."""
+        collector = enable_tracing()
+        try:
+            router = ShardRouter(tiny_model(), version="v001",
+                                 config=ShardConfig(num_shards=2),
+                                 inline=False)
+            try:
+                router.handle(requests[0])
+            finally:
+                router.shutdown()
+        finally:
+            disable_tracing()
+        [root] = [r for r in collector.roots if r.name == "shard.route"]
+        serves = [c for c in root.children if c.name == "shard.serve"]
+        assert serves, "the worker's shard.serve span must ship back"
+        assert serves[0].trace_id == root.trace_id
+        assert serves[0].duration_ms > 0
+
 
 # ----------------------------------------------------------------------
 # Process mode (real workers; small but end-to-end)

@@ -121,7 +121,7 @@ def _train_steps(model, optimizer, data, steps):
 
 class TestResumeTraining:
     """save/load with ``optimizer=`` must make a resumed run identical
-    to an uninterrupted one (satellite of the parallel-training PR)."""
+    to an uninterrupted one."""
 
     @pytest.fixture()
     def data(self, splits, builder):
