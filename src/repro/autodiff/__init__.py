@@ -10,6 +10,7 @@ from .ops import (
     as_tensor,
     concat,
     stack,
+    repeat_steps,
     where,
     maximum,
     softmax,
@@ -39,7 +40,7 @@ from .gradcheck import check_gradients, numerical_gradient
 
 __all__ = [
     "Tensor", "no_grad", "is_grad_enabled",
-    "as_tensor", "concat", "stack", "where", "maximum",
+    "as_tensor", "concat", "stack", "repeat_steps", "where", "maximum",
     "softmax", "log_softmax", "masked_softmax", "padded_gather",
     "cross_entropy",
     "mae_loss", "mse_loss", "huber_loss", "dropout",

@@ -54,6 +54,25 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor.from_op(data, tensors, backward, "stack")
 
 
+def repeat_steps(x: Tensor, steps: int) -> Tensor:
+    """``x`` repeated along a new leading axis of ``steps`` steps.
+
+    The backward adds each step's gradient into ``x`` on its own, step
+    0 first: the order in which the tape accumulates a tensor that a
+    loop of per-step branches reads once per step (a decoder scoring
+    its steps one by one).  Step-batched code that reads ``x`` through
+    this op keeps that loop's gradient bitwise.
+    """
+    data = np.broadcast_to(x.data, (steps,) + x.shape)
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            for step in range(steps):
+                x._accumulate(grad[step])
+
+    return Tensor.from_op(data, (x,), backward, "repeat_steps")
+
+
 def where(condition: np.ndarray, a: ArrayLike, b: ArrayLike) -> Tensor:
     """Differentiable ``np.where`` — ``condition`` is a plain boolean array."""
     a_t, b_t = as_tensor(a), as_tensor(b)

@@ -18,7 +18,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..autodiff import Tensor, concat, is_grad_enabled, padded_gather, stack
+from ..autodiff import (Tensor, concat, is_grad_enabled, padded_gather,
+                        repeat_steps, stack)
 from ..kernels import fused
 from ..nn import AdditivePointerAttention, GRUCell, Linear, LSTMCell, Module
 from ..nn.init import normal
@@ -51,6 +52,23 @@ class RecurrentCell(Module):
             return h, (h, c)
         h = self.cell(x, state)
         return h, h
+
+    def unroll(self, inputs: Tensor, start: Optional[Tensor] = None) -> Tensor:
+        """Hidden states ``(steps, B, hidden)`` from a zero state over
+        step-major ``inputs`` ``(T, B, in)``, after the optional 1-D
+        ``start`` input (see :meth:`LSTMCell.unroll`, one tape node).  A
+        GRU steps one input at a time."""
+        if self.cell_type == "lstm":
+            return self.cell.unroll(inputs, start)
+        sequence = [inputs[step] for step in range(inputs.shape[0])]
+        if start is not None:
+            sequence.insert(0, start)
+        state = self.initial_state((inputs.shape[1],))
+        hidden = []
+        for x in sequence:
+            h, state = self.step(x, state)
+            hidden.append(h)
+        return stack(hidden, axis=0)
 
     def initial_state(self, batch_shape: Tuple[int, ...] = ()):
         """Explicit zero state (needed when the first input is unbatched)."""
@@ -102,16 +120,17 @@ class RouteDecoder(Module):
     def _candidate_mask_batch(self, visited: np.ndarray,
                               previous: Optional[np.ndarray],
                               adjacency: Optional[np.ndarray]) -> np.ndarray:
-        """Feasible candidates per row of a ``(B, n)`` batch: the unvisited
-        neighbours of the previous node when restricted and any exist,
-        else every unvisited node."""
+        """Feasible candidates per row of a ``(..., B, n)`` visited mask
+        (``previous`` is ``(..., B)``): the unvisited neighbours of the
+        previous node when restricted and any exist, else every unvisited
+        node."""
         unvisited = ~visited
         if (self.restrict_to_neighbors and previous is not None
                 and adjacency is not None):
-            batch = visited.shape[0]
+            batch = visited.shape[-2]
             neighbors = (np.asarray(adjacency[np.arange(batch), previous],
                                     dtype=bool) & unvisited)
-            has_neighbor = neighbors.any(axis=1, keepdims=True)
+            has_neighbor = neighbors.any(axis=-1, keepdims=True)
             return np.where(has_neighbor, neighbors, unvisited)
         return unvisited
 
@@ -148,21 +167,28 @@ class RouteDecoder(Module):
         whose inputs are zeroed (:func:`padded_gather`), which cannot
         affect any still-active instance.
 
+        Plain teacher forcing (``sample_prob == 0``) knows every step's
+        input and feasible set from the labels, so it runs all steps at
+        once (:meth:`_teacher_forced_batch`); the step loop below serves
+        the decodes whose next input depends on the previous argmax.
         When gradients are disabled and no teacher routes are given,
         decoding runs the fused kernel
         (:func:`repro.kernels.fused.pointer_decode`), which decodes
-        incrementally and is bit-identical to the Tensor path below.
+        incrementally and is bit-identical to the Tensor loop below.
         """
         teacher = teacher_routes is not None
         if not is_grad_enabled() and not teacher:
             with span("kernel.pointer_decode", batch_size=nodes.shape[0]):
                 return fused.pointer_decode(
                     self, nodes.data, courier.data, lengths, adjacency), None
-        sampling = teacher and sample_prob > 0.0
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if teacher and not sample_prob > 0.0:
+            return self._teacher_forced_batch(nodes, courier, lengths,
+                                              adjacency, teacher_routes)
+        sampling = teacher
         if sampling and rng is None:
             raise ValueError("scheduled sampling requires an rng")
         batch, n = nodes.shape[0], nodes.shape[1]
-        lengths = np.asarray(lengths, dtype=np.int64)
         rows = np.arange(batch)
         steps = np.arange(n)
         step_valid = steps[None, :] < lengths[:, None]
@@ -173,18 +199,13 @@ class RouteDecoder(Module):
         routes = np.zeros((batch, n), dtype=np.int64)
         keys = self.attention.key_proj(nodes)
         label_log_probs: List[Tensor] = []
-        if teacher:
+        if sampling:
+            # Rank of each node in its row's true route; padding nodes
+            # rank after every real one.
             labels = np.where(step_valid, teacher_routes, 0)
-            if sampling:
-                # Rank of each node in its row's true route; padding
-                # nodes rank after every real one.
-                true_rank = np.full((batch, n), n, dtype=np.int64)
-                row_index, step_index = np.nonzero(step_valid)
-                true_rank[row_index, labels[row_index, step_index]] = step_index
-            else:
-                # Plain teacher forcing knows every step's input up front.
-                teacher_inputs = padded_gather(
-                    nodes, labels, valid=steps[None, :] + 1 < lengths[:, None])
+            true_rank = np.full((batch, n), n, dtype=np.int64)
+            row_index, step_index = np.nonzero(step_valid)
+            true_rank[row_index, labels[row_index, step_index]] = step_index
 
         for step in range(n):
             h, state = self.recurrent.step(step_input, state)
@@ -199,31 +220,69 @@ class RouteDecoder(Module):
                 feasible = feasible.copy()
                 feasible[done, 0] = True
             log_probs = self.attention.log_probs_batch(keys, query, feasible)
-            if not teacher:
-                chosen = np.argmax(log_probs.data, axis=1)
-            elif sampling:
+            chosen = np.argmax(log_probs.data, axis=1)
+            if sampling:
                 target = np.argmin(np.where(visited, n, true_rank), axis=1)
                 sampled = rng.random(batch) < sample_prob
-                chosen = np.where(sampled, np.argmax(log_probs.data, axis=1),
-                                  target)
-            else:
-                target = chosen = labels[:, step]
-            if teacher:
+                chosen = np.where(sampled, chosen, target)
                 label_log_probs.append(log_probs[rows, target])
             routes[:, step] = chosen
             visited[rows, chosen] = True
             previous = chosen
-            if teacher and not sampling:
-                step_input = teacher_inputs[:, step, :]
-            else:
-                active = (step + 1 < lengths)[:, None]
-                step_input = padded_gather(nodes, chosen[:, None],
-                                           valid=active)[:, 0, :]
+            active = (step + 1 < lengths)[:, None]
+            step_input = padded_gather(nodes, chosen[:, None],
+                                       valid=active)[:, 0, :]
 
-        if not teacher:
+        if not sampling:
             return routes, None
         return routes, (stack(label_log_probs, axis=1)
                         * Tensor(step_valid.astype(np.float64)))
+
+    def _teacher_forced_batch(self, nodes: Tensor, courier: Tensor,
+                              lengths: np.ndarray,
+                              adjacency: Optional[np.ndarray],
+                              teacher_routes: np.ndarray
+                              ) -> Tuple[np.ndarray, Tensor]:
+        """Plain teacher forcing, every step at once.
+
+        Step ``s`` feeds the label of step ``s - 1`` (the start token at
+        step 0) and may choose any node that is neither padding nor
+        labelled before ``s``, under the same neighbour rule as the step
+        loop.  So the LSTM unrolls once over the start token and the
+        label-gathered nodes, the ``(n, B, n)`` feasibility masks come
+        from the labels, and all steps are scored in one query
+        projection, ``tanh``, ``@ v``, masked log-softmax and label
+        gather: the float operations of the step loop, step by step.
+        The courier and the attention weights take their gradients one
+        step at a time, in the loop's order (:func:`repeat_steps`), so
+        the gradients are the loop's bitwise too.
+        """
+        batch, n = nodes.shape[0], nodes.shape[1]
+        rows = np.arange(batch)
+        steps = np.arange(n)
+        step_valid = steps[None, :] < lengths[:, None]
+        labels = np.where(step_valid, teacher_routes, 0).astype(np.int64)
+        step_inputs = padded_gather(nodes, labels[:, :-1],
+                                    valid=steps[None, 1:] < lengths[:, None])
+        hidden = self.recurrent.unroll(step_inputs.transpose(1, 0, 2),
+                                       start=self.start_token)   # (n, B, h)
+        query = concat([hidden, repeat_steps(courier, n)], axis=-1)
+
+        # Step s has visited the padding and the labels of steps < s.
+        newly_visited = np.zeros((n, batch, n), dtype=bool)
+        newly_visited[steps[1:, None], rows, labels[:, :-1].T] = True
+        visited = np.logical_or.accumulate(newly_visited, axis=0) | ~step_valid
+        feasible = np.empty((n, batch, n), dtype=bool)
+        feasible[0] = self._candidate_mask_batch(visited[0], None, adjacency)
+        feasible[1:] = self._candidate_mask_batch(visited[1:], labels[:, :-1].T,
+                                                  adjacency)
+        # Finished rows get the step loop's dummy candidate at index 0.
+        feasible[~feasible.any(axis=-1), 0] = True
+
+        keys = self.attention.key_proj(nodes)
+        log_probs = self.attention.log_probs_batch(keys, query, feasible)
+        label_log_probs = log_probs[steps[None, :], rows[:, None], labels]
+        return labels, label_log_probs * Tensor(step_valid.astype(np.float64))
 
 
 class SortLSTM(Module):
@@ -280,12 +339,11 @@ class SortLSTM(Module):
                                     (batch, n, self.position_dim))
         sequence = concat([padded_gather(nodes, routes, valid=step_valid),
                            Tensor(positions)], axis=-1)
-        state = self.recurrent.initial_state((batch,))
-        times_by_step: List[Tensor] = []
-        for step in range(n):
-            h, state = self.recurrent.step(sequence[:, step, :], state)
-            times_by_step.append(self.head(h).reshape(batch))
-        by_step = stack(times_by_step, axis=1)                # (B, n)
+        hidden = self.recurrent.unroll(sequence.transpose(1, 0, 2))
+        # The head reads its weights once per step, as a step loop does.
+        times = (hidden @ repeat_steps(self.head.weight, n)
+                 + repeat_steps(self.head.bias, n).reshape(n, 1, 1))
+        by_step = times.reshape(n, batch).transpose()          # (B, n)
         # Scatter step-ordered times back to node order per instance.
         # Node i is real exactly when i < lengths, the same mask as the
         # steps (real node ids are 0..lengths-1).

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..autodiff import Tensor, concat, is_grad_enabled, padded_gather, stack
+from ..autodiff import Tensor, concat, is_grad_enabled, padded_gather
 from ..kernels import fused
 from ..nn import BiLSTM, FeatureEncoder, Linear, Module
 from ..obs.tracing import span
@@ -178,21 +178,15 @@ class SequenceEncoder(Module):
 def _unroll_lstm_batch(cell, sequence: Tensor) -> Tensor:
     """Run an LSTM cell over ``(B, n, d)`` steps; returns ``(B, n, hidden)``.
 
-    When gradients are disabled the unroll runs the fused kernel
-    (:func:`repro.kernels.fused.lstm_unroll`), bit-identical to the
-    Tensor loop below.
+    With gradients on this is :meth:`LSTMCell.unroll` over the
+    step-major sequence.  When gradients are disabled the unroll runs
+    the fused kernel (:func:`repro.kernels.fused.lstm_unroll`),
+    bit-identical to it.
     """
     if not is_grad_enabled():
         with span("kernel.lstm_unroll", batch_size=sequence.shape[0]):
             return Tensor(fused.lstm_unroll(cell, sequence.data))
-    batch = sequence.shape[0]
-    state = cell.initial_state((batch,))
-    outputs = []
-    for step in range(sequence.shape[1]):
-        h, c = cell(sequence[:, step, :], state)
-        state = (h, c)
-        outputs.append(h)
-    return stack(outputs, axis=1)
+    return cell.unroll(sequence.transpose(1, 0, 2)).transpose(1, 0, 2)
 
 
 class MultiLevelEncoder(Module):

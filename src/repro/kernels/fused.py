@@ -27,7 +27,10 @@ concurrent callers (threads, inline shards) never share one.
   steppers for the time decoder and the BiLSTM ablation encoder.
 
 The differential conformance suite (``tests/test_kernel_conformance.py``)
-certifies all of this against the grad-enabled Tensor code.
+certifies all of this against the grad-enabled Tensor code.  That code
+is the reference, and the one link below it is pinned too: its LSTM
+unroll (``LSTMCell.unroll``, one tape node per sequence) matches a loop
+of ``LSTMCell.forward`` bitwise (``tests/test_sequence_tape.py``).
 """
 
 from __future__ import annotations
@@ -111,8 +114,10 @@ class _FusedRecurrent:
         """Project every step's input through ``W_x`` in one GEMM.
 
         ``sequence`` is ``(B, steps, in)``; returns ``(steps, B, gates)``
-        whose slice ``[s]`` is bitwise-identical to the per-step 2-D
-        ``x_s @ W_x`` (row blocks of a GEMM are computed independently).
+        whose slice ``[s]`` is the same ``(B, in) @ W_x`` product as the
+        per-step 2-D ``x_s @ W_x``, so bitwise-identical to it (a
+        batch-major product is not: at ``B = 1`` it runs as one
+        ``(steps, in)`` GEMM).
         Only valid when the whole input sequence is known up front —
         i.e. not for pointer decoding, where step inputs depend on the
         previous choice.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Tensor, concat, log_softmax, softmax
+from ..autodiff import Tensor, concat, log_softmax, repeat_steps, softmax
 from .init import xavier_uniform
 from .layers import LayerNorm, Linear, MLP
 from .module import Module, Parameter
@@ -39,15 +39,29 @@ class AdditivePointerAttention(Module):
         self.v = Parameter(xavier_uniform(rng, hidden_dim, 1, shape=(hidden_dim,)))
 
     def scores_batch(self, projected_keys: Tensor, query: Tensor) -> Tensor:
-        """Unmasked scores: ``(B, n, h)`` projected keys × ``(B, q)`` queries → ``(B, n)``."""
-        batch = projected_keys.shape[0]
-        projected_query = self.query_proj(query).reshape(batch, 1, -1)
+        """Unmasked scores: ``(B, n, h)`` projected keys × ``(B, q)``
+        queries → ``(B, n)``.
+
+        A ``(steps, B, q)`` query scores every step of a decode at once
+        → ``(steps, B, n)``, with the float operations of scoring the
+        steps one by one; the weights enter each step separately
+        (:func:`repeat_steps`), so the gradients are bitwise those of
+        the step loop too.
+        """
+        if query.ndim == 2:
+            batch = projected_keys.shape[0]
+            projected_query = self.query_proj(query).reshape(batch, 1, -1)
+            hidden = (projected_keys + projected_query).tanh()
+            return hidden @ self.v
+        steps, batch = query.shape[0], query.shape[1]
+        weight = repeat_steps(self.query_proj.weight, steps)
+        projected_query = (query @ weight).reshape(steps, batch, 1, -1)
         hidden = (projected_keys + projected_query).tanh()
-        return hidden @ self.v
+        return _scores_by_step(hidden, self.v)
 
     def log_probs_batch(self, projected_keys: Tensor, query: Tensor,
                         mask: np.ndarray) -> Tensor:
-        """Masked log-probabilities, ``(B, n)``.
+        """Masked log-probabilities, ``(..., B, n)``.
 
         ``mask`` is boolean, ``True`` where a candidate is feasible; each
         row must have at least one (batched decoders give finished or
@@ -59,6 +73,22 @@ class AdditivePointerAttention(Module):
                 "pointer attention requires at least one feasible candidate per row")
         return log_softmax(self.scores_batch(projected_keys, query), axis=-1,
                            mask=mask)
+
+
+def _scores_by_step(hidden: Tensor, v: Tensor) -> Tensor:
+    """``hidden @ v`` over ``(steps, B, n, h)`` whose backward is that of
+    one ``(B, n, h) @ v`` per step, ``v`` taking step 0's gradient first."""
+
+    def backward(grad: np.ndarray) -> None:
+        if hidden.requires_grad:
+            hidden._accumulate(grad[..., None] * v.data)
+        if v.requires_grad:
+            for step in range(grad.shape[0]):
+                v._accumulate((hidden.data[step] * grad[step][..., None])
+                              .reshape(-1, v.shape[0]).sum(axis=0))
+
+    return Tensor.from_op(hidden.data @ v.data, (hidden, v), backward,
+                          "scores_by_step")
 
 
 class MultiHeadSelfAttention(Module):

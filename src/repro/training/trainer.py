@@ -67,6 +67,17 @@ class TrainerConfig:
     batch_size: int = 1
     verbose: bool = False
 
+    def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
+        if self.lr_schedule not in ("step", "cosine"):
+            raise ValueError(
+                f"lr_schedule must be 'step' or 'cosine', got {self.lr_schedule!r}")
+
 
 @dataclasses.dataclass
 class TrainingHistory:
@@ -157,10 +168,7 @@ class Trainer:
         def make_schedule(optimizer):
             if cfg.lr_schedule == "step":
                 return StepLR(optimizer, cfg.lr_step, cfg.lr_gamma)
-            if cfg.lr_schedule == "cosine":
-                return CosineAnnealingLR(optimizer, cfg.epochs)
-            raise ValueError(
-                f"lr_schedule must be 'step' or 'cosine', got {cfg.lr_schedule!r}")
+            return CosineAnnealingLR(optimizer, cfg.epochs)
 
         if self._two_step:
             route_optimizer = Adam(model.route_parameters(), lr=cfg.learning_rate)
@@ -199,9 +207,8 @@ class Trainer:
                             graphs[index], targets[index], route_optimizer,
                             time_optimizer, sample_prob, sampling_rng)
                 else:
-                    batch = max(1, cfg.batch_size)
-                    for start_index in range(0, len(order), batch):
-                        chunk = order[start_index:start_index + batch]
+                    for start_index in range(0, len(order), cfg.batch_size):
+                        chunk = order[start_index:start_index + cfg.batch_size]
                         epoch_loss += self._joint_update_batch(
                             [graphs[i] for i in chunk],
                             [targets[i] for i in chunk],

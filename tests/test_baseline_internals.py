@@ -72,6 +72,6 @@ class TestCosineTrainer:
         train, _, _ = splits
         model = M2G4RTP(M2G4RTPConfig(hidden_dim=16, num_heads=2,
                                       num_encoder_layers=1))
-        config = TrainerConfig(epochs=1, lr_schedule="bogus")
         with pytest.raises(ValueError):
+            config = TrainerConfig(epochs=1, lr_schedule="bogus")
             Trainer(model, config).fit(train[:2])

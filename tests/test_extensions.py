@@ -46,9 +46,12 @@ class TestScheduledSampling:
         route, label_log_probs = self.decode(decoder, nodes, teacher,
                                              sample_prob=0.0)
         assert np.array_equal(route, teacher)
-        # Each step is supervised by its teacher node.
-        for step, log_probs in enumerate(steps):
-            assert label_log_probs[step] == log_probs.data[0, teacher[step]]
+        # Plain teacher forcing scores every step in one (steps, B, n)
+        # call, and each step is supervised by its teacher node.
+        (log_probs,) = steps
+        for step in range(len(teacher)):
+            assert (label_log_probs[step]
+                    == log_probs.data[step, 0, teacher[step]])
 
     def test_sampling_requires_rng(self, decoder, rng):
         nodes = Tensor(rng.normal(size=(4, 6)))

@@ -12,6 +12,11 @@ comparison is that grad-enabled Tensor code, never another fast path:
   the padding region;
 * arrival times bit-identical.
 
+That Tensor code is the reference chain's next link:
+``tests/test_sequence_tape.py`` pins its LSTM unroll
+(``LSTMCell.unroll``, one tape node per sequence) to a loop of
+``LSTMCell.forward``, and its teacher-forced decode to the per-step loop.
+
 The sweep covers randomized instances from 1 to 64 locations and 1 to
 16 AOIs, every ablation variant, both decoder cell types, and the
 degenerate shapes that historically break masked kernels: single-node

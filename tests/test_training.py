@@ -83,6 +83,19 @@ class TestTrainer:
             assert history.num_epochs == 1
 
 
+class TestTrainerConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", 0), ("batch_size", 0), ("batch_size", -3),
+        ("learning_rate", 0.0), ("lr_schedule", "linear")])
+    def test_bad_value_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainerConfig(**{field: value})
+
+    def test_defaults_and_both_schedules_accepted(self):
+        TrainerConfig()
+        TrainerConfig(lr_schedule="cosine", epochs=1, batch_size=1)
+
+
 class TestCheckpoint:
     def test_roundtrip(self, splits, tmp_path, graph):
         train, _, _ = splits
