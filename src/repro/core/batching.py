@@ -123,8 +123,8 @@ class BatchedM2G4RTP:
     ablation variant, either decoder cell type) batches without
     retraining or weight copies.  It is the serving path for batches of
     any size, one included (``RTPService.handle``); ``M2G4RTP.predict``
-    — the same forward with gradients on, i.e. the Tensor code — is the
-    specification it is checked against.
+    — the same forward with gradients on, i.e. the code training runs —
+    is the specification it is checked against.
     """
 
     def __init__(self, model: M2G4RTP):

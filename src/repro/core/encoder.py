@@ -5,7 +5,8 @@ at the location level and the AOI level, and returns the encoded
 representations ``x~^l`` and ``x~^a`` consumed by the decoders.
 
 A :class:`SequenceEncoder` (bidirectional LSTM over the deadline-sorted
-node sequence) implements the paper's "w/o graph" ablation.
+node sequence) implements the paper's "w/o graph" ablation; it runs
+:meth:`LSTMCell.unroll` with gradients on or off.
 """
 
 from __future__ import annotations
@@ -97,7 +98,9 @@ class LevelEncoder(Module):
 
         When gradients are disabled the feature embedding runs the fused
         kernel (:func:`repro.kernels.fused.level_embed`), bit-identical
-        to the Tensor glue; training keeps the Tensor path.
+        to the Tensor glue; training keeps the Tensor path.  The GAT-e
+        stack runs its one forward in both modes (one tape node with
+        gradients on, see :meth:`GATEEncoder.forward_batch`).
         """
         if not is_grad_enabled():
             with span("kernel.level_embed",
@@ -110,9 +113,7 @@ class LevelEncoder(Module):
             nodes, edges = self._embed_tensor(
                 level.continuous, level.discrete, level.edge_features,
                 global_vector)
-        encoded_nodes, _ = self.gat.forward_batch(nodes, edges, level.adjacency,
-                                                  need_edges=False)
-        return encoded_nodes
+        return self.gat.forward_batch(nodes, edges, level.adjacency)
 
 
 class SequenceEncoder(Module):
@@ -178,14 +179,9 @@ class SequenceEncoder(Module):
 def _unroll_lstm_batch(cell, sequence: Tensor) -> Tensor:
     """Run an LSTM cell over ``(B, n, d)`` steps; returns ``(B, n, hidden)``.
 
-    With gradients on this is :meth:`LSTMCell.unroll` over the
-    step-major sequence.  When gradients are disabled the unroll runs
-    the fused kernel (:func:`repro.kernels.fused.lstm_unroll`),
-    bit-identical to it.
+    :meth:`LSTMCell.unroll` over the step-major sequence, with gradients
+    on (one tape node) or off (no tape) alike.
     """
-    if not is_grad_enabled():
-        with span("kernel.lstm_unroll", batch_size=sequence.shape[0]):
-            return Tensor(fused.lstm_unroll(cell, sequence.data))
     return cell.unroll(sequence.transpose(1, 0, 2)).transpose(1, 0, 2)
 
 

@@ -225,7 +225,8 @@ class M2G4RTP(Module):
         targets the model decodes greedily on its own predictions.
         ``sample_prob`` enables scheduled sampling during training (see
         :meth:`RouteDecoder.forward_batch`).  Under ``no_grad`` every
-        stage that has no teacher routes runs its fused kernel.
+        stage that has no teacher routes runs its fused kernel (the
+        "w/o graph" BiLSTM runs :meth:`LSTMCell.unroll` with no tape).
         """
         cfg = self.config
         if targets is not None and len(targets) != len(batch):
@@ -303,10 +304,12 @@ class M2G4RTP(Module):
         """The inference specification: ``graph`` as a batch of one.
 
         Runs in eval mode with gradients enabled, so every stage runs
-        its Tensor code — the code training runs — and never a fused
-        kernel; every served path is checked against this answer.  The
-        module tree is only walked to switch modes when the model is in
-        train mode (and is restored after).
+        the code training runs and opens no kernel span: its Tensor
+        code, and for the GAT-e stack the tape node whose forward is the
+        fused kernel's (``tests/test_gat_tape.py`` pins it to the
+        per-head Tensor code); every served path is checked against
+        this answer.  The module tree is only walked to switch modes
+        when the model is in train mode (and is restored after).
         """
         batch = GraphBatch.from_graphs([graph])
         was_training = self.training

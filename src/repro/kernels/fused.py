@@ -11,7 +11,9 @@ concurrent callers (threads, inline shards) never share one.
 
 * :func:`gat_encoder_forward` — one pass per GAT-e layer: edge logits,
   masked softmax, neighbour aggregation and edge update run in place on
-  per-layer scratch arrays shared by all heads.
+  per-layer scratch arrays shared by all heads.  It is also the forward
+  of training's GAT-e tape node: handed a ``saved`` list, it keeps what
+  the written-out backward of ``GATEEncoder.forward_batch`` reads.
 * :func:`level_embed` — the encoder's feature-embedding glue (Eq. 18):
   continuous projection, embedding gathers, global tiling and the
   node/edge input projections collapse into slice writes plus two GEMMs.
@@ -23,14 +25,17 @@ concurrent callers (threads, inline shards) never share one.
   instead of being rebuilt from the visited mask every step, and the
   log-softmax is skipped entirely — a per-row monotone shift cannot
   change the argmax.
-* :func:`sort_rnn_forward` / :func:`lstm_unroll` — fused gathers and
-  steppers for the time decoder and the BiLSTM ablation encoder.
+* :func:`sort_rnn_forward` — fused gather and stepper for the time
+  decoder.
 
 The differential conformance suite (``tests/test_kernel_conformance.py``)
 certifies all of this against the grad-enabled Tensor code.  That code
-is the reference, and the one link below it is pinned too: its LSTM
+is the reference, and the links below it are pinned too: its LSTM
 unroll (``LSTMCell.unroll``, one tape node per sequence) matches a loop
-of ``LSTMCell.forward`` bitwise (``tests/test_sequence_tape.py``).
+of ``LSTMCell.forward`` bitwise (``tests/test_sequence_tape.py``), and
+its GAT-e stack (this module's forward, one tape node per level) matches
+the per-head Tensor code, forward and gradients, bitwise
+(``tests/test_gat_tape.py``).
 """
 
 from __future__ import annotations
@@ -54,16 +59,6 @@ def _sigmoid_(values: np.ndarray) -> np.ndarray:
 def _relu_into(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``values * (values > 0)`` — the exact Tensor ``relu`` expression."""
     return np.multiply(values, values > 0, out=out)
-
-
-class _BareCell:
-    """Adapts a raw LSTM/GRU cell to the ``recurrent`` duck type."""
-
-    __slots__ = ("cell", "cell_type")
-
-    def __init__(self, cell, cell_type: str):
-        self.cell = cell
-        self.cell_type = cell_type
 
 
 class _FusedRecurrent:
@@ -205,7 +200,7 @@ def _stacked(heads, attr: str) -> np.ndarray:
 def _gat_layer(layer, nodes: np.ndarray, edges: np.ndarray,
                adjacency: np.ndarray, mask_f: np.ndarray,
                empty_f: np.ndarray, empty_b: np.ndarray,
-               need_edges: bool):
+               record: Optional[dict] = None):
     """One multi-head GAT-e layer, all heads stacked on a leading axis.
 
     Head weights are stacked to ``(H, ...)`` and every matmul runs as a
@@ -215,6 +210,13 @@ def _gat_layer(layer, nodes: np.ndarray, edges: np.ndarray,
     instead of ``H`` times over ``(B, n, n)``.  The attention-vector
     scores stay per-head 1-D matmuls (``(B, n, d) @ (d,)``) because the
     dgemv and dgemm paths are not bitwise-interchangeable.
+
+    A concatenating layer returns its node and edge updates; the final
+    (averaging) layer returns ``None`` for edges: nothing reads them.
+    With ``record`` (a dict), the layer also keeps the arrays the
+    backward reads: its inputs, the transformed nodes, the messages,
+    the attention weights with the masked exponentials and denominators
+    they came from, and the signs of the leaky ReLU and the ReLUs.
     """
     heads = layer.heads
     num_heads = len(heads)
@@ -236,6 +238,8 @@ def _gat_layer(layer, nodes: np.ndarray, edges: np.ndarray,
         np.matmul(edges, head.a_edge.data, out=scratch[index])  # edge score
     np.add(source[:, :, :, None], target[:, :, None, :], out=logits)
     logits += scratch
+    if record is not None:
+        record["positive"] = logits > 0
     # Leaky ReLU as max(x, slope*x): picks the same product the
     # Tensor leaky_relu's where()-multiply computes, with no temporaries.
     np.multiply(logits, heads[0].leaky_slope, out=scratch)
@@ -253,91 +257,91 @@ def _gat_layer(layer, nodes: np.ndarray, edges: np.ndarray,
     logits *= mask_f
     denominator = logits.sum(axis=3, keepdims=True, out=row_max)
     denominator += empty_f
-    logits /= denominator
-
     messages = np.matmul(nodes, w2[:, None])
-    node_tmp = np.matmul(logits, messages)
+    if record is None:
+        logits /= denominator
+        attention = logits
+    else:
+        attention = logits / denominator
+        record.update(nodes=nodes, edges=edges, transformed=transformed,
+                      messages=messages, exps=logits,
+                      denominator=denominator, attention=attention)
+    node_tmp = np.matmul(attention, messages)
     node_out = np.empty((batch, n, out_dim))
     if layer.final:
         # add.reduce over a length-H axis accumulates sequentially —
         # the same h0+h1+... order as the Tensor head loop.
         np.add.reduce(node_tmp, axis=0, out=node_out)
-    else:
-        for index in range(num_heads):
-            lo = index * head_dim
-            _relu_into(node_tmp[index], node_out[..., lo:lo + head_dim])
-
-    edge_out = None
-    if need_edges:
-        edge_tmp = np.matmul(edges, _stacked(heads, "w3")[:, None, None])
-        n4 = np.matmul(nodes, _stacked(heads, "w4")[:, None])
-        n5 = np.matmul(nodes, _stacked(heads, "w5")[:, None])
-        edge_tmp += n4[:, :, :, None, :]
-        edge_tmp += n5[:, :, None, :, :]
-        edge_out = np.empty((batch, n, n, out_dim))
-        if layer.final:
-            np.add.reduce(edge_tmp, axis=0, out=edge_out)
-        else:
-            for index in range(num_heads):
-                lo = index * head_dim
-                _relu_into(edge_tmp[index], edge_out[..., lo:lo + head_dim])
-    if layer.final:
-        scale = 1.0 / float(num_heads)
-        node_out *= scale
+        node_out *= 1.0 / float(num_heads)
+        if record is not None:
+            record["node_positive"] = node_out > 0
         _relu_into(node_out, node_out)
-        if need_edges:
-            edge_out *= scale
-            _relu_into(edge_out, edge_out)
+        return node_out, None
+    for index in range(num_heads):
+        lo = index * head_dim
+        _relu_into(node_tmp[index], node_out[..., lo:lo + head_dim])
+
+    edge_tmp = np.matmul(edges, _stacked(heads, "w3")[:, None, None])
+    n4 = np.matmul(nodes, _stacked(heads, "w4")[:, None])
+    n5 = np.matmul(nodes, _stacked(heads, "w5")[:, None])
+    edge_tmp += n4[:, :, :, None, :]
+    edge_tmp += n5[:, :, None, :, :]
+    edge_out = np.empty((batch, n, n, out_dim))
+    for index in range(num_heads):
+        lo = index * head_dim
+        _relu_into(edge_tmp[index], edge_out[..., lo:lo + head_dim])
+    if record is not None:
+        record["node_positive"] = node_tmp > 0
+        record["edge_positive"] = edge_tmp > 0
     return node_out, edge_out
 
 
 def gat_encoder_forward(gat, nodes: np.ndarray, edges: np.ndarray,
-                        adjacency: np.ndarray, need_edges: bool = True):
-    """Residual GAT-e stack with in-place node/edge accumulators.
+                        adjacency: np.ndarray,
+                        saved: Optional[list] = None) -> np.ndarray:
+    """Residual GAT-e stack → the last layer's ``(B, n, d)`` nodes.
 
     Masks, their float casts and the empty-row guard are computed once
-    for the whole stack.  The accumulators start as copies of the
-    inputs, so the caller's arrays are never written.
+    for the whole stack.  The last layer's edge update is skipped: no
+    output reads it.  The accumulators start as copies of the inputs,
+    so the caller's arrays are never written.
+
+    With ``saved`` (a list), one record per layer (see
+    :func:`_gat_layer`) is appended, and each residual sum is a new
+    array, so every record's layer inputs stay as they were.
     """
     adjacency = np.asarray(adjacency, dtype=bool)
     mask_f = adjacency.astype(np.float64)
     empty_b = (~adjacency).all(axis=2, keepdims=True)
     empty_f = empty_b.astype(np.float64)
-    node_acc = np.array(nodes, dtype=np.float64)
-    edge_acc = np.array(edges, dtype=np.float64)
-    last = len(gat.layers) - 1
+    if saved is None:
+        node_acc = np.array(nodes, dtype=np.float64)
+        edge_acc = np.array(edges, dtype=np.float64)
+    else:
+        node_acc, edge_acc = nodes, edges
     # One errstate for the whole stack: fully-masked rows produce
     # -inf - -inf inside the attention shift (Tensor behaviour).
     with np.errstate(invalid="ignore"):
-        for index, layer in enumerate(gat.layers):
-            layer_need_edges = need_edges or index < last
+        for layer in gat.layers:
+            record = None if saved is None else {}
             node_update, edge_update = _gat_layer(
                 layer, node_acc, edge_acc, adjacency, mask_f, empty_f,
-                empty_b, layer_need_edges)
-            node_acc += node_update
-            if layer_need_edges:
-                edge_acc += edge_update
-    return node_acc, (edge_acc if need_edges else None)
+                empty_b, record)
+            if saved is None:
+                node_acc += node_update
+                if edge_update is not None:
+                    edge_acc += edge_update
+            else:
+                saved.append(record)
+                node_acc = node_acc + node_update
+                if edge_update is not None:
+                    edge_acc = edge_acc + edge_update
+    return node_acc
 
 
 # ----------------------------------------------------------------------
-# Recurrent kernels
+# Feature embedding and decoders
 # ----------------------------------------------------------------------
-def lstm_unroll(cell, sequence: np.ndarray) -> np.ndarray:
-    """Unroll an LSTM cell over ``(B, n, d)`` with preallocated buffers.
-
-    The input-side gate projections for every step are batched into one
-    GEMM up front; the step loop only runs the recurrent half.
-    """
-    batch, steps, _ = sequence.shape
-    recurrent = _FusedRecurrent(_BareCell(cell, "lstm"), batch)
-    pre = recurrent.precompute_inputs(sequence)
-    outputs = np.empty((batch, steps, cell.hidden_dim))
-    for step in range(steps):
-        outputs[:, step, :] = recurrent.step(None, pre=pre[step])
-    return outputs
-
-
 def level_embed(encoder, continuous: np.ndarray, discrete: np.ndarray,
                 edge_features: np.ndarray, global_data: np.ndarray):
     """Fused node/edge feature embedding for one padded graph level.

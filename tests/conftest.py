@@ -72,3 +72,20 @@ def graph(builder, instance):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+#: (locations, AOIs) of the conformance sweep's instances.
+SWEEP_SIZES = [(1, 1), (2, 1), (6, 3), (16, 8), (33, 12), (64, 16)]
+
+
+@pytest.fixture(scope="module")
+def sweep_graphs(world, builder):
+    """Instances spanning 1-64 locations and 1-16 AOIs."""
+    graphs = []
+    for index, (num_locations, num_aois) in enumerate(SWEEP_SIZES):
+        instance = world.simulate_courier_day(
+            courier_index=index % 4, day=index % 6,
+            num_locations=num_locations, num_aois=num_aois,
+            seed=1000 + index)
+        graphs.append(builder.build(instance))
+    return graphs

@@ -206,9 +206,7 @@ class TestFuzzGradients:
         for adjacency in (np.ones((1, 1, 1), dtype=bool),
                           np.zeros((1, 1, 1), dtype=bool)):
             def fn():
-                out_nodes, out_edges = gat.forward_batch(nodes, edges,
-                                                         adjacency)
-                return (out_nodes ** 2).sum() + (out_edges ** 2).sum() * 0.1
+                return (gat.forward_batch(nodes, edges, adjacency) ** 2).sum()
 
             check_gradients(fn, [nodes, edges, head.w1, head.a_src, head.w2])
 

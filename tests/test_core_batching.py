@@ -26,6 +26,8 @@ from repro.core import (
 from repro.kernels import fused
 from repro.obs.tracing import disable_tracing, enable_tracing
 
+from test_gat_tape import reference_attention
+
 VARIANTS = ["full", "two-step", "w/o aoi", "w/o graph", "w/o uncertainty"]
 
 
@@ -132,7 +134,7 @@ class TestBatchAssembly:
         nodes = Tensor(rng.normal(size=(shape[0], shape[1], 16)))
         edges = Tensor(rng.normal(size=shape + (16,)))
         with no_grad():
-            alpha = head.attention_batch(nodes, edges, level.adjacency)
+            alpha = reference_attention(head, nodes, edges, level.adjacency)
         for b in range(len(batch)):
             k = int(level.lengths[b])
             # Padding columns: probability exactly zero for every row.
@@ -326,7 +328,10 @@ class TestSortRouteValidation:
 class TestSpecIsTensorCode:
     """``M2G4RTP.predict`` is what every served answer is checked
     against.  Were it to run the fused kernels, each such check would
-    compare fused with fused and prove nothing."""
+    compare fused with fused and prove nothing.  Its GAT-e stack runs
+    the kernel's forward as a tape node, so ``TestServedAnswers`` in
+    ``tests/test_gat_tape.py`` checks served answers against the spec
+    run on the per-head Tensor code."""
 
     @staticmethod
     def traced_names(run):

@@ -1,11 +1,15 @@
 """Differential conformance suite for the fused kernels.
 
 Contract (see ``repro.kernels``): every no-grad inference kernel —
-level embed, GAT-e encoder stack, LSTM/GRU steppers and unroll, pointer
-decode, sort-RNN — must reproduce the Tensor code of the matching
+level embed, GAT-e encoder stack, LSTM/GRU steppers, pointer decode,
+sort-RNN — must reproduce the Tensor code of the matching
 ``repro.core`` method *run with gradients enabled*, i.e. the code
 training runs.  Throughout this file, the "reference" side of a
-comparison is that grad-enabled Tensor code, never another fast path:
+comparison is that grad-enabled Tensor code, never another fast path.
+One stage differs: training runs the GAT-e kernel's own forward (one
+tape node per level), so the GAT-e cases compare the kernel with the
+per-head Tensor code that op replaced, ``reference_gat`` of
+``tests/test_gat_tape.py``.  Every comparison is exact:
 
 * encoder embeddings bit-identical;
 * decoded routes exactly, at both levels, including tie behaviour and
@@ -15,7 +19,9 @@ comparison is that grad-enabled Tensor code, never another fast path:
 That Tensor code is the reference chain's next link:
 ``tests/test_sequence_tape.py`` pins its LSTM unroll
 (``LSTMCell.unroll``, one tape node per sequence) to a loop of
-``LSTMCell.forward``, and its teacher-forced decode to the per-step loop.
+``LSTMCell.forward``, and its teacher-forced decode to the per-step
+loop; ``tests/test_gat_tape.py`` pins the GAT-e tape node, forward and
+backward, to the per-head Tensor code.
 
 The sweep covers randomized instances from 1 to 64 locations and 1 to
 16 AOIs, every ablation variant, both decoder cell types, and the
@@ -31,10 +37,10 @@ import pytest
 from repro.autodiff import Tensor, is_grad_enabled, no_grad
 from repro.core import BatchedM2G4RTP, GraphBatch, M2G4RTP, M2G4RTPConfig, make_variant
 from repro.core.decoder import RecurrentCell
-from repro.core.encoder import _unroll_lstm_batch
 from repro.core.gat_e import GATEEncoder
 from repro.kernels import fused
-from repro.nn.recurrent import LSTMCell
+
+from test_gat_tape import reference_gat
 
 
 def small_config(**overrides) -> M2G4RTPConfig:
@@ -52,9 +58,9 @@ def _grad_enabled():
 
 
 def tensor_gat(gat, nodes, edges, adjacency, need_edges=True):
-    """Grad-enabled ``GATEEncoder.forward_batch`` on raw arrays."""
-    out_nodes, out_edges = gat.forward_batch(
-        Tensor(nodes), Tensor(edges), adjacency, need_edges=need_edges)
+    """The per-head reference stack (``reference_gat``) on raw arrays."""
+    out_nodes, out_edges = reference_gat(
+        gat, Tensor(nodes), Tensor(edges), adjacency, need_edges=need_edges)
     return out_nodes.data, (None if out_edges is None else out_edges.data)
 
 
@@ -98,19 +104,6 @@ class TestRecurrentKernels:
         assert h_ref.shape == (3, 8)
         np.testing.assert_array_equal(h_fused, h_ref.data)
 
-    def test_lstm_unroll_matches_reference(self, rng):
-        cell = LSTMCell(5, 7, rng)
-        sequence = rng.normal(size=(4, 9, 5))
-        out_ref = _unroll_lstm_batch(cell, Tensor(sequence)).data
-        out_fused = fused.lstm_unroll(cell, sequence)
-        np.testing.assert_array_equal(out_fused, out_ref)
-
-    def test_lstm_unroll_length_one_sequence(self, rng):
-        cell = LSTMCell(5, 7, rng)
-        sequence = rng.normal(size=(2, 1, 5))
-        np.testing.assert_array_equal(
-            fused.lstm_unroll(cell, sequence),
-            _unroll_lstm_batch(cell, Tensor(sequence)).data)
 
 
 # ----------------------------------------------------------------------
@@ -129,17 +122,14 @@ def random_gat_inputs(rng, batch, n, dim, mask_rows=0):
 class TestGATKernel:
     @pytest.mark.parametrize("need_edges", [True, False])
     def test_stack_matches_reference(self, rng, need_edges):
+        """The kernel never computes the last layer's edge update; the
+        reference's nodes are the same with it (``True``) or without."""
         gat = GATEEncoder(dim=8, num_layers=2, num_heads=2, rng=rng)
         nodes, edges, adjacency = random_gat_inputs(rng, batch=3, n=7, dim=8)
-        ref_nodes, ref_edges = tensor_gat(gat, nodes, edges, adjacency,
-                                          need_edges=need_edges)
-        fused_nodes, fused_edges = fused.gat_encoder_forward(
-            gat, nodes, edges, adjacency, need_edges=need_edges)
+        ref_nodes, _ = tensor_gat(gat, nodes, edges, adjacency,
+                                  need_edges=need_edges)
+        fused_nodes = fused.gat_encoder_forward(gat, nodes, edges, adjacency)
         np.testing.assert_array_equal(fused_nodes, ref_nodes)
-        if need_edges:
-            np.testing.assert_array_equal(fused_edges, ref_edges)
-        else:
-            assert fused_edges is None and ref_edges is None
 
     def test_fully_masked_rows_are_finite_and_equal(self, rng):
         """Rows with no neighbours (padding) must yield zeros, not NaN."""
@@ -147,7 +137,7 @@ class TestGATKernel:
         nodes, edges, adjacency = random_gat_inputs(
             rng, batch=2, n=6, dim=8, mask_rows=3)
         ref_nodes, _ = tensor_gat(gat, nodes, edges, adjacency)
-        fused_nodes, _ = fused.gat_encoder_forward(gat, nodes, edges, adjacency)
+        fused_nodes = fused.gat_encoder_forward(gat, nodes, edges, adjacency)
         assert np.isfinite(fused_nodes).all()
         np.testing.assert_array_equal(fused_nodes, ref_nodes)
 
@@ -158,7 +148,7 @@ class TestGATKernel:
         edges = rng.normal(size=(2, 4, 4, 8))
         adjacency = np.zeros((2, 4, 4), dtype=bool)
         ref_nodes, _ = tensor_gat(gat, nodes, edges, adjacency)
-        fused_nodes, _ = fused.gat_encoder_forward(gat, nodes, edges, adjacency)
+        fused_nodes = fused.gat_encoder_forward(gat, nodes, edges, adjacency)
         assert np.isfinite(fused_nodes).all()
         np.testing.assert_array_equal(fused_nodes, ref_nodes)
 
@@ -168,17 +158,16 @@ class TestGATKernel:
         edges = rng.normal(size=(1, 1, 1, 8))
         for adjacency in (np.ones((1, 1, 1), dtype=bool),
                           np.zeros((1, 1, 1), dtype=bool)):
-            ref_nodes, ref_edges = tensor_gat(gat, nodes, edges, adjacency)
-            fused_nodes, fused_edges = fused.gat_encoder_forward(
+            ref_nodes, _ = tensor_gat(gat, nodes, edges, adjacency)
+            fused_nodes = fused.gat_encoder_forward(
                 gat, nodes, edges, adjacency)
             np.testing.assert_array_equal(fused_nodes, ref_nodes)
-            np.testing.assert_array_equal(fused_edges, ref_edges)
 
     def test_outputs_not_aliased_across_calls(self, rng):
         """A second call must not corrupt previously returned arrays."""
         gat = GATEEncoder(dim=8, num_layers=1, num_heads=2, rng=rng)
         nodes, edges, adjacency = random_gat_inputs(rng, batch=2, n=5, dim=8)
-        first, _ = fused.gat_encoder_forward(gat, nodes, edges, adjacency)
+        first = fused.gat_encoder_forward(gat, nodes, edges, adjacency)
         snapshot = first.copy()
         fused.gat_encoder_forward(gat, nodes * 2.0, edges, adjacency)
         np.testing.assert_array_equal(first, snapshot)
@@ -324,22 +313,6 @@ class TestSortRNNKernel:
 # ----------------------------------------------------------------------
 # End-to-end sweep: full models over randomized instances
 # ----------------------------------------------------------------------
-SWEEP_SIZES = [(1, 1), (2, 1), (6, 3), (16, 8), (33, 12), (64, 16)]
-
-
-@pytest.fixture(scope="module")
-def sweep_graphs(world, builder):
-    """Instances spanning 1-64 locations and 1-16 AOIs."""
-    graphs = []
-    for index, (num_locations, num_aois) in enumerate(SWEEP_SIZES):
-        instance = world.simulate_courier_day(
-            courier_index=index % 4, day=index % 6,
-            num_locations=num_locations, num_aois=num_aois,
-            seed=1000 + index)
-        graphs.append(builder.build(instance))
-    return graphs
-
-
 def predict_tensor_and_fused(model, graphs):
     """``M2G4RTP.forward`` on one padded batch with grad on (Tensor) and
     off (fused, through ``BatchedM2G4RTP``)."""
@@ -429,7 +402,7 @@ class TestFuzzConformance:
             nodes, edges, adjacency = random_gat_inputs(
                 rng, batch, n, dim, mask_rows=int(rng.integers(0, n + 1)))
             ref_nodes, _ = tensor_gat(gat, nodes, edges, adjacency)
-            fused_nodes, _ = fused.gat_encoder_forward(
+            fused_nodes = fused.gat_encoder_forward(
                 gat, nodes, edges, adjacency)
             np.testing.assert_array_equal(fused_nodes, ref_nodes,
                                           err_msg=f"trial {trial}")

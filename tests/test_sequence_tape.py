@@ -2,8 +2,9 @@
 
 With gradients on, ``LSTMCell.unroll`` records a whole LSTM unroll as
 one tape node (``SortLSTM``, the "w/o graph" BiLSTM encoder and the
-route decoders run it), and a teacher-forced
-``RouteDecoder.forward_batch`` scores all its steps at once.  These
+route decoders run it; the encoder runs it with gradients off too), and
+a teacher-forced ``RouteDecoder.forward_batch`` scores all its steps at
+once.  These
 tests pin each to the per-step loop it replaced, kept here as the
 reference, bitwise: hidden states, routes, label log-probabilities,
 every task loss and every gradient.  The gradients match because the
@@ -19,8 +20,8 @@ seeded shapes, variants and cell types.
 import numpy as np
 import pytest
 
-from repro.autodiff import (Tensor, check_gradients, concat, padded_gather,
-                            repeat_steps, stack)
+from repro.autodiff import (Tensor, check_gradients, concat, no_grad,
+                            padded_gather, repeat_steps, stack)
 from repro.core import (GraphBatch, M2G4RTP, M2G4RTPConfig, RTPTargets,
                         make_variant)
 from repro.core import encoder as encoder_module
@@ -172,6 +173,18 @@ class TestLSTMUnroll:
         x.grad = np.array([1e16, 0.0])
         repeated.sum().backward()
         np.testing.assert_array_equal(x.grad, [1e16, 2.0])
+
+    @pytest.mark.parametrize("steps", [9, 1])
+    def test_no_grad_unroll_matches_per_step_loop(self, rng, steps):
+        """The "w/o graph" encoder's unroll with gradients off: no tape,
+        the same hidden states."""
+        cell = LSTMCell(5, 7, rng)
+        sequence = Tensor(rng.normal(size=(4, steps, 5)))
+        with no_grad():
+            hidden = encoder_module._unroll_lstm_batch(cell, sequence)
+        assert not hidden.requires_grad and not hidden._parents
+        np.testing.assert_array_equal(
+            hidden.data, reference_unroll_lstm_batch(cell, sequence).data)
 
     def test_finite_differences(self, rng):
         cell = LSTMCell(3, 2, rng)

@@ -102,8 +102,8 @@ class TestHandleBatch:
 
 
 #: Decode variants ``handle`` must serve like the spec: the default
-#: model, the AOI-less location decode, the BiLSTM encoder (the
-#: ``lstm_unroll`` kernel), GRU cells and the neighbour-restricted
+#: model, the AOI-less location decode, the BiLSTM encoder (a no-grad
+#: ``LSTMCell.unroll``), GRU cells and the neighbour-restricted
 #: (non-incremental) pointer decode.
 SPEC_CONFIGS = {
     "default": M2G4RTPConfig(),
