@@ -1,10 +1,13 @@
 """Extension benches beyond the paper's figures (DESIGN.md Section 5).
 
-* Beam-width sweep: greedy (width 1) vs beam search at inference time.
 * Robustness sweep: route quality under GPS feature noise, M²G4RTP vs
   Distance-Greedy (the learned model should degrade more gracefully —
   it does not rely on raw distance alone).
 * Scheduled sampling: exposure-bias mitigation vs plain teacher forcing.
+* TSP substitution: the NN + 2-opt heuristic against the exact
+  Held-Karp optimum.
+* Significance: paired bootstrap and permutation test of M²G4RTP vs
+  Graph2Route on per-instance KRC.
 * DeepETA: the related-work time-only model as an extra Table IV row.
 """
 
@@ -12,10 +15,9 @@ import numpy as np
 import pytest
 
 from repro.baselines import DeepBaselineConfig, DeepETA
-from repro.core import M2G4RTP, M2G4RTPConfig, beam_search_predict
+from repro.core import M2G4RTP, M2G4RTPConfig
 from repro.data import jitter_coordinates, robustness_sweep
 from repro.eval import baseline_predictor, evaluate_method, model_predictor
-from repro.graphs import GraphBuilder
 from repro.metrics import kendall_rank_correlation
 from repro.training import Trainer, TrainerConfig
 
@@ -25,36 +27,6 @@ from common import get_baselines, get_context, get_m2g4rtp, write_result
 @pytest.fixture(scope="module")
 def model():
     return get_m2g4rtp()
-
-
-@pytest.fixture(scope="module")
-def builder(model):
-    return GraphBuilder(num_aoi_ids=model.config.num_aoi_ids)
-
-
-def test_beam_width_sweep(model, builder, benchmark):
-    context = get_context()
-    lines = [f"{'width':>6s} {'HR@3':>7s} {'KRC':>6s} {'LSD':>7s}"]
-    results = {}
-    for width in (1, 2, 4):
-        def predict(instance, width=width):
-            output = beam_search_predict(model, builder.build(instance),
-                                         width=width)
-            return output.route, output.arrival_times
-        evaluation = evaluate_method(f"beam{width}", predict, context.test,
-                                     buckets=("all",))
-        report = evaluation.buckets["all"]
-        results[width] = report
-        lines.append(f"{width:6d} {report.hr_at_3:7.2f} {report.krc:6.2f} "
-                     f"{report.lsd:7.2f}")
-    write_result("ext_beam_width.txt", "\n".join(lines))
-    # Beam search optimises sequence log-likelihood; on a well-trained
-    # model it should not collapse route quality.
-    assert results[4].krc > results[1].krc - 0.1
-
-    instance = context.test[0]
-    benchmark(lambda: beam_search_predict(model, builder.build(instance),
-                                          width=4))
 
 
 def test_robustness_to_gps_noise(model, benchmark):
@@ -141,85 +113,6 @@ def test_tsp_substitution_optimality_gap(benchmark):
     start = rng.random(12) * 1000
     benchmark(lambda: two_opt(nearest_neighbor_path(start, distance),
                               start, distance))
-
-
-def test_aoi_contiguity_repair(benchmark):
-    """Post-processing extension: repairing AOI-bouncing routes helps
-    the single-level Graph2Route (whose Fig. 6 failure mode is exactly
-    that) and never increases AOI switches."""
-    from repro.core import enforce_aoi_contiguity
-    context = get_context()
-    theirs = baseline_predictor(get_baselines()["Graph2Route"])
-    raw_scores, repaired_scores = [], []
-    for instance in context.test:
-        route, _ = theirs(instance)
-        aoi_of = instance.aoi_index_of_location()
-        repaired = enforce_aoi_contiguity(route, aoi_of)
-        raw_scores.append(kendall_rank_correlation(route, instance.route))
-        repaired_scores.append(
-            kendall_rank_correlation(repaired, instance.route))
-    text = ("AOI-contiguity repair on Graph2Route routes\n"
-            f"  raw KRC      : {np.mean(raw_scores):.3f}\n"
-            f"  repaired KRC : {np.mean(repaired_scores):.3f}")
-    write_result("ext_aoi_repair.txt", text)
-    # Ground truth is AOI-first, so the repair stays close to or above
-    # the raw quality (it can cost a little when the AOI *order* itself
-    # was wrong); its hard guarantee — fewer AOI switches — is unit
-    # tested in tests/test_core_postprocess.py.
-    assert np.mean(repaired_scores) >= np.mean(raw_scores) - 0.05
-
-    instance = context.test[0]
-    route, _ = theirs(instance)
-    benchmark(enforce_aoi_contiguity, route,
-              instance.aoi_index_of_location())
-
-
-def test_eta_uncertainty_intervals(model, builder, benchmark):
-    """Monte-Carlo ETA intervals: actual arrivals should fall inside the
-    sampled 10-90% band far more often than a point estimate would."""
-    from repro.core import predict_with_uncertainty
-    context = get_context()
-    covered, total, widths = 0, 0, []
-    for instance in list(context.test)[:12]:
-        graph = builder.build(instance)
-        prediction = predict_with_uncertainty(model, graph, num_samples=8,
-                                              temperature=1.0, seed=1)
-        margin = 5.0  # minutes of slack around the sampled band
-        low = prediction.eta_low - margin
-        high = prediction.eta_high + margin
-        covered += int(np.sum((instance.arrival_times >= low)
-                              & (instance.arrival_times <= high)))
-        total += instance.num_locations
-        widths.append(float(np.mean(high - low)))
-    coverage = covered / total
-    text = ("ETA uncertainty via route sampling (8 samples, T=1.0)\n"
-            f"  10-90% band (+-5 min) coverage: {100 * coverage:.1f}%\n"
-            f"  mean band width               : {np.mean(widths):.1f} min")
-    write_result("ext_eta_uncertainty.txt", text)
-    assert coverage > 0.3
-    instance = context.test[0]
-    benchmark(lambda: predict_with_uncertainty(
-        model, builder.build(instance), num_samples=4, seed=0))
-
-
-def test_cell_type_ablation(benchmark):
-    """Extra ablation: GRU vs LSTM decoder cells (DESIGN.md Section 5)."""
-    context = get_context()
-    epochs = max(4, context.profile.ablation_epochs // 2)
-    gru = M2G4RTP(M2G4RTPConfig(seed=11, cell_type="gru"))
-    Trainer(gru, TrainerConfig(epochs=epochs)).fit(
-        context.train, context.validation)
-    evaluation = evaluate_method("gru-cells", model_predictor(gru),
-                                 context.test, buckets=("all",))
-    report = evaluation.buckets["all"]
-    write_result("ext_cell_type.txt",
-                 f"GRU decoder cells ({epochs} epochs): "
-                 f"HR@3 {report.hr_at_3:.2f} KRC {report.krc:.2f} "
-                 f"MAE {report.mae:.2f} "
-                 f"(params {gru.num_parameters()} vs LSTM "
-                 f"{get_m2g4rtp().num_parameters()})")
-    assert report.krc > 0.2
-    benchmark(model_predictor(gru), context.test[0])
 
 
 def test_significance_vs_best_deep_baseline(benchmark):

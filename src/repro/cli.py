@@ -59,7 +59,7 @@ def _load_model(path: Path) -> M2G4RTP:
         raise FileNotFoundError(
             f"missing model config {config_file}; train with this CLI "
             "or write the config JSON next to the checkpoint")
-    config = M2G4RTPConfig(**json.loads(config_file.read_text()))
+    config = M2G4RTPConfig.from_dict(json.loads(config_file.read_text()))
     model = M2G4RTP(config)
     load_checkpoint(model, path)
     model.eval()
@@ -625,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--out", required=True)
     train.add_argument("--epochs", type=_positive_int, default=12)
     train.add_argument("--lr", type=float, default=3e-3)
-    train.add_argument("--hidden-dim", type=int, default=32)
+    train.add_argument("--hidden-dim", type=_positive_int, default=32)
     train.add_argument("--batch-size", type=_positive_int, default=1)
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--quiet", action="store_true")

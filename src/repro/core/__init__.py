@@ -20,14 +20,6 @@ from .model import (
 )
 from .batching import BatchedM2G4RTP, GraphBatch, LevelBatch
 from .fallback import DEFAULT_SPEED, FallbackPredictor, FallbackPrediction
-from .beam import beam_search_route, beam_search_predict
-from .ensemble import EnsemblePredictor, borda_aggregate
-from .postprocess import (
-    UncertaintyPrediction,
-    enforce_aoi_contiguity,
-    predict_with_uncertainty,
-    sample_route,
-)
 
 __all__ = [
     "GATEHead", "GATELayer", "GATEEncoder",
@@ -39,8 +31,4 @@ __all__ = [
     "VARIANT_NAMES", "make_variant",
     "BatchedM2G4RTP", "GraphBatch", "LevelBatch",
     "FallbackPredictor", "FallbackPrediction", "DEFAULT_SPEED",
-    "beam_search_route", "beam_search_predict",
-    "UncertaintyPrediction", "enforce_aoi_contiguity",
-    "predict_with_uncertainty", "sample_route",
-    "EnsemblePredictor", "borda_aggregate",
 ]

@@ -21,58 +21,11 @@ import numpy as np
 from ..autodiff import (Tensor, concat, is_grad_enabled, padded_gather,
                         repeat_steps, stack)
 from ..kernels import fused
-from ..nn import AdditivePointerAttention, GRUCell, Linear, LSTMCell, Module
+from ..nn import AdditivePointerAttention, Linear, LSTM, Module
 from ..nn.init import normal
 from ..nn.module import Parameter
 from ..nn.positional import position_table
 from ..obs.tracing import span
-
-
-class RecurrentCell(Module):
-    """Uniform step interface over LSTM and GRU cells.
-
-    ``step(x, state) -> (hidden, new_state)`` hides the difference
-    between the LSTM's ``(h, c)`` state and the GRU's plain ``h``.
-    """
-
-    def __init__(self, input_dim: int, hidden_dim: int,
-                 rng: np.random.Generator, cell_type: str = "lstm"):
-        super().__init__()
-        if cell_type == "lstm":
-            self.cell = LSTMCell(input_dim, hidden_dim, rng)
-        elif cell_type == "gru":
-            self.cell = GRUCell(input_dim, hidden_dim, rng)
-        else:
-            raise ValueError(f"cell_type must be 'lstm' or 'gru', got {cell_type!r}")
-        self.cell_type = cell_type
-
-    def step(self, x: Tensor, state):
-        if self.cell_type == "lstm":
-            h, c = self.cell(x, state)
-            return h, (h, c)
-        h = self.cell(x, state)
-        return h, h
-
-    def unroll(self, inputs: Tensor, start: Optional[Tensor] = None) -> Tensor:
-        """Hidden states ``(steps, B, hidden)`` from a zero state over
-        step-major ``inputs`` ``(T, B, in)``, after the optional 1-D
-        ``start`` input (see :meth:`LSTMCell.unroll`, one tape node).  A
-        GRU steps one input at a time."""
-        if self.cell_type == "lstm":
-            return self.cell.unroll(inputs, start)
-        sequence = [inputs[step] for step in range(inputs.shape[0])]
-        if start is not None:
-            sequence.insert(0, start)
-        state = self.initial_state((inputs.shape[1],))
-        hidden = []
-        for x in sequence:
-            h, state = self.step(x, state)
-            hidden.append(h)
-        return stack(hidden, axis=0)
-
-    def initial_state(self, batch_shape: Tuple[int, ...] = ()):
-        """Explicit zero state (needed when the first input is unbatched)."""
-        return self.cell.initial_state(batch_shape)
 
 
 def route_positions(routes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -103,14 +56,16 @@ class RouteDecoder(Module):
         neighbours of the previously decoded node (the paper's
         "most likely neighbor of the (s-1)-th output"), falling back to
         all unvisited nodes when no unvisited neighbour exists.
+
+    The LSTM is held as ``recurrent`` (keys ``recurrent.cell.*``); the
+    decoder steps or unrolls its ``cell``.
     """
 
     def __init__(self, node_dim: int, state_dim: int, courier_dim: int,
                  rng: np.random.Generator,
-                 restrict_to_neighbors: bool = True,
-                 cell_type: str = "lstm"):
+                 restrict_to_neighbors: bool = True):
         super().__init__()
-        self.recurrent = RecurrentCell(node_dim, state_dim, rng, cell_type)
+        self.recurrent = LSTM(node_dim, state_dim, rng)
         self.attention = AdditivePointerAttention(
             key_dim=node_dim, query_dim=state_dim + courier_dim,
             hidden_dim=state_dim, rng=rng)
@@ -193,7 +148,7 @@ class RouteDecoder(Module):
         steps = np.arange(n)
         step_valid = steps[None, :] < lengths[:, None]
         visited = ~step_valid                                 # padding pre-visited
-        state = self.recurrent.initial_state((batch,))
+        h, c = self.recurrent.cell.initial_state((batch,))
         step_input: Tensor = self.start_token
         previous: Optional[np.ndarray] = None
         routes = np.zeros((batch, n), dtype=np.int64)
@@ -208,7 +163,7 @@ class RouteDecoder(Module):
             true_rank[row_index, labels[row_index, step_index]] = step_index
 
         for step in range(n):
-            h, state = self.recurrent.step(step_input, state)
+            h, c = self.recurrent.cell(step_input, (h, c))
             query = concat([h, courier], axis=-1)
             feasible = self._candidate_mask_batch(visited, previous, adjacency)
             # Finished instances get a dummy candidate at index 0 so the
@@ -264,8 +219,8 @@ class RouteDecoder(Module):
         labels = np.where(step_valid, teacher_routes, 0).astype(np.int64)
         step_inputs = padded_gather(nodes, labels[:, :-1],
                                     valid=steps[None, 1:] < lengths[:, None])
-        hidden = self.recurrent.unroll(step_inputs.transpose(1, 0, 2),
-                                       start=self.start_token)   # (n, B, h)
+        hidden = self.recurrent.cell.unroll(step_inputs.transpose(1, 0, 2),
+                                            start=self.start_token)  # (n, B, h)
         query = concat([hidden, repeat_steps(courier, n)], axis=-1)
 
         # Step s has visited the padding and the labels of steps < s.
@@ -295,13 +250,12 @@ class SortLSTM(Module):
     """
 
     def __init__(self, node_dim: int, state_dim: int, position_dim: int,
-                 rng: np.random.Generator, cell_type: str = "lstm"):
+                 rng: np.random.Generator):
         super().__init__()
         if position_dim < 2:
             raise ValueError("position_dim must be >= 2")
         self.position_dim = position_dim
-        self.recurrent = RecurrentCell(node_dim + position_dim, state_dim,
-                                       rng, cell_type)
+        self.recurrent = LSTM(node_dim + position_dim, state_dim, rng)
         self.head = Linear(state_dim, 1, rng)
 
     def forward_batch(self, nodes: Tensor, routes: np.ndarray,
@@ -339,7 +293,7 @@ class SortLSTM(Module):
                                     (batch, n, self.position_dim))
         sequence = concat([padded_gather(nodes, routes, valid=step_valid),
                            Tensor(positions)], axis=-1)
-        hidden = self.recurrent.unroll(sequence.transpose(1, 0, 2))
+        hidden = self.recurrent.cell.unroll(sequence.transpose(1, 0, 2))
         # The head reads its weights once per step, as a step loop does.
         times = (hidden @ repeat_steps(self.head.weight, n)
                  + repeat_steps(self.head.bias, n).reshape(n, 1, 1))

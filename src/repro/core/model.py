@@ -15,7 +15,7 @@ through :class:`M2G4RTPConfig` flags and :func:`make_variant`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -47,13 +47,26 @@ class M2G4RTPConfig:
     num_aoi_types: int = 8
     time_scale: float = 60.0
     restrict_to_neighbors: bool = False
-    cell_type: str = "lstm"   # "lstm" or "gru" for both decoders
     seed: int = 0
     # Ablation switches (paper Section V-E).
     use_aoi: bool = True          # False -> "w/o AOI" variant
     use_graph: bool = True        # False -> "w/o graph" (BiLSTM encoder)
     use_uncertainty: bool = True  # False -> fixed 100:1 weights
     detach_time_inputs: bool = False  # True -> "two-step" training
+
+    @classmethod
+    def from_dict(cls, stored: Mapping[str, object]) -> "M2G4RTPConfig":
+        """Rebuild a stored config (``dataclasses.asdict`` output).
+
+        Raises ``ValueError`` naming every field this config does not
+        have; fields missing from ``stored`` take their defaults.
+        """
+        unknown = sorted(set(stored)
+                         - {field.name for field in dataclasses.fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown M2G4RTPConfig field(s): "
+                             f"{', '.join(unknown)}")
+        return cls(**stored)
 
     def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(
@@ -155,10 +168,8 @@ class M2G4RTP(Module):
         if cfg.use_aoi:
             self.aoi_route_decoder = RouteDecoder(
                 d, d, courier_dim, rng,
-                restrict_to_neighbors=cfg.restrict_to_neighbors,
-                cell_type=cfg.cell_type)
-            self.aoi_time_decoder = SortLSTM(d, d, cfg.position_dim, rng,
-                                             cell_type=cfg.cell_type)
+                restrict_to_neighbors=cfg.restrict_to_neighbors)
+            self.aoi_time_decoder = SortLSTM(d, d, cfg.position_dim, rng)
             location_input_dim = d + cfg.position_dim + 1
         else:
             self.aoi_route_decoder = None
@@ -167,11 +178,9 @@ class M2G4RTP(Module):
 
         self.location_route_decoder = RouteDecoder(
             location_input_dim, d, courier_dim, rng,
-            restrict_to_neighbors=cfg.restrict_to_neighbors,
-            cell_type=cfg.cell_type)
+            restrict_to_neighbors=cfg.restrict_to_neighbors)
         self.location_time_decoder = SortLSTM(
-            location_input_dim, d, cfg.position_dim, rng,
-            cell_type=cfg.cell_type)
+            location_input_dim, d, cfg.position_dim, rng)
 
         self.loss_weighting = (
             UncertaintyWeighting() if cfg.use_uncertainty else FixedWeighting())

@@ -272,9 +272,11 @@ class ModelRegistry:
         """Rebuild and weight-load one version, integrity-checked.
 
         Raises :class:`CheckpointIntegrityError` when the file hash
-        disagrees with the manifest (bit-rot, partial copy, tampering)
-        and :class:`~repro.training.checkpoint.CheckpointError` when
-        the archive itself is unreadable or mismatched.
+        disagrees with the manifest (bit-rot, partial copy, tampering),
+        :class:`RegistryError` when the manifest's model config names a
+        field :class:`~repro.core.M2G4RTPConfig` does not have, and
+        :class:`~repro.training.checkpoint.CheckpointError` when the
+        archive itself is unreadable or mismatched.
         """
         version = self.resolve(ref)
         manifest = self.manifest(version)
@@ -287,7 +289,11 @@ class ModelRegistry:
                 f"checkpoint {checkpoint} fails integrity check: "
                 f"manifest sha256 {manifest.checkpoint_sha256[:12]}… "
                 f"vs file {actual[:12]}…")
-        model = M2G4RTP(M2G4RTPConfig(**manifest.model_config))
+        try:
+            config = M2G4RTPConfig.from_dict(manifest.model_config)
+        except ValueError as exc:
+            raise RegistryError(f"version {version!r}: {exc}") from exc
+        model = M2G4RTP(config)
         load_checkpoint(model, checkpoint)
         model.eval()
         return model, manifest

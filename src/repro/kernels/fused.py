@@ -17,7 +17,7 @@ concurrent callers (threads, inline shards) never share one.
 * :func:`level_embed` — the encoder's feature-embedding glue (Eq. 18):
   continuous projection, embedding gathers, global tiling and the
   node/edge input projections collapse into slice writes plus two GEMMs.
-* :class:`_FusedRecurrent` — LSTM/GRU stepper with one gate matmul per
+* :class:`_FusedRecurrent` — LSTM stepper with one gate matmul per
   step into preallocated gate/hidden/cell buffers (ping-pong swapped,
   never reallocated).
 * :func:`pointer_decode` — incremental decode: the feasibility penalty
@@ -62,48 +62,28 @@ def _relu_into(values: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 class _FusedRecurrent:
-    """Preallocated-buffer LSTM/GRU stepper.
+    """Preallocated-buffer LSTM stepper over an ``LSTMCell``.
 
-    Bit-identical to the Tensor ``RecurrentCell.step``: the gate
-    pre-activation keeps the ``(x W_x + h W_h) + b`` association
-    (LSTM) / ``(x W_x + b) + h W_h`` slice sums (GRU), and
-    state updates keep ``(f*c) + (i*g)`` / ``((1-z)*n) + (z*h)``.
-    Buffers are allocated once per stepper; hidden/cell buffers are
-    ping-pong swapped between steps.
+    Bit-identical to ``LSTMCell.forward``: the gate pre-activation keeps
+    the ``(x W_x + h W_h) + b`` association and the state update keeps
+    ``(f*c) + (i*g)``.  Buffers are allocated once per stepper;
+    hidden/cell buffers are ping-pong swapped between steps.
     """
 
-    def __init__(self, recurrent, batch: int):
-        cell = recurrent.cell
-        self.kind = recurrent.cell_type
+    def __init__(self, cell, batch: int):
         self.hidden_dim = cell.hidden_dim
         self.weight_x = cell.weight_x.data
         self.weight_h = cell.weight_h.data
         self.bias = cell.bias.data
         d = cell.hidden_dim
-        gate_width = self.weight_x.shape[1]  # 4d (lstm) / 3d (gru)
-        self.gates = np.empty((batch, gate_width))
-        self.h_gates = np.empty((batch, gate_width))
+        self.gates = np.empty((batch, 4 * d))
+        self.h_gates = np.empty((batch, 4 * d))
         self.h = np.zeros((batch, d))
         self.h_next = np.empty((batch, d))
+        self.c = np.zeros((batch, d))
+        self.c_next = np.empty((batch, d))
         self.scratch = np.empty((batch, d))
-        if self.kind == "lstm":
-            self.c = np.zeros((batch, d))
-            self.c_next = np.empty((batch, d))
-            self.g_scratch = np.empty((batch, d))
-        else:
-            self.rz = np.empty((batch, 2 * d))
-            self.candidate = np.empty((batch, d))
-
-    def _input_gates(self, x: np.ndarray) -> np.ndarray:
-        gates = self.gates
-        if x.ndim == 2:
-            np.matmul(x, self.weight_x, out=gates)
-        else:
-            # 1-D input (the start token): the Tensor cell computes a
-            # vector x @ W_x and lets the h-term broadcast; replicating
-            # that (vector matmul, then broadcast add) keeps bit parity.
-            gates[...] = x @ self.weight_x
-        return gates
+        self.g_scratch = np.empty((batch, d))
 
     def precompute_inputs(self, sequence: np.ndarray) -> np.ndarray:
         """Project every step's input through ``W_x`` in one GEMM.
@@ -121,20 +101,20 @@ class _FusedRecurrent:
 
     def step(self, x: Optional[np.ndarray],
              pre: Optional[np.ndarray] = None) -> np.ndarray:
-        if self.kind == "lstm":
-            return self._step_lstm(x, pre)
-        return self._step_gru(x, pre)
-
-    def _step_lstm(self, x: Optional[np.ndarray],
-                   pre: Optional[np.ndarray] = None) -> np.ndarray:
         d = self.hidden_dim
+        gates = self.gates
         np.matmul(self.h, self.weight_h, out=self.h_gates)
-        if pre is None:
-            gates = self._input_gates(x)
-            gates += self.h_gates
-        else:
-            gates = self.gates
+        if pre is not None:
             np.add(pre, self.h_gates, out=gates)
+        else:
+            if x.ndim == 2:
+                np.matmul(x, self.weight_x, out=gates)
+            else:
+                # 1-D input (the start token): the Tensor cell computes a
+                # vector x @ W_x and lets the h-term broadcast; replicating
+                # that (vector matmul, then broadcast add) keeps bit parity.
+                gates[...] = x @ self.weight_x
+            gates += self.h_gates
         gates += self.bias
         # tanh of the g-gate pre-activation is saved first, then one
         # contiguous sigmoid sweeps the whole gate buffer (the swept
@@ -150,33 +130,6 @@ class _FusedRecurrent:
         np.multiply(gates[:, 3 * d:4 * d], self.scratch, out=self.h_next)
         self.h, self.h_next = self.h_next, self.h
         self.c, self.c_next = self.c_next, self.c
-        return self.h
-
-    def _step_gru(self, x: Optional[np.ndarray],
-                  pre: Optional[np.ndarray] = None) -> np.ndarray:
-        d = self.hidden_dim
-        if pre is None:
-            gates_x = self._input_gates(x)
-            gates_x += self.bias
-        else:
-            gates_x = self.gates
-            np.add(pre, self.bias, out=gates_x)
-        np.matmul(self.h, self.weight_h, out=self.h_gates)
-        gates_h = self.h_gates
-        # Reset and update gates are adjacent slices: one add + one
-        # contiguous sigmoid over both.
-        np.add(gates_x[:, 0:2 * d], gates_h[:, 0:2 * d], out=self.rz)
-        _sigmoid_(self.rz)
-        reset = self.rz[:, 0:d]
-        update = self.rz[:, d:2 * d]
-        np.multiply(reset, gates_h[:, 2 * d:3 * d], out=self.candidate)
-        np.add(gates_x[:, 2 * d:3 * d], self.candidate, out=self.candidate)
-        np.tanh(self.candidate, out=self.candidate)
-        np.subtract(1.0, update, out=self.scratch)
-        np.multiply(self.scratch, self.candidate, out=self.h_next)
-        np.multiply(update, self.h, out=self.scratch)
-        self.h_next += self.scratch
-        self.h, self.h_next = self.h_next, self.h
         return self.h
 
 
@@ -405,7 +358,7 @@ def pointer_decode(decoder, nodes: np.ndarray, courier: np.ndarray,
     v = attention.v.data
     hidden = query_weight.shape[1]
     projected_keys = np.matmul(nodes, attention.key_proj.weight.data)
-    recurrent = _FusedRecurrent(decoder.recurrent, batch)
+    recurrent = _FusedRecurrent(decoder.recurrent.cell, batch)
     state_dim = recurrent.hidden_dim
     query = np.empty((batch, state_dim + courier.shape[-1]))
     query[:, state_dim:] = courier
@@ -482,7 +435,7 @@ def sort_rnn_forward(sort, nodes: np.ndarray, routes: np.ndarray,
     step_valid = np.arange(n)[None, :] < lengths[:, None]
     step_valid_f = step_valid.astype(np.float64)
     safe_all = np.where(step_valid, routes, 0)   # all gather indices at once
-    recurrent = _FusedRecurrent(sort.recurrent, batch)
+    recurrent = _FusedRecurrent(sort.recurrent.cell, batch)
     head_weight = sort.head.weight.data
     head_bias = sort.head.bias.data
     head_out = np.empty((batch, 1))

@@ -3,7 +3,6 @@
 from .module import Module, Parameter
 from .layers import Linear, Embedding, LayerNorm, Dropout, MLP, FeatureEncoder
 from .recurrent import LSTMCell, LSTM, BiLSTM
-from .gru import GRUCell, GRU
 from .attention import (
     AdditivePointerAttention,
     MultiHeadSelfAttention,
@@ -19,7 +18,6 @@ __all__ = [
     "Module", "Parameter",
     "Linear", "Embedding", "LayerNorm", "Dropout", "MLP", "FeatureEncoder",
     "LSTMCell", "LSTM", "BiLSTM",
-    "GRUCell", "GRU",
     "AdditivePointerAttention", "MultiHeadSelfAttention", "TransformerEncoderLayer",
     "GCN", "GCNLayer", "normalize_adjacency",
     "sinusoidal_position_encoding", "position_encoding_table", "position_table",

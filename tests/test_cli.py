@@ -74,6 +74,17 @@ class TestCommands:
         with pytest.raises(FileNotFoundError):
             main(["evaluate", "--data", str(csv), "--model", str(orphan)])
 
+    def test_evaluate_rejects_unknown_config_field(self, workspace,
+                                                   tmp_path):
+        csv, model = workspace
+        stale = tmp_path / "stale.npz"
+        stale.write_bytes(model.read_bytes())
+        config = json.loads(model.with_suffix(".json").read_text())
+        config["made_up_field"] = 1
+        stale.with_suffix(".json").write_text(json.dumps(config))
+        with pytest.raises(ValueError, match="made_up_field"):
+            main(["evaluate", "--data", str(csv), "--model", str(stale)])
+
     def test_roundtrip_determinism(self, workspace, capsys):
         """Evaluating twice gives identical output (model is frozen)."""
         csv, model = workspace
@@ -84,7 +95,9 @@ class TestCommands:
         assert first == second
 
     @pytest.mark.parametrize("flag, value", [("--epochs", "0"),
-                                             ("--batch-size", "-3")])
+                                             ("--batch-size", "-3"),
+                                             ("--hidden-dim", "0"),
+                                             ("--hidden-dim", "-4")])
     def test_train_rejects_values_below_one(self, workspace, tmp_path,
                                             capsys, flag, value):
         csv, _ = workspace

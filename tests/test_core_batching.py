@@ -50,15 +50,14 @@ def graph_pool(dataset, builder):
 
 @pytest.fixture(scope="module")
 def models():
-    """One small model per (variant, cell_type) combination, built lazily."""
+    """One small model per (variant, restrict_to_neighbors) combination,
+    built lazily."""
     cache = {}
 
-    def get(variant: str, cell_type: str = "lstm",
-            restrict_to_neighbors: bool = False) -> M2G4RTP:
-        key = (variant, cell_type, restrict_to_neighbors)
+    def get(variant: str, restrict_to_neighbors: bool = False) -> M2G4RTP:
+        key = (variant, restrict_to_neighbors)
         if key not in cache:
             config = make_variant(variant, small_config(
-                cell_type=cell_type,
                 restrict_to_neighbors=restrict_to_neighbors))
             cache[key] = M2G4RTP(config)
         return cache[key]
@@ -149,13 +148,12 @@ class TestBatchAssembly:
 
 
 # ----------------------------------------------------------------------
-# Parity: every variant, both cells, deterministic mixed batch
+# Parity: every variant, deterministic mixed batch
 # ----------------------------------------------------------------------
 class TestVariantParity:
     @pytest.mark.parametrize("variant", VARIANTS)
-    @pytest.mark.parametrize("cell_type", ["lstm", "gru"])
-    def test_variant_parity(self, models, graph_pool, variant, cell_type):
-        assert_parity(models(variant, cell_type), graph_pool[:6])
+    def test_variant_parity(self, models, graph_pool, variant):
+        assert_parity(models(variant), graph_pool[:6])
 
     def test_restrict_to_neighbors_parity(self, models, graph_pool):
         assert_parity(models("full", restrict_to_neighbors=True),
@@ -178,14 +176,12 @@ class TestVariantParity:
 # Fast path (grad disabled) vs Tensor path (grad enabled)
 # ----------------------------------------------------------------------
 class TestFastPathParity:
-    @pytest.mark.parametrize("cell_type", ["lstm", "gru"])
-    def test_decoder_fast_path_matches_tensor_path(self, models, graph_pool,
-                                                   cell_type):
+    def test_decoder_fast_path_matches_tensor_path(self, models, graph_pool):
         """forward_batch must give bit-identical results whether it runs
         the fused kernels (grad off) or Tensor ops."""
         from repro.autodiff import concat, no_grad
 
-        model = models("full", cell_type)
+        model = models("full")
         model.eval()
         batch = GraphBatch.from_graphs(graph_pool[:5])
         courier = concat(
@@ -220,24 +216,22 @@ class TestRandomBatchParity:
         assert_parity(models(variant), graphs)
 
     @given(indices=st.lists(st.integers(0, 23), min_size=1, max_size=8),
-           cell_type=st.sampled_from(["lstm", "gru"]),
            restrict=st.booleans())
     @settings(max_examples=10, deadline=None)
     def test_random_batches_decoder_options(self, models, graph_pool,
-                                            indices, cell_type, restrict):
+                                            indices, restrict):
         graphs = [graph_pool[i] for i in indices]
-        assert_parity(models("full", cell_type, restrict), graphs)
+        assert_parity(models("full", restrict), graphs)
 
     @pytest.mark.slow
     @given(indices=st.lists(st.integers(0, 23), min_size=1, max_size=8),
            variant=st.sampled_from(VARIANTS),
-           cell_type=st.sampled_from(["lstm", "gru"]),
            restrict=st.booleans())
     @settings(max_examples=120, deadline=None)
     def test_extended_sweep(self, models, graph_pool, indices, variant,
-                            cell_type, restrict):
+                            restrict):
         graphs = [graph_pool[i] for i in indices]
-        assert_parity(models(variant, cell_type, restrict), graphs)
+        assert_parity(models(variant, restrict), graphs)
 
 
 # ----------------------------------------------------------------------
@@ -386,14 +380,12 @@ class TestPaddedTrainingParity:
     of its rows run as batches of one — the check that batching the
     optimizer step rests on."""
 
-    @pytest.mark.parametrize("variant,cell_type,restrict",
-                             [(v, c, False) for v in VARIANTS
-                              for c in ("lstm", "gru")]
-                             + [("full", "lstm", True)])
+    @pytest.mark.parametrize("variant,restrict",
+                             [(v, False) for v in VARIANTS]
+                             + [("full", True)])
     def test_losses_and_grads_are_row_means(self, models, graph_pool,
-                                            target_pool, variant, cell_type,
-                                            restrict):
-        model = models(variant, cell_type, restrict)
+                                            target_pool, variant, restrict):
+        model = models(variant, restrict)
         rng = np.random.default_rng(17)
         for size in (2, 5, 8):
             indices = rng.choice(len(graph_pool), size=size, replace=False)

@@ -13,6 +13,8 @@ Covers the pieces of :mod:`repro.deploy` in isolation:
 * ``FaultInjector`` determinism and ``FallbackPredictor`` validity.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,21 @@ class TestModelRegistry:
         corrupt_checkpoint(registry.checkpoint_path("v001"), seed=4)
         assert not registry.verify("v001")
         with pytest.raises(CheckpointIntegrityError, match="integrity"):
+            registry.load("v001")
+
+    @pytest.mark.parametrize("field", ["made_up_field", "cell_type"])
+    def test_unknown_config_field_raises_registry_error(self, model,
+                                                       tmp_path, field):
+        """A manifest whose model config names a field the config does
+        not have (a made-up one, or one an earlier config had) fails
+        with the registry's error, naming the version and the field."""
+        registry = ModelRegistry(tmp_path / "reg")
+        registry.register(model, created_at="t")
+        path = registry.root / "v001" / "manifest.json"
+        stored = json.loads(path.read_text())
+        stored["model_config"][field] = "lstm"
+        path.write_text(json.dumps(stored))
+        with pytest.raises(RegistryError, match=f"'v001'.*{field}"):
             registry.load("v001")
 
 

@@ -1,7 +1,7 @@
 """Differential conformance suite for the fused kernels.
 
 Contract (see ``repro.kernels``): every no-grad inference kernel —
-level embed, GAT-e encoder stack, LSTM/GRU steppers, pointer decode,
+level embed, GAT-e encoder stack, LSTM stepper, pointer decode,
 sort-RNN — must reproduce the Tensor code of the matching
 ``repro.core`` method *run with gradients enabled*, i.e. the code
 training runs.  Throughout this file, the "reference" side of a
@@ -24,7 +24,7 @@ loop; ``tests/test_gat_tape.py`` pins the GAT-e tape node, forward and
 backward, to the per-head Tensor code.
 
 The sweep covers randomized instances from 1 to 64 locations and 1 to
-16 AOIs, every ablation variant, both decoder cell types, and the
+16 AOIs, every ablation variant, and the
 degenerate shapes that historically break masked kernels: single-node
 graphs, fully-masked attention rows and zero-length decode rows.  A
 seeded fuzz sweep over random kernel-level shapes and whole models
@@ -36,9 +36,9 @@ import pytest
 
 from repro.autodiff import Tensor, is_grad_enabled, no_grad
 from repro.core import BatchedM2G4RTP, GraphBatch, M2G4RTP, M2G4RTPConfig, make_variant
-from repro.core.decoder import RecurrentCell
 from repro.core.gat_e import GATEEncoder
 from repro.kernels import fused
+from repro.nn import LSTMCell
 
 from test_gat_tape import reference_gat
 
@@ -80,26 +80,24 @@ def tensor_sort(sort, nodes, routes, lengths):
 # Kernel units: recurrent steppers
 # ----------------------------------------------------------------------
 class TestRecurrentKernels:
-    @pytest.mark.parametrize("cell_type", ["lstm", "gru"])
     @pytest.mark.parametrize("batch", [1, 5])
-    def test_stepper_matches_reference(self, cell_type, batch, rng):
-        recurrent = RecurrentCell(6, 8, rng, cell_type=cell_type)
+    def test_stepper_matches_reference(self, batch, rng):
+        cell = LSTMCell(6, 8, rng)
         xs = rng.normal(size=(10, batch, 6))
-        fused_rec = fused._FusedRecurrent(recurrent, batch)
-        state = recurrent.initial_state((batch,))
+        fused_rec = fused._FusedRecurrent(cell, batch)
+        state = cell.initial_state((batch,))
         for step in range(xs.shape[0]):
-            h_ref, state = recurrent.step(Tensor(xs[step]), state)
+            state = cell(Tensor(xs[step]), state)
             h_fused = fused_rec.step(xs[step])
-            np.testing.assert_array_equal(h_fused, h_ref.data)
+            np.testing.assert_array_equal(h_fused, state[0].data)
 
-    @pytest.mark.parametrize("cell_type", ["lstm", "gru"])
-    def test_stepper_1d_start_token_broadcast(self, cell_type, rng):
+    def test_stepper_1d_start_token_broadcast(self, rng):
         """A 1-D input (the decoder start token) must broadcast exactly
         like the Tensor cell's vector-matmul path."""
-        recurrent = RecurrentCell(6, 8, rng, cell_type=cell_type)
+        cell = LSTMCell(6, 8, rng)
         token = rng.normal(size=6)
-        fused_rec = fused._FusedRecurrent(recurrent, 3)
-        h_ref, _ = recurrent.step(Tensor(token), recurrent.initial_state((3,)))
+        fused_rec = fused._FusedRecurrent(cell, 3)
+        h_ref, _ = cell(Tensor(token), cell.initial_state((3,)))
         h_fused = fused_rec.step(token)
         assert h_ref.shape == (3, 8)
         np.testing.assert_array_equal(h_fused, h_ref.data)
@@ -230,22 +228,20 @@ class TestLevelEmbedKernel:
 # ----------------------------------------------------------------------
 # Kernel units: pointer decode and sort-RNN
 # ----------------------------------------------------------------------
-def build_decoders(rng, node_dim=10, courier_dim=4, cell_type="lstm",
+def build_decoders(rng, node_dim=10, courier_dim=4,
                    restrict_to_neighbors=False):
     from repro.core.decoder import RouteDecoder, SortLSTM
     route = RouteDecoder(node_dim=node_dim, state_dim=8,
                          courier_dim=courier_dim, rng=rng,
-                         cell_type=cell_type,
                          restrict_to_neighbors=restrict_to_neighbors)
     sort = SortLSTM(node_dim=node_dim, state_dim=8, position_dim=4,
-                    rng=rng, cell_type=cell_type)
+                    rng=rng)
     return route, sort
 
 
 class TestPointerDecodeKernel:
-    @pytest.mark.parametrize("cell_type", ["lstm", "gru"])
-    def test_matches_reference(self, rng, cell_type):
-        route, _ = build_decoders(rng, cell_type=cell_type)
+    def test_matches_reference(self, rng):
+        route, _ = build_decoders(rng)
         nodes = rng.normal(size=(4, 9, 10))
         courier = rng.normal(size=(4, 4))
         lengths = np.array([9, 5, 1, 7])
@@ -284,9 +280,8 @@ class TestPointerDecodeKernel:
 
 
 class TestSortRNNKernel:
-    @pytest.mark.parametrize("cell_type", ["lstm", "gru"])
-    def test_matches_reference(self, rng, cell_type):
-        _, sort = build_decoders(rng, cell_type=cell_type)
+    def test_matches_reference(self, rng):
+        _, sort = build_decoders(rng)
         batch, n = 4, 9
         nodes = rng.normal(size=(batch, n, 10))
         lengths = np.array([9, 5, 1, 7])
@@ -340,12 +335,6 @@ class TestEndToEndConformance:
                                          "w/o graph", "w/o uncertainty"])
     def test_variant_sweep(self, variant, sweep_graphs):
         model = M2G4RTP(make_variant(variant, small_config()))
-        ref, out = predict_tensor_and_fused(model, sweep_graphs)
-        assert_outputs_identical(ref, out)
-
-    @pytest.mark.parametrize("cell_type", ["lstm", "gru"])
-    def test_cell_types(self, cell_type, sweep_graphs):
-        model = M2G4RTP(small_config(cell_type=cell_type))
         ref, out = predict_tensor_and_fused(model, sweep_graphs)
         assert_outputs_identical(ref, out)
 
@@ -407,10 +396,8 @@ class TestFuzzConformance:
             np.testing.assert_array_equal(fused_nodes, ref_nodes,
                                           err_msg=f"trial {trial}")
 
-            cell_type = str(rng.choice(["lstm", "gru"]))
             # Odd trials take fused pointer_decode's per-step-mask branch.
             route, sort = build_decoders(rng, node_dim=dim,
-                                         cell_type=cell_type,
                                          restrict_to_neighbors=trial % 2 == 1)
             dec_nodes = rng.normal(size=(batch, n, dim))
             courier = rng.normal(size=(batch, 4))

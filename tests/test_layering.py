@@ -12,7 +12,9 @@ Every serving stage implements only ``handle_batch``; ``handle`` is a
 batch of one, defined once on ``ServingStage``.  The same scan keeps a
 second ``handle`` path from growing back, and a second rollout
 controller: ``DeploymentController`` is the only class with canary,
-shadow, promote or rollback methods.
+shadow, promote or rollback methods.  Likewise a second pointer decode:
+only the route decoder and the fused kernel call the decoder's
+feasibility rule and scoring.
 """
 
 import ast
@@ -109,3 +111,23 @@ def test_deployment_controller_is_the_one_rollout_controller():
                     if ROLLOUT_METHODS & method_names(cls))
     assert [owner.rsplit(" ", 1)[1] for owner in owners] == [
         "DeploymentController"], "\n".join(owners)
+
+
+#: The route decoder's feasibility rule and its candidate scoring.
+DECODER_INTERNALS = {"_candidate_mask_batch", "log_probs_batch"}
+
+
+def test_route_decoder_internals_have_one_owner():
+    """Only ``RouteDecoder`` (its step loop and teacher-forced pass) and
+    the fused greedy kernel call them, so no other module decodes a
+    route by hand."""
+    callers = sorted(
+        f"{path.relative_to(SRC).as_posix()}:{node.lineno}"
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"),
+                                       filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in DECODER_INTERNALS)
+    assert {caller.split(":")[0] for caller in callers} == {
+        "repro/core/decoder.py", "repro/kernels/fused.py"}, "\n".join(callers)

@@ -14,7 +14,7 @@ once per step through ``repeat_steps``; so training itself, and every
 result a trained model gives, is unchanged.
 
 The ``--runslow`` leg sweeps the decoder and whole-model parity over
-seeded shapes, variants and cell types.
+seeded shapes and variants.
 """
 
 import numpy as np
@@ -74,7 +74,7 @@ def reference_teacher_forced(decoder, nodes, courier, lengths, adjacency,
     steps = np.arange(n)
     step_valid = steps[None, :] < lengths[:, None]
     visited = ~step_valid
-    state = decoder.recurrent.initial_state((batch,))
+    h, c = decoder.recurrent.cell.initial_state((batch,))
     step_input = decoder.start_token
     previous = None
     keys = decoder.attention.key_proj(nodes)
@@ -83,7 +83,7 @@ def reference_teacher_forced(decoder, nodes, courier, lengths, adjacency,
         nodes, labels, valid=steps[None, :] + 1 < lengths[:, None])
     label_log_probs = []
     for step in range(n):
-        h, state = decoder.recurrent.step(step_input, state)
+        h, c = decoder.recurrent.cell(step_input, (h, c))
         query = concat([h, courier], axis=-1)
         feasible = decoder._candidate_mask_batch(visited, previous, adjacency)
         done = ~feasible.any(axis=1)
@@ -111,10 +111,10 @@ def reference_sort_forward(sort, nodes, routes, lengths):
                                 (batch, n, sort.position_dim))
     sequence = concat([padded_gather(nodes, routes, valid=step_valid),
                        Tensor(positions)], axis=-1)
-    state = sort.recurrent.initial_state((batch,))
+    h, c = sort.recurrent.cell.initial_state((batch,))
     times = []
     for step in range(n):
-        h, state = sort.recurrent.step(sequence[:, step, :], state)
+        h, c = sort.recurrent.cell(sequence[:, step, :], (h, c))
         times.append(sort.head(h).reshape(batch))
     return padded_gather(stack(times, axis=1),
                          route_positions(routes, lengths), valid=step_valid)
@@ -199,12 +199,11 @@ class TestLSTMUnroll:
 # ----------------------------------------------------------------------
 # (b) Teacher-forced RouteDecoder.forward_batch against its step loop
 # ----------------------------------------------------------------------
-def decoder_case(rng, lengths, restrict, cell_type, n=None, node_dim=6):
+def decoder_case(rng, lengths, restrict, n=None, node_dim=6):
     lengths = np.asarray(lengths, dtype=np.int64)
     batch, n = len(lengths), n or int(lengths.max())
     decoder = RouteDecoder(node_dim=node_dim, state_dim=8, courier_dim=3,
-                           rng=rng, restrict_to_neighbors=restrict,
-                           cell_type=cell_type)
+                           rng=rng, restrict_to_neighbors=restrict)
     nodes = Tensor(rng.normal(size=(batch, n, node_dim)), requires_grad=True)
     courier = Tensor(rng.normal(size=(batch, 3)), requires_grad=True)
     # Padding labels hold garbage: both sides must ignore it.
@@ -239,17 +238,16 @@ def assert_decoder_parity(rng, decoder, nodes, courier, lengths, adjacency,
 
 class TestTeacherForcedDecoder:
     @pytest.mark.parametrize("restrict", [False, True])
-    @pytest.mark.parametrize("cell_type", ["lstm", "gru"])
     @pytest.mark.parametrize("lengths", [[9, 5, 1, 7], [4, 0, 6], [1], [8]])
-    def test_matches_step_loop(self, restrict, cell_type, lengths):
+    def test_matches_step_loop(self, restrict, lengths):
         rng = np.random.default_rng(len(lengths) * 10 + max(lengths))
-        case = decoder_case(rng, lengths, restrict, cell_type)
+        case = decoder_case(rng, lengths, restrict)
         assert_decoder_parity(rng, *case)
 
     def test_padding_wider_than_every_row(self, rng):
         """Every row finishes before the padded width: trailing steps
         run on the dummy candidate only."""
-        case = decoder_case(rng, [3, 2], True, "lstm", n=6)
+        case = decoder_case(rng, [3, 2], True, n=6)
         assert_decoder_parity(rng, *case)
 
     @pytest.mark.slow
@@ -260,8 +258,7 @@ class TestTeacherForcedDecoder:
         n = int(rng.integers(1, 25))
         lengths = rng.integers(0, n + 1, size=batch)
         lengths[0] = n
-        case = decoder_case(rng, lengths, bool(seed % 2),
-                            ("lstm", "gru")[seed // 2 % 2], n=n,
+        case = decoder_case(rng, lengths, bool(seed % 2), n=n,
                             node_dim=int(rng.choice([4, 6, 16])))
         assert_decoder_parity(rng, *case)
 
@@ -306,14 +303,12 @@ def assert_model_parity(model, graphs, targets):
 
 class TestModelParity:
     @pytest.mark.parametrize("variant", VARIANT_NAMES)
-    @pytest.mark.parametrize("cell_type", ["lstm", "gru"])
-    def test_mixed_group(self, pool, variant, cell_type):
+    def test_mixed_group(self, pool, variant):
         graphs, targets = pool
         counts = [g.num_locations for g in graphs]
         indices = [counts.index(n) for n in (20, 3, 16, 9, 5)]
         model = M2G4RTP(make_variant(variant, M2G4RTPConfig(
-            hidden_dim=16, num_heads=2, num_encoder_layers=1,
-            cell_type=cell_type, seed=3)))
+            hidden_dim=16, num_heads=2, num_encoder_layers=1, seed=3)))
         model.train()
         assert_model_parity(model, [graphs[i] for i in indices],
                             [targets[i] for i in indices])
@@ -329,7 +324,6 @@ class TestModelParity:
             VARIANT_NAMES[seed % len(VARIANT_NAMES)],
             M2G4RTPConfig(hidden_dim=int(rng.choice([8, 16, 32])),
                           num_heads=2, num_encoder_layers=int(rng.integers(1, 3)),
-                          cell_type=("lstm", "gru")[seed // 5 % 2],
                           restrict_to_neighbors=bool(seed % 3 == 0),
                           seed=seed)))
         model.train()

@@ -103,13 +103,12 @@ class TestHandleBatch:
 
 #: Decode variants ``handle`` must serve like the spec: the default
 #: model, the AOI-less location decode, the BiLSTM encoder (a no-grad
-#: ``LSTMCell.unroll``), GRU cells and the neighbour-restricted
-#: (non-incremental) pointer decode.
+#: ``LSTMCell.unroll``) and the neighbour-restricted (non-incremental)
+#: pointer decode.
 SPEC_CONFIGS = {
     "default": M2G4RTPConfig(),
     "w/o aoi": make_variant("w/o aoi"),
     "w/o graph": make_variant("w/o graph"),
-    "gru": M2G4RTPConfig(cell_type="gru"),
     "restrict_to_neighbors": M2G4RTPConfig(restrict_to_neighbors=True),
 }
 
