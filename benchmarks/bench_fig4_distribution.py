@@ -9,7 +9,7 @@ location transfers vs 6.20 AOI transfers per courier-day).
 import numpy as np
 import pytest
 
-from repro.data import RTPDataset, transfer_statistics
+from repro.data import transfer_statistics
 
 from common import get_context, write_result
 

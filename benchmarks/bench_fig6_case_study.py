@@ -21,7 +21,7 @@ from repro.eval import (
     select_interesting_cases,
 )
 
-from common import all_predictors, get_baselines, get_context, get_m2g4rtp, write_result
+from common import get_baselines, get_context, get_m2g4rtp, write_result
 
 
 @pytest.fixture(scope="module")

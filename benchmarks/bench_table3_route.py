@@ -10,7 +10,7 @@ import pytest
 
 from repro.eval import evaluate_method, format_table
 
-from common import all_predictors, get_context, profile_name, write_result
+from common import all_predictors, get_context, write_result
 
 BUCKETS = ("(3-10]", "(10-20]", "all")
 

@@ -19,7 +19,7 @@ import dataclasses
 import functools
 import os
 import pathlib
-from typing import Dict, List
+from typing import Dict
 
 from repro.baselines import (
     DeepBaselineConfig,

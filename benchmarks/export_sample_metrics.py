@@ -1,13 +1,12 @@
 """Produce sample observability artifacts for CI.
 
 Replays a handful of requests through a monitored service with tracing
-and op profiling enabled, then writes to ``benchmarks/results/``:
+enabled, then writes to ``benchmarks/results/``:
 
-* ``sample_metrics.prom`` — a Prometheus exposition combining service,
-  trainer-style and op-profiler series from one shared registry;
+* ``sample_metrics.prom`` — the service monitor's Prometheus exposition;
 * ``sample_trace.jsonl`` — the span trees of the replayed requests;
-* ``sample_trace.txt`` — the same trace rendered as a text tree plus
-  the top-k op table (the artifact shown in EXPERIMENTS.md).
+* ``sample_trace.txt`` — the same trace rendered as a text tree (the
+  artifact shown in EXPERIMENTS.md).
 
 Run ``python benchmarks/export_sample_metrics.py``; finishes in a few
 seconds.
@@ -20,7 +19,7 @@ import pathlib
 
 from repro.core import M2G4RTP, M2G4RTPConfig
 from repro.data import GeneratorConfig, RTPDataset, SyntheticWorld
-from repro.obs import MetricsRegistry, OpProfiler, disable_tracing, enable_tracing
+from repro.obs import disable_tracing, enable_tracing
 from repro.service import RTPRequest, RTPService, ServiceMonitor
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
@@ -34,32 +33,24 @@ def run(num_requests: int = 4, batch_size: int = 3) -> str:
     model = M2G4RTP(M2G4RTPConfig(hidden_dim=16, num_heads=2,
                                   num_encoder_layers=1, seed=3))
 
-    registry = MetricsRegistry()
-    monitor = ServiceMonitor(RTPService(model), registry=registry)
+    monitor = ServiceMonitor(RTPService(model))
     monitor.handle(RTPRequest.from_instance(instances[0]))  # warm-up
 
     collector = enable_tracing()
-    profiler = OpProfiler().start()
     try:
         for instance in instances[:num_requests]:
             monitor.handle(RTPRequest.from_instance(instance))
         monitor.handle_batch([RTPRequest.from_instance(i)
                               for i in instances[num_requests:]])
     finally:
-        profiler.stop()
         disable_tracing()
-    profiler.publish(registry)
 
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "sample_metrics.prom").write_text(
         monitor.render_metrics() + "\n")
     collector.write_jsonl(RESULTS_DIR / "sample_trace.jsonl")
-    report = "\n\n".join([
-        "Sample request traces (one per root span)",
-        collector.render(),
-        "Top autodiff ops by self time",
-        profiler.report(top_k=10),
-    ])
+    report = "\n\n".join(["Sample request traces (one per root span)",
+                          collector.render()])
     (RESULTS_DIR / "sample_trace.txt").write_text(report + "\n")
     return report
 

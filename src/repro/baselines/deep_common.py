@@ -120,8 +120,6 @@ class DeepRouteTimeBaseline(RTPBaseline):
     """
 
     name = "deep-baseline"
-    #: Whether the pointer decoder may use the location adjacency mask.
-    uses_adjacency = False
 
     def __init__(self, config: Optional[DeepBaselineConfig] = None,
                  builder: Optional[GraphBuilder] = None):
@@ -132,7 +130,7 @@ class DeepRouteTimeBaseline(RTPBaseline):
         self.encoder = self._build_encoder(rng)
         self.decoder = RouteDecoder(
             node_dim=self.config.hidden_dim, state_dim=self.config.hidden_dim,
-            courier_dim=3, rng=rng, restrict_to_neighbors=False)
+            courier_dim=3, rng=rng)
         self.time_head = PluginTimeHead(self.config.hidden_dim, self.config, rng)
 
     # -- subclass hooks -------------------------------------------------
@@ -193,12 +191,9 @@ class DeepRouteTimeBaseline(RTPBaseline):
         without a teacher route (greedy decoding).
         """
         n = graph.num_locations
-        adjacency = (graph.location.adjacency[None]
-                     if self.uses_adjacency else None)
         routes, label_log_probs = self.decoder.forward_batch(
             representations.reshape(1, n, -1),
             Tensor(graph.courier_profile.reshape(1, -1)), np.array([n]),
-            adjacency=adjacency,
             teacher_routes=(None if teacher_route is None
                             else np.asarray(teacher_route)[None]))
         return routes[0], label_log_probs

@@ -10,11 +10,11 @@ in joint evaluations.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from ..autodiff import Adam, Tensor, clip_grad_norm, concat, no_grad, stack
+from ..autodiff import Adam, Tensor, clip_grad_norm, concat, no_grad
 from ..data.dataset import RTPDataset
 from ..data.entities import RTPInstance
 from ..graphs import GraphBuilder

@@ -14,7 +14,7 @@ import numpy as np
 from ..autodiff import Tensor
 from ..graphs import MultiLevelGraph
 from ..nn import LSTM, Module
-from .deep_common import DeepBaselineConfig, DeepRouteTimeBaseline
+from .deep_common import DeepRouteTimeBaseline
 
 
 class _LSTMEncoder(Module):

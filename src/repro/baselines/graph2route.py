@@ -20,7 +20,6 @@ class Graph2Route(DeepRouteTimeBaseline):
     """GCN encoder + pointer decoder."""
 
     name = "Graph2Route"
-    uses_adjacency = True
 
     def __init__(self, config: DeepBaselineConfig = None, builder=None,
                  num_layers: int = 2):

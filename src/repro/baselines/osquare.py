@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..data.dataset import RTPDataset
-from ..data.entities import RTPInstance, geo_distance_meters
+from ..data.entities import RTPInstance
 from .base import BaselinePrediction, RTPBaseline
 from .gbdt import GBDTBinaryClassifier, GBDTRegressor
 

@@ -7,7 +7,7 @@ Installed as ``repro-rtp``::
         --events events.jsonl --trace train_trace.jsonl
     repro-rtp evaluate --data data.csv --model model.npz
     repro-rtp serve --data data.csv --model model.npz --queries 5 \\
-        --trace trace.jsonl --metrics-out metrics.prom --profile-ops
+        --trace trace.jsonl --metrics-out metrics.prom
     repro-rtp deploy register --registry reg/ --model model.npz
     repro-rtp deploy serve --registry reg/ --data data.csv \\
         --candidate latest --canary-frac 0.2
@@ -36,8 +36,8 @@ from .deploy import (DeploymentController, FaultInjector, FaultPlan,
                      ModelRegistry, ResilienceConfig, RolloutPolicy)
 from .eval import evaluate_method, format_table, model_predictor
 from .obs import (EventLog, MetricsRegistry, disable_tracing, enable_tracing,
-                  format_span_record, profile_ops, read_jsonl,
-                  summarize_events, summarize_spans)
+                  format_span_record, read_jsonl, summarize_events,
+                  summarize_spans)
 from .service import (ETAService, OrderSortingService, RTPRequest, RTPService,
                       ServiceMonitor)
 from .training import Trainer, TrainerConfig, load_checkpoint, save_checkpoint
@@ -180,16 +180,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     _, _, test = dataset.split_by_day()
     model = _load_model(Path(args.model))
     service = RTPService(model)
-    registry = MetricsRegistry()
-    monitor = ServiceMonitor(service, registry=registry)
+    monitor = ServiceMonitor(service)
     sorting = OrderSortingService(monitor)
     eta = ETAService(monitor)
     collector = enable_tracing() if args.trace else None
-    profiler = None
     try:
-        if args.profile_ops:
-            from .obs import OpProfiler
-            profiler = OpProfiler().start()
         for instance in list(test)[: args.queries]:
             request = RTPRequest.from_instance(instance)
             response = monitor.handle(request)
@@ -205,14 +200,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
                       f"(AOI {order.aoi_id}) ETA {order.eta_minutes:5.1f} min"
                       f"{flag}")
     finally:
-        if profiler is not None:
-            profiler.stop()
         if collector is not None:
             disable_tracing()
-    if profiler is not None:
-        profiler.publish(registry)
-        print("\ntop autodiff ops by self time:")
-        print(profiler.report(top_k=args.top_ops))
     if collector is not None:
         count = collector.write_jsonl(args.trace)
         print(f"\nwrote {count} trace roots to {args.trace}")
@@ -607,6 +596,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _window_size(text: str) -> int:
+    """argparse type: a quality window of at least 2 routes, the
+    ``QualityMonitor`` bound."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     """argparse type: a finite number above 0."""
     value = float(text)
@@ -656,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser("serve", help="replay requests through the service")
     serve.add_argument("--data", required=True)
     serve.add_argument("--model", required=True)
-    serve.add_argument("--queries", type=int, default=3)
+    serve.add_argument("--queries", type=_positive_int, default=3)
     serve.add_argument("--trace", default=None, metavar="PATH",
                        help="enable tracing; write span JSONL here")
     serve.add_argument("--metrics-out", default=None, metavar="PATH",
@@ -664,13 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shards", type=int, default=0,
                        help="serve through N worker-process shards "
                             "(0 = single in-process service)")
-    serve.add_argument("--profile-ops", action="store_true",
-                       help="profile autodiff ops and print the top-k "
-                            "table (served requests run the fused kernels, "
-                            "which it cannot see; served stages appear as "
-                            "kernel.* spans under --trace)")
-    serve.add_argument("--top-ops", type=int, default=10,
-                       help="rows in the op-profile table")
     serve.set_defaults(func=cmd_serve)
 
     obs = sub.add_parser(
@@ -692,9 +683,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  "serving-shaped model)")
     obs_report.add_argument("--out", default="obs_quality.json",
                             help="artifact path (default: %(default)s)")
-    obs_report.add_argument("--queries", type=int, default=96,
+    obs_report.add_argument("--queries", type=_positive_int, default=96,
                             help="routes to serve (default: %(default)s)")
-    obs_report.add_argument("--window", type=int, default=32,
+    obs_report.add_argument("--window", type=_window_size, default=32,
                             help="quality rollup window "
                                  "(default: %(default)s)")
     obs_report.add_argument("--shift-after", type=int, default=None,
@@ -743,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="replay queries through the deployment controller")
     deploy_serve.add_argument("--registry", required=True)
     deploy_serve.add_argument("--data", required=True)
-    deploy_serve.add_argument("--queries", type=int, default=50)
+    deploy_serve.add_argument("--queries", type=_positive_int, default=50)
     deploy_serve.add_argument("--candidate", default=None,
                               help="version ref to canary/shadow")
     deploy_serve.add_argument("--canary-frac", type=float, default=0.2)

@@ -51,47 +51,24 @@ class RouteDecoder(Module):
     courier_dim:
         Width of the courier vector ``u`` concatenated to the query
         (Eq. 28).
-    restrict_to_neighbors:
-        When ``True``, candidates are additionally restricted to graph
-        neighbours of the previously decoded node (the paper's
-        "most likely neighbor of the (s-1)-th output"), falling back to
-        all unvisited nodes when no unvisited neighbour exists.
 
-    The LSTM is held as ``recurrent`` (keys ``recurrent.cell.*``); the
-    decoder steps or unrolls its ``cell``.
+    Every step may choose any unvisited node; a row that has finished
+    chooses the dummy candidate 0.  The LSTM is held as ``recurrent``
+    (keys ``recurrent.cell.*``); the decoder steps or unrolls its
+    ``cell``.
     """
 
     def __init__(self, node_dim: int, state_dim: int, courier_dim: int,
-                 rng: np.random.Generator,
-                 restrict_to_neighbors: bool = True):
+                 rng: np.random.Generator):
         super().__init__()
         self.recurrent = LSTM(node_dim, state_dim, rng)
         self.attention = AdditivePointerAttention(
             key_dim=node_dim, query_dim=state_dim + courier_dim,
             hidden_dim=state_dim, rng=rng)
         self.start_token = Parameter(normal(rng, (node_dim,), std=0.1))
-        self.restrict_to_neighbors = restrict_to_neighbors
-
-    def _candidate_mask_batch(self, visited: np.ndarray,
-                              previous: Optional[np.ndarray],
-                              adjacency: Optional[np.ndarray]) -> np.ndarray:
-        """Feasible candidates per row of a ``(..., B, n)`` visited mask
-        (``previous`` is ``(..., B)``): the unvisited neighbours of the
-        previous node when restricted and any exist, else every unvisited
-        node."""
-        unvisited = ~visited
-        if (self.restrict_to_neighbors and previous is not None
-                and adjacency is not None):
-            batch = visited.shape[-2]
-            neighbors = (np.asarray(adjacency[np.arange(batch), previous],
-                                    dtype=bool) & unvisited)
-            has_neighbor = neighbors.any(axis=-1, keepdims=True)
-            return np.where(has_neighbor, neighbors, unvisited)
-        return unvisited
 
     def forward_batch(self, nodes: Tensor, courier: Tensor,
                       lengths: np.ndarray,
-                      adjacency: Optional[np.ndarray] = None,
                       teacher_routes: Optional[np.ndarray] = None,
                       sample_prob: float = 0.0,
                       rng: Optional[np.random.Generator] = None
@@ -99,8 +76,7 @@ class RouteDecoder(Module):
         """Decode one route per row of a padded batch.
 
         ``nodes`` is ``(B, n, d)`` padded node inputs, ``courier``
-        ``(B, c)``, ``lengths`` the per-instance real node counts and
-        ``adjacency`` the optional ``(B, n, n)`` padded connectivity.
+        ``(B, c)`` and ``lengths`` the per-instance real node counts.
         Returns ``(routes, label_log_probs)``: ``routes`` is an ``(B, n)``
         int array whose row ``b`` holds the decoded route in its first
         ``lengths[b]`` entries.
@@ -123,7 +99,7 @@ class RouteDecoder(Module):
         affect any still-active instance.
 
         Plain teacher forcing (``sample_prob == 0``) knows every step's
-        input and feasible set from the labels, so it runs all steps at
+        input and unvisited set from the labels, so it runs all steps at
         once (:meth:`_teacher_forced_batch`); the step loop below serves
         the decodes whose next input depends on the previous argmax.
         When gradients are disabled and no teacher routes are given,
@@ -135,11 +111,11 @@ class RouteDecoder(Module):
         if not is_grad_enabled() and not teacher:
             with span("kernel.pointer_decode", batch_size=nodes.shape[0]):
                 return fused.pointer_decode(
-                    self, nodes.data, courier.data, lengths, adjacency), None
+                    self, nodes.data, courier.data, lengths), None
         lengths = np.asarray(lengths, dtype=np.int64)
         if teacher and not sample_prob > 0.0:
             return self._teacher_forced_batch(nodes, courier, lengths,
-                                              adjacency, teacher_routes)
+                                              teacher_routes)
         sampling = teacher
         if sampling and rng is None:
             raise ValueError("scheduled sampling requires an rng")
@@ -150,7 +126,6 @@ class RouteDecoder(Module):
         visited = ~step_valid                                 # padding pre-visited
         h, c = self.recurrent.cell.initial_state((batch,))
         step_input: Tensor = self.start_token
-        previous: Optional[np.ndarray] = None
         routes = np.zeros((batch, n), dtype=np.int64)
         keys = self.attention.key_proj(nodes)
         label_log_probs: List[Tensor] = []
@@ -165,15 +140,12 @@ class RouteDecoder(Module):
         for step in range(n):
             h, c = self.recurrent.cell(step_input, (h, c))
             query = concat([h, courier], axis=-1)
-            feasible = self._candidate_mask_batch(visited, previous, adjacency)
+            feasible = ~visited
             # Finished instances get a dummy candidate at index 0 so the
             # masked log-softmax stays well-defined; their argmax is the
             # dummy and the result is never read (row b is sliced to
             # lengths[b]).
-            done = ~feasible.any(axis=1)
-            if done.any():
-                feasible = feasible.copy()
-                feasible[done, 0] = True
+            feasible[~feasible.any(axis=1), 0] = True
             log_probs = self.attention.log_probs_batch(keys, query, feasible)
             chosen = np.argmax(log_probs.data, axis=1)
             if sampling:
@@ -183,7 +155,6 @@ class RouteDecoder(Module):
                 label_log_probs.append(log_probs[rows, target])
             routes[:, step] = chosen
             visited[rows, chosen] = True
-            previous = chosen
             active = (step + 1 < lengths)[:, None]
             step_input = padded_gather(nodes, chosen[:, None],
                                        valid=active)[:, 0, :]
@@ -195,17 +166,15 @@ class RouteDecoder(Module):
 
     def _teacher_forced_batch(self, nodes: Tensor, courier: Tensor,
                               lengths: np.ndarray,
-                              adjacency: Optional[np.ndarray],
                               teacher_routes: np.ndarray
                               ) -> Tuple[np.ndarray, Tensor]:
         """Plain teacher forcing, every step at once.
 
         Step ``s`` feeds the label of step ``s - 1`` (the start token at
         step 0) and may choose any node that is neither padding nor
-        labelled before ``s``, under the same neighbour rule as the step
-        loop.  So the LSTM unrolls once over the start token and the
-        label-gathered nodes, the ``(n, B, n)`` feasibility masks come
-        from the labels, and all steps are scored in one query
+        labelled before ``s``.  So the LSTM unrolls once over the start
+        token and the label-gathered nodes, the ``(n, B, n)`` feasibility
+        masks come from the labels, and all steps are scored in one query
         projection, ``tanh``, ``@ v``, masked log-softmax and label
         gather: the float operations of the step loop, step by step.
         The courier and the attention weights take their gradients one
@@ -227,10 +196,7 @@ class RouteDecoder(Module):
         newly_visited = np.zeros((n, batch, n), dtype=bool)
         newly_visited[steps[1:, None], rows, labels[:, :-1].T] = True
         visited = np.logical_or.accumulate(newly_visited, axis=0) | ~step_valid
-        feasible = np.empty((n, batch, n), dtype=bool)
-        feasible[0] = self._candidate_mask_batch(visited[0], None, adjacency)
-        feasible[1:] = self._candidate_mask_batch(visited[1:], labels[:, :-1].T,
-                                                  adjacency)
+        feasible = ~visited
         # Finished rows get the step loop's dummy candidate at index 0.
         feasible[~feasible.any(axis=-1), 0] = True
 

@@ -22,6 +22,10 @@ from ..nn import BiLSTM, FeatureEncoder, Linear, Module
 from ..obs.tracing import span
 from .gat_e import GATEEncoder
 
+#: Rows of the global weather and weekday embeddings (Eq. 17).
+NUM_WEATHER = 8
+NUM_WEEKDAYS = 7
+
 
 @dataclasses.dataclass
 class EncoderConfig:
@@ -34,8 +38,6 @@ class EncoderConfig:
     discrete_embed_dim: int = 8
     num_aoi_ids: int = 256
     num_aoi_types: int = 8
-    num_weather: int = 8
-    num_weekdays: int = 7
 
 
 class GlobalFeatureEncoder(Module):
@@ -45,7 +47,7 @@ class GlobalFeatureEncoder(Module):
         super().__init__()
         self.encoder = FeatureEncoder(
             continuous_dim=3,
-            discrete_cardinalities=[config.num_weather, config.num_weekdays],
+            discrete_cardinalities=[NUM_WEATHER, NUM_WEEKDAYS],
             continuous_out=config.continuous_embed_dim,
             discrete_out=config.discrete_embed_dim,
             rng=rng,

@@ -13,7 +13,6 @@ autodiff, and cannot fail on well-formed requests.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
 
 import numpy as np
 

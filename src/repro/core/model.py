@@ -46,7 +46,6 @@ class M2G4RTPConfig:
     num_aoi_ids: int = 256
     num_aoi_types: int = 8
     time_scale: float = 60.0
-    restrict_to_neighbors: bool = False
     seed: int = 0
     # Ablation switches (paper Section V-E).
     use_aoi: bool = True          # False -> "w/o AOI" variant
@@ -166,9 +165,7 @@ class M2G4RTP(Module):
 
         d = cfg.hidden_dim
         if cfg.use_aoi:
-            self.aoi_route_decoder = RouteDecoder(
-                d, d, courier_dim, rng,
-                restrict_to_neighbors=cfg.restrict_to_neighbors)
+            self.aoi_route_decoder = RouteDecoder(d, d, courier_dim, rng)
             self.aoi_time_decoder = SortLSTM(d, d, cfg.position_dim, rng)
             location_input_dim = d + cfg.position_dim + 1
         else:
@@ -177,8 +174,7 @@ class M2G4RTP(Module):
             location_input_dim = d
 
         self.location_route_decoder = RouteDecoder(
-            location_input_dim, d, courier_dim, rng,
-            restrict_to_neighbors=cfg.restrict_to_neighbors)
+            location_input_dim, d, courier_dim, rng)
         self.location_time_decoder = SortLSTM(
             location_input_dim, d, cfg.position_dim, rng)
 
@@ -257,7 +253,6 @@ class M2G4RTP(Module):
                 aoi_routes, aoi_label_log_probs = \
                     self.aoi_route_decoder.forward_batch(
                         aoi_reps, courier, batch.aoi.lengths,
-                        adjacency=batch.aoi.adjacency,
                         teacher_routes=aoi_labels,
                         sample_prob=sample_prob, rng=rng)
             aoi_sort = aoi_routes if targets is None else aoi_labels
@@ -282,8 +277,7 @@ class M2G4RTP(Module):
         with span("route_decode", level="location"):
             routes, label_log_probs = self.location_route_decoder.forward_batch(
                 location_inputs, courier, batch.location.lengths,
-                adjacency=batch.location.adjacency, teacher_routes=labels,
-                sample_prob=sample_prob, rng=rng)
+                teacher_routes=labels, sample_prob=sample_prob, rng=rng)
         location_sort = routes if targets is None else labels
         time_inputs = (location_inputs.detach()
                        if cfg.detach_time_inputs else location_inputs)

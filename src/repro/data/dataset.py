@@ -7,8 +7,7 @@ bucketed by route length: n ∈ (3, 10] and n ∈ (10, 20].
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 

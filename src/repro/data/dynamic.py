@@ -11,7 +11,7 @@ so the service layer can be replayed against a realistic query stream.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

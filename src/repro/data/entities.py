@@ -8,7 +8,7 @@ All times are minutes; coordinates are (longitude, latitude) degrees.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 

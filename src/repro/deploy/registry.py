@@ -31,8 +31,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..core import M2G4RTP, M2G4RTPConfig
-from ..training.checkpoint import (CheckpointError, atomic_write,
-                                   load_checkpoint, save_checkpoint)
+from ..training.checkpoint import (atomic_write, load_checkpoint,
+                                   save_checkpoint)
 
 MANIFEST_NAME = "manifest.json"
 CHECKPOINT_NAME = "model.npz"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import defaultdict
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 

@@ -12,7 +12,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..baselines.base import BaselinePrediction, RTPBaseline
+from ..baselines.base import RTPBaseline
 from ..core.batching import BatchedM2G4RTP
 from ..core.model import M2G4RTP
 from ..data.dataset import RTPDataset, SIZE_BUCKETS

@@ -16,7 +16,7 @@ import dataclasses
 
 import numpy as np
 
-from ..data.entities import RTPInstance, pairwise_distance_matrix, geo_distance_meters
+from ..data.entities import RTPInstance, pairwise_distance_matrix
 from .knn import connectivity_matrix
 
 #: Scale constants shared by every feature producer.

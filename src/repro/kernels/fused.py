@@ -337,22 +337,17 @@ def level_embed(encoder, continuous: np.ndarray, discrete: np.ndarray,
 
 
 def pointer_decode(decoder, nodes: np.ndarray, courier: np.ndarray,
-                   lengths: np.ndarray,
-                   adjacency: Optional[np.ndarray] = None) -> np.ndarray:
+                   lengths: np.ndarray) -> np.ndarray:
     """Incremental greedy pointer decode.
 
     Instead of rebuilding the feasibility mask and running a full
     log-softmax per step, the additive ``-1e30`` penalty row is updated
     in place as nodes are chosen, and the argmax runs directly on the
     penalised scores (the log-softmax subtracts a per-row constant, a
-    monotone shift that cannot change the argmax).  With
-    ``restrict_to_neighbors`` the feasible set depends on the previous
-    choice, so the mask is recomputed per step exactly as the Tensor
-    path does.
+    monotone shift that cannot change the argmax).
     """
     batch, n, node_dim = nodes.shape
     lengths = np.asarray(lengths, dtype=np.int64)
-    visited = np.arange(n)[None, :] >= lengths[:, None]   # padding pre-visited
     attention = decoder.attention
     query_weight = attention.query_proj.weight.data
     v = attention.v.data
@@ -368,30 +363,26 @@ def pointer_decode(decoder, nodes: np.ndarray, courier: np.ndarray,
     scores = np.empty((batch, n))
     routes = np.zeros((batch, n), dtype=np.int64)
     rows = np.arange(batch)
-    incremental = not (decoder.restrict_to_neighbors and adjacency is not None)
     steps = np.arange(1, n + 1)
     # Per-step masks hoisted out of the loop: the float "still active"
-    # column and, for the incremental path, the value the chosen column
-    # gets.  Rows already finished *before* a step choose the dummy
-    # candidate 0, which must stay open (value 0.0); everyone else's
-    # choice is closed with -1e30.  A row finishing *at* a step still
-    # closes its last real node, so its dummy is re-opened explicitly.
+    # column and the value the chosen column gets.  Rows already
+    # finished *before* a step choose the dummy candidate 0, which must
+    # stay open (value 0.0); everyone else's choice is closed with
+    # -1e30.  A row finishing *at* a step still closes its last real
+    # node, so its dummy is re-opened explicitly.
     active_f = (steps[:, None] < lengths[None, :]).astype(np.float64)
-    if incremental:
-        penalty = np.where(visited, -1e30, 0.0)
-        exhausted = lengths <= 0
-        if exhausted.any():   # dummy candidate for empty rows, like Tensor
-            penalty[exhausted, 0] = 0.0
-        close_value = np.where(steps[:, None] > lengths[None, :], 0.0, -1e30)
-        # Rows whose last real node is chosen at step s (lengths == s),
-        # grouped per step with one sort instead of n nonzero scans.
-        order = np.argsort(lengths, kind="stable")
-        sorted_lengths = lengths[order]
-        lo = np.searchsorted(sorted_lengths, steps, side="left")
-        hi = np.searchsorted(sorted_lengths, steps, side="right")
-        reopen_rows = [order[lo[i]:hi[i]] for i in range(n)]
+    penalty = np.where(np.arange(n)[None, :] >= lengths[:, None],
+                       -1e30, 0.0)                   # padding pre-visited
+    penalty[lengths <= 0, 0] = 0.0   # dummy candidate for empty rows
+    close_value = np.where(steps[:, None] > lengths[None, :], 0.0, -1e30)
+    # Rows whose last real node is chosen at step s (lengths == s),
+    # grouped per step with one sort instead of n nonzero scans.
+    order = np.argsort(lengths, kind="stable")
+    sorted_lengths = lengths[order]
+    lo = np.searchsorted(sorted_lengths, steps, side="left")
+    hi = np.searchsorted(sorted_lengths, steps, side="right")
+    reopen_rows = [order[lo[i]:hi[i]] for i in range(n)]
     step_input: np.ndarray = decoder.start_token.data
-    previous: Optional[np.ndarray] = None
 
     for step in range(n):
         h = recurrent.step(step_input)
@@ -400,25 +391,12 @@ def pointer_decode(decoder, nodes: np.ndarray, courier: np.ndarray,
         np.add(projected_keys, projected_query[:, None, :], out=pre_tanh)
         np.tanh(pre_tanh, out=pre_tanh)
         np.matmul(pre_tanh, v, out=scores)         # (B, n)
-        if incremental:
-            scores += penalty
-        else:
-            feasible = decoder._candidate_mask_batch(visited, previous,
-                                                     adjacency)
-            done = ~feasible.any(axis=1)
-            if done.any():
-                feasible = feasible.copy()
-                feasible[done, 0] = True
-            scores += np.where(feasible, 0.0, -1e30)
+        scores += penalty
         chosen = np.argmax(scores, axis=1)
         routes[:, step] = chosen
-        if incremental:
-            penalty[rows, chosen] = close_value[step]
-            if reopen_rows[step].size:   # rows whose last real node this was
-                penalty[reopen_rows[step], 0] = 0.0
-        else:
-            visited[rows, chosen] = True
-            previous = chosen
+        penalty[rows, chosen] = close_value[step]
+        if reopen_rows[step].size:   # rows whose last real node this was
+            penalty[reopen_rows[step], 0] = 0.0
         np.multiply(nodes[rows, chosen], active_f[step][:, None],
                     out=step_input_buf)
         step_input = step_input_buf

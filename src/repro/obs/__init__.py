@@ -1,4 +1,4 @@
-"""Unified observability layer: tracing, metrics, op profiling, events.
+"""Unified observability layer: tracing, metrics, events.
 
 Zero-dependency (stdlib-only) subsystem threaded through every layer of
 the stack:
@@ -8,8 +8,6 @@ the stack:
 * :mod:`~repro.obs.metrics` — named Counter/Gauge/Histogram/Summary
   instruments in a :class:`MetricsRegistry` with Prometheus-exposition
   rendering;
-* :mod:`~repro.obs.opprofile` — opt-in per-op-type profiling of the
-  autodiff engine (call counts, self wall time, array bytes);
 * :mod:`~repro.obs.events` — append-only JSONL :class:`EventLog` used
   for per-epoch training telemetry;
 * :mod:`~repro.obs.propagate` — span-context propagation across
@@ -43,7 +41,6 @@ from .metrics import (
     MetricsRegistry,
     Summary,
 )
-from .opprofile import OpProfiler, OpStat, profile_ops
 from .events import EventLog, read_jsonl, summarize_events
 from .propagate import (
     SpanContext,
@@ -71,7 +68,6 @@ __all__ = [
     "summarize_spans", "format_span_record",
     "Counter", "Gauge", "Histogram", "Summary", "MetricsRegistry",
     "DEFAULT_HISTOGRAM_BUCKETS",
-    "OpProfiler", "OpStat", "profile_ops",
     "EventLog", "read_jsonl", "summarize_events",
     "SpanContext", "current_context", "capture_context",
     "worker_span_session", "merge_worker_spans",

@@ -1,11 +1,11 @@
 """Named metric instruments with a Prometheus-exposition renderer.
 
 One :class:`MetricsRegistry` holds every instrument of a process —
-service counters, training gauges, autodiff-op profiles — so a single
+service counters, training gauges, quality windows — so a single
 ``registry.render()`` produces the full exposition text.  Instruments
 are get-or-create by name: asking twice for ``rtp_queries_total``
-returns the same :class:`Counter`, which is how the service monitor,
-the trainer and the op profiler share a registry without coordination.
+returns the same :class:`Counter`, which is how the service monitor
+and the trainer share a registry without coordination.
 
 Label support follows the Prometheus client idiom::
 

@@ -4,9 +4,8 @@ A production RTP service (paper Section VI: "hundreds of thousands of
 queries per day") needs observability.  :class:`ServiceMonitor` wraps
 an :class:`~repro.service.rtp_service.RTPService` and emits every
 counter through a shared :class:`~repro.obs.metrics.MetricsRegistry` —
-the same registry family used by the trainer's telemetry and the
-autodiff op profiler — rendered in Prometheus exposition format by
-:meth:`ServiceMonitor.render_metrics`.
+the same registry family used by the trainer's telemetry — rendered in
+Prometheus exposition format by :meth:`ServiceMonitor.render_metrics`.
 
 Exposed series: request/error totals, a latency histogram, build/infer
 summaries, a per-call batch-size histogram (a single request is a
@@ -69,9 +68,9 @@ class ServiceMonitor(ServingStage):
     ----------
     registry:
         Metrics registry to emit through.  Pass a shared registry to
-        combine service metrics with trainer telemetry and op-profiler
-        output in one exposition; by default the monitor owns a fresh
-        one (exposed as :attr:`registry`).
+        combine service metrics with trainer telemetry in one
+        exposition; by default the monitor owns a fresh one (exposed as
+        :attr:`registry`).
     """
 
     def __init__(self, service: RTPService,

@@ -131,7 +131,7 @@ class Trainer:
       a run is inspectable mid-flight and plottable afterwards.
     * ``registry`` — a :class:`~repro.obs.metrics.MetricsRegistry`;
       ``rtp_train_*`` gauges/counters are updated per epoch, sharing
-      the exposition with the service monitor and op profiler.
+      the exposition with the service monitor.
     """
 
     def __init__(self, model: M2G4RTP,

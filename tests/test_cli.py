@@ -91,15 +91,31 @@ class TestCommands:
         with pytest.raises(FileNotFoundError):
             main(["evaluate", "--data", str(csv), "--model", str(orphan)])
 
-    def test_evaluate_rejects_unknown_config_field(self, workspace,
-                                                   tmp_path):
-        csv, model = workspace
+    @staticmethod
+    def stale_model(model, tmp_path, field):
+        """A copy of ``model`` whose stored config also names ``field``."""
         stale = tmp_path / "stale.npz"
         stale.write_bytes(model.read_bytes())
         config = json.loads(model.with_suffix(".json").read_text())
-        config["made_up_field"] = 1
+        config[field] = 1
         stale.with_suffix(".json").write_text(json.dumps(config))
+        return stale
+
+    def test_evaluate_rejects_unknown_config_field(self, workspace,
+                                                   tmp_path):
+        csv, model = workspace
+        stale = self.stale_model(model, tmp_path, "made_up_field")
         with pytest.raises(ValueError, match="made_up_field"):
+            main(["evaluate", "--data", str(csv), "--model", str(stale)])
+
+    @pytest.mark.parametrize("field", ["cell_type", "restrict_to_neighbors"])
+    def test_evaluate_rejects_a_field_the_config_no_longer_has(
+            self, workspace, tmp_path, field):
+        """A config stored when the model still had ``field`` fails to
+        load, naming it."""
+        csv, model = workspace
+        stale = self.stale_model(model, tmp_path, field)
+        with pytest.raises(ValueError, match=field):
             main(["evaluate", "--data", str(csv), "--model", str(stale)])
 
     def test_roundtrip_determinism(self, workspace, capsys):
@@ -143,3 +159,27 @@ class TestCommands:
         assert exit_info.value.code == 2
         assert f"{flag}: must be" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value, bound", [
+        (["serve", "--data", "data.csv", "--model", "model.npz"],
+         "--queries", "-1", 1),
+        (["serve", "--data", "data.csv", "--model", "model.npz"],
+         "--queries", "0", 1),
+        (["deploy", "serve", "--registry", "reg", "--data", "data.csv"],
+         "--queries", "-3", 1),
+        (["obs", "report"], "--queries", "0", 1),
+        (["obs", "report"], "--window", "1", 2)],
+        ids=["serve-queries--1", "serve-queries-0",
+             "deploy-serve-queries--3", "obs-report-queries-0",
+             "obs-report-window-1"])
+    def test_counts_rejected_at_parse_time(self, tmp_path, monkeypatch,
+                                           capsys, command, flag, value,
+                                           bound):
+        """Out-of-range counts exit 2 before any file is read or
+        written."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + [flag, value])
+        assert exit_info.value.code == 2
+        assert f"{flag}: must be >= {bound}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())

@@ -50,17 +50,13 @@ def graph_pool(dataset, builder):
 
 @pytest.fixture(scope="module")
 def models():
-    """One small model per (variant, restrict_to_neighbors) combination,
-    built lazily."""
+    """One small model per variant, built lazily."""
     cache = {}
 
-    def get(variant: str, restrict_to_neighbors: bool = False) -> M2G4RTP:
-        key = (variant, restrict_to_neighbors)
-        if key not in cache:
-            config = make_variant(variant, small_config(
-                restrict_to_neighbors=restrict_to_neighbors))
-            cache[key] = M2G4RTP(config)
-        return cache[key]
+    def get(variant: str) -> M2G4RTP:
+        if variant not in cache:
+            cache[variant] = M2G4RTP(make_variant(variant, small_config()))
+        return cache[variant]
 
     return get
 
@@ -155,10 +151,6 @@ class TestVariantParity:
     def test_variant_parity(self, models, graph_pool, variant):
         assert_parity(models(variant), graph_pool[:6])
 
-    def test_restrict_to_neighbors_parity(self, models, graph_pool):
-        assert_parity(models("full", restrict_to_neighbors=True),
-                      graph_pool[:6])
-
     def test_single_graph_batch(self, models, graph_pool):
         assert_parity(models("full"), graph_pool[:1])
 
@@ -190,14 +182,12 @@ class TestFastPathParity:
              Tensor(batch.courier_profiles)], axis=-1)
         _, aoi_reps = model.encoder.forward_batch(batch)
         routes_tensor, _ = model.aoi_route_decoder.forward_batch(
-            aoi_reps, courier, batch.aoi.lengths,
-            adjacency=batch.aoi.adjacency)
+            aoi_reps, courier, batch.aoi.lengths)
         times_tensor = model.aoi_time_decoder.forward_batch(
             aoi_reps, routes_tensor, batch.aoi.lengths)
         with no_grad():
             routes_fast, _ = model.aoi_route_decoder.forward_batch(
-                aoi_reps, courier, batch.aoi.lengths,
-                adjacency=batch.aoi.adjacency)
+                aoi_reps, courier, batch.aoi.lengths)
             times_fast = model.aoi_time_decoder.forward_batch(
                 aoi_reps, routes_fast, batch.aoi.lengths)
         np.testing.assert_array_equal(routes_tensor, routes_fast)
@@ -215,23 +205,13 @@ class TestRandomBatchParity:
         graphs = [graph_pool[i] for i in indices]
         assert_parity(models(variant), graphs)
 
-    @given(indices=st.lists(st.integers(0, 23), min_size=1, max_size=8),
-           restrict=st.booleans())
-    @settings(max_examples=10, deadline=None)
-    def test_random_batches_decoder_options(self, models, graph_pool,
-                                            indices, restrict):
-        graphs = [graph_pool[i] for i in indices]
-        assert_parity(models("full", restrict), graphs)
-
     @pytest.mark.slow
     @given(indices=st.lists(st.integers(0, 23), min_size=1, max_size=8),
-           variant=st.sampled_from(VARIANTS),
-           restrict=st.booleans())
+           variant=st.sampled_from(VARIANTS))
     @settings(max_examples=120, deadline=None)
-    def test_extended_sweep(self, models, graph_pool, indices, variant,
-                            restrict):
+    def test_extended_sweep(self, models, graph_pool, indices, variant):
         graphs = [graph_pool[i] for i in indices]
-        assert_parity(models(variant, restrict), graphs)
+        assert_parity(models(variant), graphs)
 
 
 # ----------------------------------------------------------------------
@@ -380,12 +360,10 @@ class TestPaddedTrainingParity:
     of its rows run as batches of one — the check that batching the
     optimizer step rests on."""
 
-    @pytest.mark.parametrize("variant,restrict",
-                             [(v, False) for v in VARIANTS]
-                             + [("full", True)])
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_losses_and_grads_are_row_means(self, models, graph_pool,
-                                            target_pool, variant, restrict):
-        model = models(variant, restrict)
+                                            target_pool, variant):
+        model = models(variant)
         rng = np.random.default_rng(17)
         for size in (2, 5, 8):
             indices = rng.choice(len(graph_pool), size=size, replace=False)

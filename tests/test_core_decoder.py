@@ -10,17 +10,16 @@ from repro.core.decoder import route_positions
 from repro.nn import position_table
 
 
-def make_decoder(rng, node_dim=6, restrict=False):
+def make_decoder(rng, node_dim=6):
     return RouteDecoder(node_dim=node_dim, state_dim=8, courier_dim=3,
-                        rng=rng, restrict_to_neighbors=restrict)
+                        rng=rng)
 
 
-def decode(decoder, nodes, adjacency=None, teacher=None):
+def decode(decoder, nodes, teacher=None):
     """``decoder.forward_batch`` on one ``(n, d)`` instance as a batch of one."""
     n = nodes.shape[0]
     routes, label_log_probs = decoder.forward_batch(
         nodes.reshape(1, n, -1), Tensor(np.zeros((1, 3))), np.array([n]),
-        adjacency=None if adjacency is None else adjacency[None],
         teacher_routes=None if teacher is None else teacher[None])
     return routes[0], label_log_probs
 
@@ -71,31 +70,6 @@ class TestRouteDecoder:
         decoder = make_decoder(rng)
         route, _ = decode(decoder, Tensor(rng.normal(size=(1, 6))))
         assert route.tolist() == [0]
-
-    def test_neighbor_restriction_falls_back(self, rng):
-        decoder = make_decoder(rng, restrict=True)
-        nodes = Tensor(rng.normal(size=(4, 6)))
-        # Adjacency where node 0 has no neighbours at all: decoding must
-        # still produce a full permutation via the fallback.
-        adjacency = np.eye(4, dtype=bool)
-        route, _ = decode(decoder, nodes, adjacency=adjacency)
-        assert sorted(route.tolist()) == list(range(4))
-
-    def test_neighbor_restriction_prefers_neighbors(self, rng):
-        decoder = make_decoder(rng, restrict=True)
-        nodes = Tensor(rng.normal(size=(4, 6)))
-        # Ring adjacency 0-1-2-3.
-        adjacency = np.zeros((4, 4), dtype=bool)
-        for i in range(4):
-            adjacency[i, (i + 1) % 4] = adjacency[(i + 1) % 4, i] = True
-        route, _ = decode(decoder, nodes, adjacency=adjacency)
-        # Every consecutive pair must be ring-adjacent or a fallback step.
-        for a, b in zip(route[:-1], route[1:]):
-            unvisited_neighbors = adjacency[a]
-            if unvisited_neighbors.any():
-                # The chosen successor is a neighbour whenever one existed.
-                assert adjacency[a, b] or not np.any(
-                    adjacency[a][np.setdiff1d(np.arange(4), route[:list(route).index(b)])])
 
     def test_loss_gradients_flow(self, rng):
         decoder = make_decoder(rng)

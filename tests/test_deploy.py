@@ -179,7 +179,8 @@ class TestModelRegistry:
         with pytest.raises(CheckpointIntegrityError, match="integrity"):
             registry.load("v001")
 
-    @pytest.mark.parametrize("field", ["made_up_field", "cell_type"])
+    @pytest.mark.parametrize("field", ["made_up_field", "cell_type",
+                                       "restrict_to_neighbors"])
     def test_unknown_config_field_raises_registry_error(self, model,
                                                        tmp_path, field):
         """A manifest whose model config names a field the config does

@@ -13,8 +13,7 @@ from repro.training import Trainer, TrainerConfig
 class TestScheduledSampling:
     @pytest.fixture
     def decoder(self, rng):
-        return RouteDecoder(node_dim=6, state_dim=8, courier_dim=3, rng=rng,
-                            restrict_to_neighbors=False)
+        return RouteDecoder(node_dim=6, state_dim=8, courier_dim=3, rng=rng)
 
     @staticmethod
     def record_steps(decoder, monkeypatch):

@@ -276,7 +276,6 @@ class TestModelParity:
             M2G4RTPConfig(hidden_dim=heads * int(rng.choice([2, 4, 8])),
                           num_heads=heads,
                           num_encoder_layers=int(rng.integers(1, 4)),
-                          restrict_to_neighbors=bool(seed % 3 == 0),
                           seed=seed)))
         model.train()
         assert_model_parity(model, [graphs[i] for i in indices],

@@ -13,13 +13,14 @@ batch of one, defined once on ``ServingStage``.  The same scan keeps a
 second ``handle`` path from growing back, and a second rollout
 controller: ``DeploymentController`` is the only class with canary,
 shadow, promote or rollback methods.  Likewise a second pointer decode:
-only the route decoder and the fused kernel call the decoder's
-feasibility rule and scoring.
+only the route decoder calls its candidate scoring.
 
 Code that only tests reach is surface to keep without a use: every
 public top-level definition in ``src/repro`` must be named by the
 package itself, a bench or perfbench, apart from a short allowlist of
-references the tests compare against.
+references the tests compare against.  An import that its module never
+reads is a name a reader searches for in vain, so there are none in
+``src/repro`` or the bench scripts.
 """
 
 import ast
@@ -118,14 +119,14 @@ def test_deployment_controller_is_the_one_rollout_controller():
         "DeploymentController"], "\n".join(owners)
 
 
-#: The route decoder's feasibility rule and its candidate scoring.
-DECODER_INTERNALS = {"_candidate_mask_batch", "log_probs_batch"}
+#: The route decoder's candidate scoring.
+DECODER_INTERNALS = {"log_probs_batch"}
 
 
 def test_route_decoder_internals_have_one_owner():
-    """Only ``RouteDecoder`` (its step loop and teacher-forced pass) and
-    the fused greedy kernel call them, so no other module decodes a
-    route by hand."""
+    """Only ``RouteDecoder`` (its step loop and teacher-forced pass)
+    calls it, so no other module scores pointer candidates; the fused
+    greedy kernel scores them in place, without it."""
     callers = sorted(
         f"{path.relative_to(SRC).as_posix()}:{node.lineno}"
         for path in sorted((SRC / "repro").rglob("*.py"))
@@ -135,7 +136,7 @@ def test_route_decoder_internals_have_one_owner():
         and isinstance(node.func, ast.Attribute)
         and node.func.attr in DECODER_INTERNALS)
     assert {caller.split(":")[0] for caller in callers} == {
-        "repro/core/decoder.py", "repro/kernels/fused.py"}, "\n".join(callers)
+        "repro/core/decoder.py"}, "\n".join(callers)
 
 
 #: Public definitions that only tests use, each kept for its reason.
@@ -180,3 +181,51 @@ def test_every_public_definition_has_a_use_outside_tests():
         and not node.name.startswith("_")
         and node.name not in used | TEST_ONLY_KEEP]
     assert not unused, "\n".join(unused)
+
+
+def read_names(tree: ast.AST):
+    """Names that ``tree`` reads: every ``Name`` (attribute roots are
+    ``Name`` nodes too) and every name inside a string annotation."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            annotations.append(node.returns)
+            annotations += [arg.annotation for arg in (
+                args.posonlyargs + args.args + args.kwonlyargs
+                + [args.vararg, args.kwarg]) if arg is not None]
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for annotation in filter(None, annotations):
+            for text in ast.walk(annotation):
+                if isinstance(text, ast.Constant) and isinstance(text.value, str):
+                    names |= read_names(ast.parse(text.value, mode="eval"))
+    return names
+
+
+def test_every_import_is_read():
+    """A module of ``src/repro`` (not ``__init__.py``, whose imports are
+    re-exports) or a ``benchmarks/*.py`` script reads every name it
+    imports."""
+    paths = [path for path in sorted((SRC / "repro").rglob("*.py"))
+             if path.name != "__init__.py"]
+    paths += sorted((SRC.parent / "benchmarks").glob("*.py"))
+    unread = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read = read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0]
+                         for alias in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                bound = [alias.asname or alias.name for alias in node.names
+                         if alias.name != "*"]
+            else:
+                continue
+            unread += [f"{path.relative_to(SRC.parent).as_posix()}:"
+                       f"{node.lineno} {name}"
+                       for name in bound if name not in read]
+    assert not unread, "\n".join(unread)

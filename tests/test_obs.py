@@ -1,29 +1,24 @@
 """Unit tests for the repro.obs observability layer.
 
 Covers span nesting and thread-locality, metric registry label
-handling, the Prometheus exposition format (parsed line-by-line),
-op-profiler accounting, and EventLog round-trips.
+handling, the Prometheus exposition format (parsed line-by-line), and
+EventLog round-trips.
 """
 
 import json
 import re
 import threading
 
-import numpy as np
 import pytest
 
-import repro.autodiff as autodiff
-from repro.autodiff import Tensor
 from repro.obs import (
     EventLog,
     MetricsRegistry,
-    OpProfiler,
     Span,
     TraceCollector,
     disable_tracing,
     enable_tracing,
     format_span_record,
-    profile_ops,
     read_jsonl,
     span,
     summarize_events,
@@ -334,88 +329,6 @@ class TestRegistryThreadSafety:
         assert not torn
         assert f"h_count {self.THREADS * self.PER_THREAD}" \
             in registry.render()
-
-
-# ----------------------------------------------------------------------
-# Op profiler
-# ----------------------------------------------------------------------
-class TestOpProfiler:
-    def test_counts_and_bytes(self):
-        a = Tensor(np.ones((8, 8)), requires_grad=True)
-        b = Tensor(np.ones((8, 8)))
-        with profile_ops() as prof:
-            c = (a @ b).relu()
-            c.sum()
-        stats = prof.stats()
-        assert stats["matmul"].calls == 1
-        assert stats["relu"].calls == 1
-        assert stats["sum"].calls == 1
-        assert stats["matmul"].peak_bytes == 8 * 8 * 8  # float64
-        assert stats["matmul"].self_ms >= 0.0
-
-    def test_composite_ops_self_time(self):
-        """mean = sum * scale: nested calls are counted, and the self
-        times never double-count the nested work."""
-        a = Tensor(np.ones(1000))
-        with profile_ops() as prof:
-            a.mean()
-        stats = prof.stats()
-        assert stats["mean"].calls == 1
-        assert stats["sum"].calls == 1
-        assert stats["mul"].calls == 1
-        total = prof.total_ms()
-        assert total >= stats["mean"].self_ms
-
-    def test_functional_ops_captured(self):
-        logits = Tensor(np.random.default_rng(0).normal(size=(4, 5)))
-        with profile_ops() as prof:
-            autodiff.softmax(logits)
-            autodiff.concat([logits, logits], axis=0)
-        stats = prof.stats()
-        assert "softmax" in stats
-        assert "concat" in stats
-
-    def test_everything_restored_after_exit(self):
-        original_mul = Tensor.__mul__
-        original_softmax = autodiff.softmax
-        with profile_ops():
-            assert Tensor.__mul__ is not original_mul
-            assert autodiff.softmax is not original_softmax
-        assert Tensor.__mul__ is original_mul
-        assert autodiff.softmax is original_softmax
-
-    def test_restores_on_exception(self):
-        original = Tensor.__add__
-        with pytest.raises(RuntimeError):
-            with profile_ops():
-                raise RuntimeError("boom")
-        assert Tensor.__add__ is original
-
-    def test_profiled_values_identical(self):
-        rng = np.random.default_rng(3)
-        x = Tensor(rng.normal(size=(6, 6)), requires_grad=True)
-        baseline = (x.tanh() @ x).sum()
-        baseline.backward()
-        grad_baseline = x.grad.copy()
-        x.zero_grad()
-        with profile_ops():
-            profiled = (x.tanh() @ x).sum()
-            profiled.backward()
-        np.testing.assert_allclose(profiled.data, baseline.data)
-        np.testing.assert_allclose(x.grad, grad_baseline)
-
-    def test_report_and_publish(self):
-        a = Tensor(np.ones((4, 4)))
-        with profile_ops() as prof:
-            (a * 2.0).sum()
-        report = prof.report(top_k=5)
-        assert "op" in report and "self ms" in report
-        assert "mul" in report and "sum" in report
-        registry = MetricsRegistry()
-        prof.publish(registry)
-        text = registry.render()
-        assert 'autodiff_op_calls_total{op="mul"}' in text
-        assert "autodiff_op_self_ms_total" in text
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,6 @@ from repro.eval import LatencyReport, model_predictor, profile_method
 from repro.obs import (
     EventLog,
     MetricsRegistry,
-    OpProfiler,
     TraceCollector,
     disable_tracing,
     enable_tracing,
@@ -141,8 +140,8 @@ class TestMonitorMetrics:
         assert "rtp_batch_size_count 1" in text
 
     def test_shared_registry_across_subsystems(self, model, dataset):
-        """Monitor, trainer and op profiler all emit through one
-        registry → one exposition."""
+        """Monitor and trainer both emit through one registry → one
+        exposition."""
         registry = MetricsRegistry()
         monitor = ServiceMonitor(RTPService(model), registry=registry)
         monitor.handle(RTPRequest.from_instance(dataset[0]))
@@ -152,17 +151,12 @@ class TestMonitorMetrics:
         trainer = Trainer(small, TrainerConfig(epochs=1), registry=registry)
         subset = type(dataset)(list(dataset)[:2])
         trainer.fit(subset)
-
-        profiler = OpProfiler().start()
         monitor.handle(RTPRequest.from_instance(dataset[1]))
-        profiler.stop()
-        profiler.publish(registry)
 
         text = monitor.render_metrics()
         assert "rtp_queries_total 2" in text
         assert "rtp_train_epochs_total 1" in text
         assert "rtp_train_loss" in text
-        assert "autodiff_op_calls_total" in text
 
 
 # ----------------------------------------------------------------------
@@ -248,20 +242,16 @@ class TestCLI:
         assert sum(r["type"] == "epoch" for r in records) == 2
         assert "rtp_train_epochs_total 2" in metrics.read_text()
 
-    def test_serve_with_trace_metrics_and_profile(self, workspace, capsys):
+    def test_serve_with_trace_and_metrics(self, workspace):
         root, csv, model = workspace
         trace = root / "serve_trace.jsonl"
         metrics = root / "serve_metrics.prom"
         assert main(["serve", "--data", str(csv), "--model", str(model),
                      "--queries", "2", "--trace", str(trace),
-                     "--metrics-out", str(metrics), "--profile-ops"]) == 0
-        out = capsys.readouterr().out
-        assert "top autodiff ops by self time" in out
+                     "--metrics-out", str(metrics)]) == 0
         roots = read_jsonl(trace)
         assert roots and all(r["name"] == "rtp.request" for r in roots)
-        text = metrics.read_text()
-        assert "rtp_queries_total" in text
-        assert "autodiff_op_calls_total" in text
+        assert "rtp_queries_total" in metrics.read_text()
 
     def test_obs_summarizes_trace(self, workspace, capsys):
         root, csv, model = workspace

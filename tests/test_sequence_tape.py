@@ -65,7 +65,7 @@ def reference_unroll_lstm_batch(cell, sequence):
     return stack(outputs, axis=1)
 
 
-def reference_teacher_forced(decoder, nodes, courier, lengths, adjacency,
+def reference_teacher_forced(decoder, nodes, courier, lengths,
                              teacher_routes):
     """``RouteDecoder.forward_batch``'s step loop under plain teacher
     forcing: one recurrent step, mask and log-softmax per step."""
@@ -76,7 +76,6 @@ def reference_teacher_forced(decoder, nodes, courier, lengths, adjacency,
     visited = ~step_valid
     h, c = decoder.recurrent.cell.initial_state((batch,))
     step_input = decoder.start_token
-    previous = None
     keys = decoder.attention.key_proj(nodes)
     labels = np.where(step_valid, teacher_routes, 0)
     teacher_inputs = padded_gather(
@@ -85,16 +84,12 @@ def reference_teacher_forced(decoder, nodes, courier, lengths, adjacency,
     for step in range(n):
         h, c = decoder.recurrent.cell(step_input, (h, c))
         query = concat([h, courier], axis=-1)
-        feasible = decoder._candidate_mask_batch(visited, previous, adjacency)
-        done = ~feasible.any(axis=1)
-        if done.any():
-            feasible = feasible.copy()
-            feasible[done, 0] = True
+        feasible = ~visited
+        feasible[~feasible.any(axis=1), 0] = True
         log_probs = decoder.attention.log_probs_batch(keys, query, feasible)
         chosen = labels[:, step]
         label_log_probs.append(log_probs[rows, chosen])
         visited[rows, chosen] = True
-        previous = chosen
         step_input = teacher_inputs[:, step, :]
     routes = labels.astype(np.int64)
     return routes, (stack(label_log_probs, axis=1)
@@ -199,30 +194,27 @@ class TestLSTMUnroll:
 # ----------------------------------------------------------------------
 # (b) Teacher-forced RouteDecoder.forward_batch against its step loop
 # ----------------------------------------------------------------------
-def decoder_case(rng, lengths, restrict, n=None, node_dim=6):
+def decoder_case(rng, lengths, n=None, node_dim=6):
     lengths = np.asarray(lengths, dtype=np.int64)
     batch, n = len(lengths), n or int(lengths.max())
     decoder = RouteDecoder(node_dim=node_dim, state_dim=8, courier_dim=3,
-                           rng=rng, restrict_to_neighbors=restrict)
+                           rng=rng)
     nodes = Tensor(rng.normal(size=(batch, n, node_dim)), requires_grad=True)
     courier = Tensor(rng.normal(size=(batch, 3)), requires_grad=True)
     # Padding labels hold garbage: both sides must ignore it.
     teacher = rng.integers(0, n, size=(batch, n))
     for b, k in enumerate(lengths):
         teacher[b, :k] = rng.permutation(k)
-    adjacency = rng.random((batch, n, n)) < 0.4
-    return decoder, nodes, courier, lengths, adjacency, teacher
+    return decoder, nodes, courier, lengths, teacher
 
 
-def assert_decoder_parity(rng, decoder, nodes, courier, lengths, adjacency,
-                          teacher):
+def assert_decoder_parity(rng, decoder, nodes, courier, lengths, teacher):
     upstream = Tensor(rng.normal(size=teacher.shape))
     leaves = [nodes, courier] + decoder.parameters()
     runs = []
     for run in (lambda: reference_teacher_forced(
-                    decoder, nodes, courier, lengths, adjacency, teacher),
+                    decoder, nodes, courier, lengths, teacher),
                 lambda: decoder.forward_batch(nodes, courier, lengths,
-                                              adjacency=adjacency,
                                               teacher_routes=teacher)):
         for leaf in leaves:
             leaf.zero_grad()
@@ -237,17 +229,16 @@ def assert_decoder_parity(rng, decoder, nodes, courier, lengths, adjacency,
 
 
 class TestTeacherForcedDecoder:
-    @pytest.mark.parametrize("restrict", [False, True])
     @pytest.mark.parametrize("lengths", [[9, 5, 1, 7], [4, 0, 6], [1], [8]])
-    def test_matches_step_loop(self, restrict, lengths):
+    def test_matches_step_loop(self, lengths):
         rng = np.random.default_rng(len(lengths) * 10 + max(lengths))
-        case = decoder_case(rng, lengths, restrict)
+        case = decoder_case(rng, lengths)
         assert_decoder_parity(rng, *case)
 
     def test_padding_wider_than_every_row(self, rng):
         """Every row finishes before the padded width: trailing steps
         run on the dummy candidate only."""
-        case = decoder_case(rng, [3, 2], True, n=6)
+        case = decoder_case(rng, [3, 2], n=6)
         assert_decoder_parity(rng, *case)
 
     @pytest.mark.slow
@@ -258,7 +249,7 @@ class TestTeacherForcedDecoder:
         n = int(rng.integers(1, 25))
         lengths = rng.integers(0, n + 1, size=batch)
         lengths[0] = n
-        case = decoder_case(rng, lengths, bool(seed % 2), n=n,
+        case = decoder_case(rng, lengths, n=n,
                             node_dim=int(rng.choice([4, 6, 16])))
         assert_decoder_parity(rng, *case)
 
@@ -324,7 +315,6 @@ class TestModelParity:
             VARIANT_NAMES[seed % len(VARIANT_NAMES)],
             M2G4RTPConfig(hidden_dim=int(rng.choice([8, 16, 32])),
                           num_heads=2, num_encoder_layers=int(rng.integers(1, 3)),
-                          restrict_to_neighbors=bool(seed % 3 == 0),
                           seed=seed)))
         model.train()
         assert_model_parity(model, [graphs[i] for i in indices],

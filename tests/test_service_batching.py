@@ -102,14 +102,12 @@ class TestHandleBatch:
 
 
 #: Decode variants ``handle`` must serve like the spec: the default
-#: model, the AOI-less location decode, the BiLSTM encoder (a no-grad
-#: ``LSTMCell.unroll``) and the neighbour-restricted (non-incremental)
-#: pointer decode.
+#: model, the AOI-less location decode and the BiLSTM encoder (a no-grad
+#: ``LSTMCell.unroll``).
 SPEC_CONFIGS = {
     "default": M2G4RTPConfig(),
     "w/o aoi": make_variant("w/o aoi"),
     "w/o graph": make_variant("w/o graph"),
-    "restrict_to_neighbors": M2G4RTPConfig(restrict_to_neighbors=True),
 }
 
 
